@@ -17,7 +17,6 @@ from repro.experiments import (
     figure6_series,
     figure7_series,
     format_figure_series,
-    run_table2,
 )
 
 from conftest import run_once
@@ -27,8 +26,8 @@ OUTLIERS = ("leslie3d", "cactusADM", "libquantum")
 
 
 @pytest.fixture(scope="module")
-def table2_result(dataset, config):
-    return run_table2(dataset, config)
+def table2_result(table2):
+    return table2.result()
 
 
 def test_figure6_rank_correlation_per_benchmark(benchmark, table2_result):

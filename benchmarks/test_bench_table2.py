@@ -8,13 +8,13 @@ or better than GA-kNN, and the hard benchmarks are the outliers the paper
 names.
 """
 
-from repro.experiments import GAKNN, MLPT, NNT, format_table2, run_table2
+from repro.experiments import GAKNN, MLPT, NNT, format_table2
 
 from conftest import run_once
 
 
-def test_table2_family_cross_validation(benchmark, dataset, config):
-    result = run_once(benchmark, run_table2, dataset, config)
+def test_table2_family_cross_validation(benchmark, table2):
+    result = run_once(benchmark, table2.run)
     print()
     print(format_table2(result))
 

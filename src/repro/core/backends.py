@@ -12,9 +12,12 @@ array libraries enough work per call to amortise their own.
 Two backends ship:
 
 * :class:`NumpyBackend` — the reference implementation, always available.
-  Its kernels are the historical inner loops moved verbatim, so results
-  are bit-identical to the pre-backend code (the equivalence suite pins
-  this).
+  Its SGD kernel is a packed-layout loop: weights, velocities and
+  gradients each live in one flat buffer, so the per-step momentum and
+  weight updates are four whole-buffer calls.  Every element still goes
+  through the original per-tensor loop's operation sequence, so results
+  are bit-identical to the pre-backend code (``tests/test_mlp_sgd_oracle.py``
+  pins this byte for byte).
 * :class:`TorchBackend` — an optional PyTorch port (float64, same
   operation order).  It is opt-in via configuration or the
   ``REPRO_BACKEND`` environment variable and degrades cleanly: when torch
@@ -113,12 +116,14 @@ class ArrayBackend(Protocol):
 
 
 class NumpyBackend:
-    """Reference backend: the historical inner loops, moved verbatim.
+    """Reference backend.
 
-    Every kernel preserves the exact operation order of the code it was
-    extracted from, so results are bit-identical to the pre-backend
+    Every kernel preserves the per-element operation order of the code it
+    was extracted from, so results are bit-identical to the pre-backend
     implementation (and therefore to the sequential per-cell paths the
-    batched engine is benchmarked against).
+    batched engine is benchmarked against).  :meth:`mlp_sgd` reaches that
+    with a packed state layout rather than the original per-tensor loop;
+    the original survives only as the test oracle it is checked against.
     """
 
     name = "numpy"
@@ -141,71 +146,78 @@ class NumpyBackend:
         momentum: float,
         gradient_clip: float,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n_networks, n_features, n_hidden = w_hidden.shape
+        n_networks, _, n_hidden = w_hidden.shape
 
-        vel_w_hidden = np.zeros_like(w_hidden)
-        vel_b_hidden = np.zeros_like(b_hidden)
-        vel_w_output = np.zeros_like(w_output)
-        vel_b_output = np.zeros(n_networks)
+        # Packed state: parameters, velocities and gradients each live in one
+        # flat buffer laid out [w_hidden | b_hidden | w_output | b_output],
+        # so the momentum/scale/velocity/weight updates of all four tensors
+        # are four whole-buffer calls.  Every block is a C-contiguous view
+        # and every element still sees the same IEEE operation sequence as
+        # an individually trained MLPRegressor, so results are bit-identical.
+        weights = (w_hidden, b_hidden, w_output, b_output)
+        cuts = np.cumsum([w.size for w in weights[:-1]])
 
-        lr = learning_rate
-        clip = gradient_clip
+        def unpack(buf: np.ndarray) -> list[np.ndarray]:
+            return [part.reshape(w.shape) for part, w in zip(np.split(buf, cuts), weights)]
 
-        # Scratch buffers reused across the whole SGD loop; every update
-        # below preserves the sequential implementation's operation order,
-        # so each stacked network follows bit-for-bit the same trajectory
-        # an individually trained MLPRegressor would.
-        hidden_pre = np.empty((n_networks, 1, n_hidden))
+        params = np.concatenate([w.ravel() for w in weights])
+        vel = np.zeros_like(params)
+        grad = np.empty_like(params)
+        p_w_hidden, p_b_hidden, p_w_output, p_b_output = unpack(params)
+        # Scalar operands as 0-d arrays of the state's dtype: the same
+        # values, but cheaper for a ufunc to take than Python floats.
+        lr, mom, lo_clip, hi_clip, one, lo_act, hi_act = (
+            np.array(value, dtype=params.dtype)
+            for value in (learning_rate, momentum, -gradient_clip, gradient_clip,
+                          1.0, -60.0, 60.0)
+        )
+        # The error vector is the b_output gradient slot; delta_hidden is
+        # the b_hidden slot.
+        grad_w_hidden, delta_hidden, grad_w_output, error = unpack(grad)
+
         hidden_act = np.empty((n_networks, n_hidden))
         one_minus_act = np.empty_like(hidden_act)
         output = np.empty((n_networks, 1, 1))
-        error = np.empty(n_networks)
-        grad_w_output = np.empty_like(w_output)
-        delta_hidden = np.empty_like(b_hidden)
-        grad_w_hidden = np.empty_like(w_hidden)
 
-        for indices in shuffle_orders:
-            for idx in indices:
-                xi = x_samples[idx]                                 # (N, F)
-                np.matmul(xi[:, None, :], w_hidden, out=hidden_pre)
-                np.add(hidden_pre[:, 0, :], b_hidden, out=hidden_act)
-                np.clip(hidden_act, -60.0, 60.0, out=hidden_act)
-                np.negative(hidden_act, out=hidden_act)
-                np.exp(hidden_act, out=hidden_act)
-                hidden_act += 1.0
-                np.reciprocal(hidden_act, out=hidden_act)
+        # Every per-step view is built once, before the loop.
+        hidden_act_row = hidden_act[:, None, :]
+        output_flat = output[:, 0, 0]
+        error_col = error[:, None]
+        delta_row = delta_hidden[:, None, :]
+        w_output_col = p_w_output[:, :, None]
+        x_rows = list(x_samples[:, :, None, :])                     # (N, 1, F)
+        x_cols = list(x_samples[:, :, :, None])                     # (N, F, 1)
+        y_rows = list(y_samples)                                    # (N,)
 
-                np.matmul(hidden_act[:, None, :], w_output[:, :, None], out=output)
-                np.add(output[:, 0, 0], b_output, out=error)
-                error -= y_samples[idx]
-                np.clip(error, -clip, clip, out=error)
+        for idx in shuffle_orders.ravel().tolist():
+            np.matmul(x_rows[idx], p_w_hidden, out=hidden_act_row)
+            np.add(hidden_act, p_b_hidden, out=hidden_act)
+            np.maximum(hidden_act, lo_act, out=hidden_act)
+            np.minimum(hidden_act, hi_act, out=hidden_act)
+            np.negative(hidden_act, out=hidden_act)
+            np.exp(hidden_act, out=hidden_act)
+            hidden_act += one
+            np.reciprocal(hidden_act, out=hidden_act)
 
-                np.multiply(error[:, None], hidden_act, out=grad_w_output)
-                np.multiply(error[:, None], w_output, out=delta_hidden)
-                delta_hidden *= hidden_act
-                np.subtract(1.0, hidden_act, out=one_minus_act)
-                delta_hidden *= one_minus_act
-                np.multiply(xi[:, :, None], delta_hidden[:, None, :], out=grad_w_hidden)
+            np.matmul(hidden_act_row, w_output_col, out=output)
+            np.add(output_flat, p_b_output, out=error)
+            error -= y_rows[idx]
+            np.maximum(error, lo_clip, out=error)
+            np.minimum(error, hi_clip, out=error)
 
-                vel_w_output *= momentum
-                grad_w_output *= lr
-                vel_w_output -= grad_w_output
-                vel_b_output *= momentum
-                error *= lr
-                vel_b_output -= error
-                vel_w_hidden *= momentum
-                grad_w_hidden *= lr
-                vel_w_hidden -= grad_w_hidden
-                vel_b_hidden *= momentum
-                delta_hidden *= lr
-                vel_b_hidden -= delta_hidden
+            np.multiply(error_col, hidden_act, out=grad_w_output)
+            np.multiply(error_col, p_w_output, out=delta_hidden)
+            delta_hidden *= hidden_act
+            np.subtract(one, hidden_act, out=one_minus_act)
+            delta_hidden *= one_minus_act
+            np.multiply(x_cols[idx], delta_row, out=grad_w_hidden)
 
-                w_output += vel_w_output
-                b_output += vel_b_output
-                w_hidden += vel_w_hidden
-                b_hidden += vel_b_hidden
+            vel *= mom
+            grad *= lr
+            vel -= grad
+            params += vel
 
-        return w_hidden, b_hidden, w_output, b_output
+        return p_w_hidden, p_b_hidden, p_w_output, p_b_output
 
     def nnt_downdated_statistics(
         self,

@@ -333,10 +333,10 @@ async def _drive_connection(
 
     ``events`` is ``[(send_at, index, line), ...]`` in send order.  The
     sender paces the open loop, the receiver matches in-order replies to
-    the outstanding queue.  On a drop, outstanding lines are re-sent on a
-    fresh connection and their latency keeps counting from the original
-    send; requests that exhaust *max_reconnects* are recorded as untyped
-    failures (``code=None``).
+    the outstanding queue.  On a drop, outstanding lines are re-sent one
+    at a time on a fresh connection and their latency keeps counting from
+    the original send; requests that exhaust *max_reconnects* are recorded
+    as untyped failures (``code=None``).
     """
     loop = asyncio.get_running_loop()
     to_send: "deque[tuple[float, int, bytes]]" = deque(events)
@@ -367,28 +367,37 @@ async def _drive_connection(
             to_send.popleft()
             await writer.drain()
 
+    async def receive_one() -> None:
+        raw = await reader.readline()
+        if not raw:
+            raise ConnectionError("server closed the connection")
+        try:
+            reply = json.loads(raw)
+        except ValueError as exc:  # torn line from a mid-reply drop
+            raise ConnectionError(f"torn reply line: {exc}") from None
+        index, _, first_sent = outstanding.popleft()
+        outcome = _outcome_from_reply(reply, (loop.time() - first_sent) * 1000.0)
+        outcome.resent = max_reconnects - reconnects_left
+        outcomes[index] = outcome
+
     async def receiver() -> None:
         while to_send or outstanding:
-            raw = await reader.readline()
-            if not raw:
-                raise ConnectionError("server closed the connection")
-            try:
-                reply = json.loads(raw)
-            except ValueError as exc:  # torn line from a mid-reply drop
-                raise ConnectionError(f"torn reply line: {exc}") from None
-            index, _, first_sent = outstanding.popleft()
-            outcome = _outcome_from_reply(reply, (loop.time() - first_sent) * 1000.0)
-            outcome.resent = max_reconnects - reconnects_left
-            outcomes[index] = outcome
+            await receive_one()
 
     while to_send or outstanding:
         try:
             if writer is None:
                 reader, writer = await asyncio.open_connection(host, port)
-                for _, line, _ in outstanding:  # replay what the drop orphaned
+                # Replay what the drop orphaned one line at a time.  A burst
+                # of k lines gets through a link that drops each line with
+                # probability p only with probability (1-p)^k, so replaying
+                # a growing backlog at once can livelock; stop-and-wait
+                # always makes progress.
+                for _, line, _ in list(outstanding):
                     writer.write(line + b"\n")
                     stats["resent"] += 1
-                await writer.drain()
+                    await writer.drain()
+                    await receive_one()
             send_task = asyncio.ensure_future(sender())
             recv_task = asyncio.ensure_future(receiver())
             done, pending = await asyncio.wait(

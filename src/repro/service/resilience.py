@@ -37,6 +37,7 @@ Examples::
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -83,7 +84,25 @@ class Deadline:
     def after_ms(
         cls, budget_ms: float, clock: Callable[[], float] = time.monotonic
     ) -> "Deadline":
-        """Deadline *budget_ms* milliseconds from now."""
+        """Deadline *budget_ms* milliseconds from now.
+
+        Raises ``ValueError`` unless the budget is a finite number above
+        zero: a NaN budget would never expire (``NaN <= 0`` is false) and
+        an infinite one would never be enforced.
+
+        Examples::
+
+            >>> Deadline.after_ms(float("nan"))
+            Traceback (most recent call last):
+            ...
+            ValueError: deadline_ms must be finite
+        """
+        try:
+            budget_ms = float(budget_ms)
+        except OverflowError:
+            budget_ms = math.inf
+        if not math.isfinite(budget_ms):
+            raise ValueError("deadline_ms must be finite")
         if budget_ms <= 0:
             raise ValueError("deadline_ms must be > 0")
         return cls(clock() + budget_ms / 1000.0, clock)

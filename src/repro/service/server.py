@@ -146,9 +146,10 @@ def query_from_payload(payload: Mapping[str, Any]) -> RankingQuery:
     if deadline_ms is not None:
         if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
             raise ServiceError("deadline_ms must be a number of milliseconds")
-        if deadline_ms <= 0:
-            raise ServiceError("deadline_ms must be > 0")
-        deadline = Deadline.after_ms(float(deadline_ms))
+        try:
+            deadline = Deadline.after_ms(deadline_ms)
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from None
     return RankingQuery(
         application=application,
         predictive_machines=tuple(predictive),

@@ -171,6 +171,59 @@ def test_run_load_against_live_server_reconciles_with_metrics(dataset):
     assert payload["error_total"] == 0
 
 
+def test_reconnect_replay_makes_progress_through_a_lossy_link(dataset):
+    """A server that cuts every connection at its third line still gets
+    every request answered.
+
+    The server reads ahead and abandons unwritten answers when it cuts, so
+    a backlog replayed as one burst would lose every answer on every
+    reconnect.  Stop-and-wait replay gets two answers through per
+    connection.
+    """
+    lines_per_connection = 3
+
+    async def handle(reader, writer):
+        async def answer():
+            await asyncio.sleep(0.005)
+            writer.write(b'{"ok": true}\n')
+
+        answers = []
+        try:
+            for _ in range(lines_per_connection):
+                if not await reader.readline():
+                    break
+                answers.append(asyncio.ensure_future(answer()))
+        finally:
+            for task in answers:  # the cut abandons every unwritten answer
+                task.cancel()
+            writer.close()
+
+    async def run():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            return await run_load(
+                port=port,
+                mix=QueryMix("burst", n_splits=1, zipf_s=0.0),
+                rate=2000,
+                duration=0.006,
+                connections=1,
+                seed=3,
+                dataset=dataset,
+                max_reconnects=12,
+                timeout=30,
+            )
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    report = asyncio.run(run())
+    assert report.requests == 12
+    assert report.untyped_failures == 0
+    assert report.ok == report.requests
+    assert report.reconnects >= report.requests // (lines_per_connection - 1) - 1
+
+
 # ------------------------------------------------------------------------- CLI
 def test_cli_prints_report_and_writes_json(monkeypatch, capsys, tmp_path):
     fake = LoadReport(

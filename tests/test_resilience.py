@@ -71,6 +71,17 @@ def test_deadline_rejects_non_positive_budget():
         Deadline.after_ms(-5)
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-past-float-range"],
+)
+def test_deadline_rejects_non_finite_budget(budget):
+    # NaN <= 0 is false, so without this check a NaN budget never expires.
+    with pytest.raises(ValueError, match="finite"):
+        Deadline.after_ms(budget)
+
+
 # ------------------------------------------------------------ circuit breaker
 def test_breaker_trips_after_consecutive_failures_only():
     breaker = CircuitBreaker(failure_threshold=3, cooldown=1.0, clock=lambda: 0.0)

@@ -72,6 +72,10 @@ def test_query_from_payload_round_trip(dataset):
         {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": "1s"},
         {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": 0},
         {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": True},
+        {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": float("nan")},
+        {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": float("inf")},
+        {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": float("-inf")},
+        {"application": "gcc", "predictive_machines": ["m"], "deadline_ms": 10**400},
     ],
 )
 def test_query_from_payload_rejects_malformed_requests(payload):
@@ -183,6 +187,61 @@ def test_serve_tcp_round_trip(service, dataset):
     assert replies[1]["ok"] is True and replies[1]["application"] == "namd"
     assert replies[2]["ok"] is False and replies[2]["code"] == "INVALID_REQUEST"
     assert replies[3]["ok"] is True and replies[3]["stats"]["entries"] >= 1
+
+
+#: Non-finite deadlines as they arrive on the wire: Python's JSON reader
+#: accepts the NaN / Infinity / -Infinity literals and overflows 1e999.
+NON_FINITE_DEADLINES = ("NaN", "Infinity", "-Infinity", "1e999")
+
+
+def _deadline_line(machines, literal):
+    request = json.dumps({"application": "gcc", "predictive_machines": machines})
+    return request[:-1] + f', "deadline_ms": {literal}}}'
+
+
+def test_non_finite_deadline_is_invalid_request_in_process(service, dataset):
+    machines = dataset.machine_ids[:4]
+    client = InProcessClient(service)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        reply = client.request(
+            {"application": "gcc", "predictive_machines": machines, "deadline_ms": value}
+        )
+        assert reply["ok"] is False and reply["code"] == "INVALID_REQUEST"
+        assert "finite" in reply["error"]
+    lines = [_deadline_line(machines, literal) for literal in NON_FINITE_DEADLINES]
+    out = io.StringIO()
+    serve_stdio(service, io.StringIO("\n".join(lines) + "\n"), out)
+    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(replies) == len(lines)
+    assert all(r["ok"] is False and r["code"] == "INVALID_REQUEST" for r in replies)
+
+
+def test_non_finite_deadline_is_invalid_request_over_tcp(service, dataset):
+    machines = dataset.machine_ids[:4]
+    lines = [_deadline_line(machines, literal) for literal in NON_FINITE_DEADLINES]
+    # A valid request behind the bad ones still gets its ranking.
+    lines.append(json.dumps({"application": "gcc", "predictive_machines": machines,
+                             "deadline_ms": 10_000}))
+
+    async def run():
+        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        for line in lines:
+            writer.write((line + "\n").encode())
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in lines]
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        return replies
+
+    replies = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    for reply in replies[:-1]:
+        assert reply["ok"] is False and reply["code"] == "INVALID_REQUEST"
+        assert "finite" in reply["error"]
+    assert replies[-1]["ok"] is True and replies[-1]["application"] == "gcc"
 
 
 def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset):
