@@ -3,7 +3,7 @@
 Each vectorised path is timed next to the per-cell path it replaces, so the
 pytest-benchmark trajectory records the speedup (and catches regressions):
 
-* stacked-network MLP training vs one ``MLPRegressor.fit`` per network,
+* stacked-network MLP training vs one N=1 fit per network,
 * rank-one leave-one-out NNᵀ vs one refit per application, and
 * ``run_cross_validation`` end-to-end with the batched method line-up vs
   the historical per-cell adapters (transposition methods only — GA-kNN has
@@ -62,16 +62,18 @@ def test_bench_batched_mlp_fit(benchmark, dataset, config):
 
 
 def test_bench_sequential_mlp_fit(benchmark, dataset, config):
-    """The same network stack trained one ``MLPRegressor`` at a time."""
-    from repro.ml import MLPRegressor
+    """The same network stack trained one network (N=1) at a time."""
+    from repro.ml import BatchedMLPRegressor
 
     features, targets, queries = _mlp_training_stack(dataset)
     epochs = min(config.mlp_epochs, 60)
 
     def run():
-        return np.stack(
+        return np.concatenate(
             [
-                MLPRegressor(epochs=epochs, seed=0).fit(features[n], targets[n]).predict(queries[n])
+                BatchedMLPRegressor(epochs=epochs, seed=0)
+                .fit(features[n : n + 1], targets[n : n + 1])
+                .predict(queries[n : n + 1])
                 for n in range(features.shape[0])
             ]
         )

@@ -153,7 +153,7 @@ class NumpyBackend:
         # so the momentum/scale/velocity/weight updates of all four tensors
         # are four whole-buffer calls.  Every block is a C-contiguous view
         # and every element still sees the same IEEE operation sequence as
-        # an individually trained MLPRegressor, so results are bit-identical.
+        # the original per-tensor loop, so results are bit-identical.
         weights = (w_hidden, b_hidden, w_output, b_output)
         cuts = np.cumsum([w.size for w in weights[:-1]])
 

@@ -47,8 +47,7 @@ from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.core.transposition import TranspositionPredictor
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.ml.batched_mlp import BatchedMLPRegressor
-from repro.ml.mlp import MLPRegressor
+from repro.ml.batched_mlp import GRADIENT_CLIP, BatchedMLPRegressor
 
 __all__ = [
     "BatchedLinearTransposition",
@@ -272,6 +271,11 @@ class TranspositionMethod:
         self.predictor_factory = predictor_factory
         self.name = name
 
+    @property
+    def min_predictive_machines(self) -> int:
+        """Fewest predictive machines a split needs, as the predictor declares."""
+        return getattr(self.predictor_factory(), "min_predictive_machines", 1)
+
     def predict_application_scores(
         self,
         dataset: SpecDataset,
@@ -362,7 +366,8 @@ class BatchedMLPTransposition(TranspositionMethod):
     Every leave-one-out cell of a split trains a network of identical shape,
     hyper-parameters and seed, so all of them advance through SGD together
     as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
-    BatchedMLPRegressor`), matching the per-cell results to ~1e-10.
+    BatchedMLPRegressor`).  The per-cell path trains the same networks one
+    at a time on the same kernel, so the two agree bit for bit.
 
     Examples::
 
@@ -382,7 +387,7 @@ class BatchedMLPTransposition(TranspositionMethod):
         learning_rate: float = 0.05,
         momentum: float = 0.2,
         seed: int = 0,
-        gradient_clip: float = MLPRegressor.GRADIENT_CLIP,
+        gradient_clip: float = GRADIENT_CLIP,
         name: str = "MLP^T",
         backend: "str | object | None" = None,
     ) -> None:
@@ -412,7 +417,7 @@ class BatchedMLPTransposition(TranspositionMethod):
         split: MachineSplit,
         applications: Sequence[str],
     ) -> dict[str, np.ndarray]:
-        if split.n_predictive < 2:
+        if split.n_predictive < self.min_predictive_machines:
             raise ValueError("MLPᵀ needs at least two predictive machines to train on")
         context = SplitContext.for_split(dataset, split)
         training_rows = context.training_row_matrix(applications)      # (N, B-1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.mlp import MLPRegressor
+from repro.ml.batched_mlp import GRADIENT_CLIP, BatchedMLPRegressor
 
 __all__ = ["MLPTranspositionPredictor"]
 
@@ -41,10 +41,13 @@ class MLPTranspositionPredictor:
         Seed for weight initialisation / shuffling, so runs are repeatable.
     gradient_clip:
         Per-sample error-signal clip threshold forwarded to
-        :class:`repro.ml.mlp.MLPRegressor`; raise it when tuning
-        ``learning_rate``, since the clip caps the error signal regardless
-        of the step size.
+        :class:`repro.ml.batched_mlp.BatchedMLPRegressor`; raise it when
+        tuning ``learning_rate``, since the clip caps the error signal
+        regardless of the step size.
     """
+
+    #: Fewest predictive machines (training samples) a fit needs.
+    min_predictive_machines = 2
 
     def __init__(
         self,
@@ -53,7 +56,7 @@ class MLPTranspositionPredictor:
         learning_rate: float = 0.05,
         momentum: float = 0.2,
         seed: int = 0,
-        gradient_clip: float = MLPRegressor.GRADIENT_CLIP,
+        gradient_clip: float = GRADIENT_CLIP,
     ) -> None:
         self.hidden_units = hidden_units
         self.epochs = int(epochs)
@@ -61,7 +64,7 @@ class MLPTranspositionPredictor:
         self.momentum = float(momentum)
         self.seed = int(seed)
         self.gradient_clip = float(gradient_clip)
-        self.model_: MLPRegressor | None = None
+        self.model_: BatchedMLPRegressor | None = None
 
     def predict(
         self,
@@ -90,18 +93,17 @@ class MLPTranspositionPredictor:
             raise ValueError(
                 f"app_scores_predictive has shape {app.shape}, expected ({pred.shape[1]},)"
             )
-        if pred.shape[1] < 2:
+        if pred.shape[1] < self.min_predictive_machines:
             raise ValueError("MLPᵀ needs at least two predictive machines to train on")
 
-        # machines are samples, benchmarks are features
-        train_features = pred.T
-        train_targets = app
-        self.model_ = MLPRegressor(
+        # Machines are samples, benchmarks are features; one network, so
+        # the leading network axis has length 1.
+        self.model_ = BatchedMLPRegressor(
             hidden_units=self.hidden_units,
             learning_rate=self.learning_rate,
             momentum=self.momentum,
             epochs=self.epochs,
             seed=self.seed,
             gradient_clip=self.gradient_clip,
-        ).fit(train_features, train_targets)
-        return self.model_.predict(target.T)
+        ).fit(pred.T[None], app[None])
+        return self.model_.predict(target.T[None])[0]

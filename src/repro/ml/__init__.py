@@ -7,8 +7,9 @@ selection).  None of those implementations are available offline, so this
 package provides NumPy-only re-implementations with the same behaviour:
 
 * :mod:`repro.ml.linreg` — ordinary least squares and ridge regression.
-* :mod:`repro.ml.mlp` — a feed-forward multi-layer perceptron trained with
-  stochastic gradient descent + momentum (matching WEKA's defaults).
+* :mod:`repro.ml.batched_mlp` — a feed-forward multi-layer perceptron
+  trained with stochastic gradient descent + momentum (matching WEKA's
+  defaults), N independent networks per stacked pass.
 * :mod:`repro.ml.knn` — (weighted) k-nearest-neighbour regression.
 * :mod:`repro.ml.genetic` — a real-valued genetic algorithm used by the
   GA-kNN baseline to learn per-feature weights.
@@ -28,7 +29,6 @@ from repro.ml.distances import (
 )
 from repro.ml.preprocessing import MinMaxScaler, StandardScaler
 from repro.ml.linreg import LinearRegression, RidgeRegression, SimpleLinearRegression
-from repro.ml.mlp import MLPRegressor
 from repro.ml.batched_mlp import BatchedMLPRegressor
 from repro.ml.knn import KNNRegressor
 from repro.ml.genetic import GeneticAlgorithm, GAConfig, LockstepGeneticAlgorithm
@@ -45,7 +45,6 @@ __all__ = [
     "KNNRegressor",
     "LinearRegression",
     "LockstepGeneticAlgorithm",
-    "MLPRegressor",
     "MinMaxScaler",
     "RidgeRegression",
     "SimpleLinearRegression",

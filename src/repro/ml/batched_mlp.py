@@ -1,35 +1,47 @@
-"""Stacked-network multi-layer perceptron training.
+"""Multi-layer perceptron regression, trained as a stack of networks.
 
-The leave-one-out evaluation trains one :class:`repro.ml.mlp.MLPRegressor`
-per application of interest, and within a machine split every one of those
-networks shares the same shape (same number of predictive-machine samples,
-same number of training-benchmark features), the same hyper-parameters and
-the same seed.  :class:`BatchedMLPRegressor` exploits that: it stacks the
-weights of N independent networks into ``(N, features, hidden)`` tensors and
-replaces the per-sample scalar updates with batched matmuls over the network
-axis, so all N networks advance through SGD together in one pass.
+The MLPᵀ flavour of data transposition (Section 3.2.2 of the paper) trains
+"the WEKA v3 Multilayer Perceptron implementation with default settings".
+WEKA is not available offline, so this module re-implements the same model
+class in NumPy:
 
-Numerical equivalence
----------------------
-The batched pass reproduces the sequential implementation's arithmetic:
+* a single hidden layer of sigmoid units (WEKA default layer spec ``'a'`` =
+  (#attributes + #outputs) / 2 units),
+* a linear output unit for regression,
+* stochastic gradient descent with momentum (defaults: learning rate 0.3,
+  momentum 0.2, 500 epochs), and
+* attribute/target normalisation into [-1, 1] as WEKA does internally.
 
-* weight initialisation draws the same ``default_rng(seed)`` stream once and
+:class:`BatchedMLPRegressor` trains N independent networks at once.  The
+leave-one-out evaluation trains one network per application of interest,
+and within a machine split every one of those networks shares the same
+shape (same number of predictive-machine samples, same number of
+training-benchmark features), the same hyper-parameters and the same seed.
+Their weights stack into ``(N, features, hidden)`` tensors and all N
+networks advance through SGD together in one pass.  A single fit — one
+application, one split, as Figure 8 and the applications run it — is the
+N=1 case of the same code.
+
+Determinism
+-----------
+The stacked pass gives every network exactly the result it would get if
+trained alone:
+
+* weight initialisation draws one ``default_rng(seed)`` stream and
   broadcasts it across networks — exactly what N sequential fits with the
   same seed would each draw;
 * the per-epoch shuffle order comes from the same stream, shared by all
   networks, again matching N identically-seeded sequential fits; and
-* the forward/backward contractions use ``np.matmul`` on stacked operands,
-  which performs the same per-network reductions as the sequential ``@``.
-
-The equivalence suite in ``tests/test_batched_engine.py`` asserts agreement
-with :class:`~repro.ml.mlp.MLPRegressor` to ``rtol=1e-10`` (in practice the
-two paths agree to the last few ulps even after 500 epochs).
+* every network's elements go through the same IEEE operation sequence as
+  the original per-sample loop, so predictions are byte-for-byte equal to
+  it (``tests/test_mlp_sgd_oracle.py`` keeps that loop as a test-only
+  oracle and compares ``tobytes()``).
 
 Array backends
 --------------
 The SGD inner loop is a backend kernel
 (:meth:`repro.core.backends.ArrayBackend.mlp_sgd`): the default NumPy
-backend runs the historical loop verbatim (bit-identical), while
+backend runs the packed-state loop (bit-identical to the oracle), while
 alternative backends (``backend="torch"`` or ``REPRO_BACKEND=torch``) may
 trade bit-exactness for their own kernels.  All RNG draws — weight
 initialisation and the per-epoch shuffle orders — happen here, outside the
@@ -40,9 +52,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.mlp import MLPRegressor, _sigmoid
+__all__ = ["BatchedMLPRegressor", "GRADIENT_CLIP"]
 
-__all__ = ["BatchedMLPRegressor"]
+#: Default maximum magnitude of the back-propagated error signal per sample.
+GRADIENT_CLIP = 2.0
+
+
+def _sigmoid(values: np.ndarray) -> np.ndarray:
+    # Clip to avoid overflow in exp for badly scaled inputs.
+    return 1.0 / (1.0 + np.exp(-np.clip(values, -60.0, 60.0)))
 
 
 class BatchedMLPRegressor:
@@ -51,9 +69,36 @@ class BatchedMLPRegressor:
     All networks share the hyper-parameters and seed below (the batched
     cross-validation engine trains one network per application of interest,
     all configured identically); only the training data differs per network.
-    Parameters match :class:`repro.ml.mlp.MLPRegressor`, plus ``backend`` —
-    an :class:`~repro.core.backends.ArrayBackend` name or instance for the
-    SGD kernel (``None`` resolves via ``REPRO_BACKEND``, default NumPy).
+    A single fit passes arrays with a leading network axis of 1.
+
+    Parameters
+    ----------
+    hidden_units:
+        Number of hidden units.  ``None`` selects WEKA's automatic rule
+        ``(n_features + 1) // 2`` at fit time (the ``'a'`` wildcard).
+    learning_rate:
+        SGD step size (WEKA default 0.3).
+    momentum:
+        Momentum coefficient applied to the previous weight update (WEKA
+        default 0.2).
+    epochs:
+        Number of passes over the training set (WEKA default 500).
+    normalize:
+        Scale inputs and targets into [-1, 1] before training, as WEKA's
+        MultilayerPerceptron does by default.
+    seed:
+        Seed for weight initialisation and sample shuffling.
+    gradient_clip:
+        Maximum magnitude of the back-propagated error signal per sample.
+        Plain SGD with momentum is prone to divergence on tiny, collinear
+        training sets, so the per-sample error is clipped before the
+        gradients are formed.  Note the clip caps the error signal even when
+        ``learning_rate`` is tuned down to compensate; raise this threshold
+        (or set it very large) when sweeping learning rates.
+    backend:
+        An :class:`~repro.core.backends.ArrayBackend` name or instance for
+        the SGD kernel (``None`` resolves via ``REPRO_BACKEND``, default
+        NumPy).
     """
 
     def __init__(
@@ -64,7 +109,7 @@ class BatchedMLPRegressor:
         epochs: int = 500,
         normalize: bool = True,
         seed: int = 0,
-        gradient_clip: float = MLPRegressor.GRADIENT_CLIP,
+        gradient_clip: float = GRADIENT_CLIP,
         backend: "str | object | None" = None,
     ) -> None:
         if hidden_units is not None and hidden_units < 1:

@@ -357,6 +357,14 @@ class PredictionService:
             )
         if not query.predictive_machines:
             raise ServiceError("at least one predictive machine is required")
+        # Methods that need more training samples say so; checking here
+        # makes a too-small set a client error instead of an engine failure.
+        minimum = getattr(self.methods[query.method], "min_predictive_machines", 1)
+        if len(query.predictive_machines) < minimum:
+            raise ServiceError(
+                f"method {query.method!r} needs at least {minimum} predictive machines, "
+                f"got {len(query.predictive_machines)}"
+            )
         for label, ids in (
             ("predictive", query.predictive_machines),
             ("target", query.target_machines or ()),

@@ -16,7 +16,7 @@ retrying can never double-apply anything).
 | ``DEADLINE_EXCEEDED`` | the query's ``deadline_ms`` elapsed first | client's call |
 | ``OVERLOADED`` | admission control shed the request | yes, with backoff |
 | ``BACKEND_FAILURE`` | the engine failed even on the degraded path | yes, with backoff |
-| ``INTERNAL`` | unexpected server-side error | yes, with backoff |
+| ``INTERNAL`` | unexpected server-side error | no |
 
 Exception classes mirror the codes: raising one anywhere in the stack
 makes every front end answer ``{"ok": false, "code": ..., "error": ...}``
@@ -30,6 +30,8 @@ Examples::
     >>> OverloadedError("queue full").code in RETRYABLE_CODES
     True
     >>> DeadlineExceededError("too late").code in RETRYABLE_CODES
+    False
+    >>> "INTERNAL" in RETRYABLE_CODES
     False
 """
 
@@ -96,4 +98,7 @@ ERROR_CODES: dict[str, str] = {
 }
 
 #: Codes a client may retry with backoff (requests are idempotent).
-RETRYABLE_CODES = frozenset({"OVERLOADED", "BACKEND_FAILURE", "INTERNAL"})
+#: ``INTERNAL`` is left out: an unexpected error is a deterministic server
+#: bug far more often than a transient condition, so resending the same
+#: request would only repeat it.
+RETRYABLE_CODES = frozenset({"OVERLOADED", "BACKEND_FAILURE"})

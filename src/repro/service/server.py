@@ -424,7 +424,7 @@ class InProcessClient:
     shape the stdio/TCP servers exchange, without a process boundary.
     When built with a :class:`~repro.service.resilience.RetryPolicy`, a
     reply whose error code is retryable (``OVERLOADED`` /
-    ``BACKEND_FAILURE`` / ``INTERNAL``) is retried with full-jitter
+    ``BACKEND_FAILURE``) is retried with full-jitter
     exponential backoff — safe because every ranking request is idempotent
     by content fingerprint.
 

@@ -2,7 +2,8 @@
 
 The batched engine is only allowed to be *fast*: every vectorised path must
 reproduce the sequential implementation it replaces.  These tests pin that
-contract — stacked MLP training against per-network training, downdated
+contract — stacked MLP training against the original per-network loop
+(byte for byte, via the oracle in ``test_mlp_sgd_oracle``), downdated
 leave-one-out NNᵀ against per-application refits, the batched pipeline
 against the per-cell pipeline, and the process-pool fan-out against the
 in-process path — plus the satellite API changes that ride along
@@ -23,7 +24,10 @@ from repro.core import (
 )
 from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.data import build_default_dataset, family_cross_validation_splits
-from repro.ml import BatchedMLPRegressor, MLPRegressor
+from repro.ml import BatchedMLPRegressor
+from repro.ml.batched_mlp import GRADIENT_CLIP
+
+from test_mlp_sgd_oracle import ReferenceMLPRegressor
 
 
 @pytest.fixture(scope="module")
@@ -47,20 +51,21 @@ def test_batched_mlp_matches_sequential_across_shapes():
         features = rng.uniform(1.0, 50.0, (n_networks, n_samples, n_features))
         targets = rng.uniform(1.0, 50.0, (n_networks, n_samples))
         queries = rng.uniform(1.0, 50.0, (n_networks, 6, n_features))
-        # backend="numpy" pins the reference kernel: the 1e-10 agreement is
-        # the NumPy-backend contract, independent of any REPRO_BACKEND
-        # selection the surrounding environment (e.g. the CI matrix leg) made.
+        # backend="numpy" pins the reference kernel: byte equality with the
+        # oracle is the NumPy-backend contract, independent of any
+        # REPRO_BACKEND selection the surrounding environment (e.g. the CI
+        # matrix leg) made.
         batched = BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(
             features, targets
         )
         predictions = batched.predict(queries)
         for n in range(n_networks):
             reference = (
-                MLPRegressor(epochs=epochs, seed=seed)
+                ReferenceMLPRegressor(epochs=epochs, seed=seed)
                 .fit(features[n], targets[n])
                 .predict(queries[n])
             )
-            np.testing.assert_allclose(predictions[n], reference, rtol=1e-10)
+            assert predictions[n].tobytes() == reference.tobytes()
 
 
 def test_batched_mlp_matches_sequential_with_explicit_hyperparameters():
@@ -75,8 +80,10 @@ def test_batched_mlp_matches_sequential_with_explicit_hyperparameters():
     assert batched.n_networks == 3
     assert batched.n_hidden_units == 5
     for n in range(3):
-        reference = MLPRegressor(**kwargs).fit(features[n], targets[n]).predict(features[n])
-        np.testing.assert_allclose(predictions[n], reference, rtol=1e-10)
+        reference = (
+            ReferenceMLPRegressor(**kwargs).fit(features[n], targets[n]).predict(features[n])
+        )
+        assert predictions[n].tobytes() == reference.tobytes()
 
 
 def test_batched_mlp_single_network_stack_matches_sequential():
@@ -89,8 +96,10 @@ def test_batched_mlp_single_network_stack_matches_sequential():
     batched = BatchedMLPRegressor(epochs=50, seed=2, backend="numpy").fit(
         features, targets
     )
-    reference = MLPRegressor(epochs=50, seed=2).fit(features[0], targets[0]).predict(queries[0])
-    np.testing.assert_allclose(batched.predict(queries)[0], reference, rtol=1e-10)
+    reference = (
+        ReferenceMLPRegressor(epochs=50, seed=2).fit(features[0], targets[0]).predict(queries[0])
+    )
+    assert batched.predict(queries)[0].tobytes() == reference.tobytes()
 
 
 def test_batched_mlp_validation():
@@ -337,16 +346,22 @@ def test_matrix_score_accessors_return_read_only_views(dataset):
 
 def test_gradient_clip_is_configurable():
     with pytest.raises(ValueError):
-        MLPRegressor(gradient_clip=0.0)
-    assert MLPRegressor().gradient_clip == MLPRegressor.GRADIENT_CLIP
+        BatchedMLPRegressor(gradient_clip=0.0)
+    assert BatchedMLPRegressor().gradient_clip == GRADIENT_CLIP
     # A looser clip changes the training trajectory on data whose scaled
-    # errors exceed the default threshold.
+    # errors exceed the default threshold, and both trajectories match the
+    # oracle byte for byte.
     rng = np.random.default_rng(5)
-    x = rng.uniform(-1.0, 1.0, (12, 2))
-    y = rng.uniform(-1.0, 1.0, 12)
-    tight = MLPRegressor(epochs=30, seed=0, normalize=False, gradient_clip=0.01).fit(x, 10 * y)
-    loose = MLPRegressor(epochs=30, seed=0, normalize=False, gradient_clip=100.0).fit(x, 10 * y)
-    assert not np.array_equal(tight.predict(x), loose.predict(x))
+    x = rng.uniform(-1.0, 1.0, (1, 12, 2))
+    y = 10 * rng.uniform(-1.0, 1.0, (1, 12))
+    predictions = {}
+    for clip in (0.01, 100.0):
+        kwargs = dict(epochs=30, seed=0, normalize=False, gradient_clip=clip)
+        model = BatchedMLPRegressor(**kwargs, backend="numpy").fit(x, y)
+        predictions[clip] = model.predict(x)[0]
+        reference = ReferenceMLPRegressor(**kwargs).fit(x[0], y[0]).predict(x[0])
+        assert predictions[clip].tobytes() == reference.tobytes()
+    assert not np.array_equal(predictions[0.01], predictions[100.0])
     # The transposition predictor forwards the knob.
     predictor = MLPTranspositionPredictor(epochs=5, gradient_clip=7.5)
     assert predictor.gradient_clip == 7.5

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core import BatchedLinearTransposition
+from repro.core import BatchedLinearTransposition, BatchedMLPTransposition
 from repro.data import build_default_dataset
 from repro.service import (
     InProcessClient,
@@ -278,6 +278,114 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
     # ...and same-connection pipelined requests shared batches instead of
     # dispatching one batch per request.
     assert batcher.batches_dispatched - before < len(apps)
+
+
+def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
+    """A too-small predictive set for MLPᵀ is a client error, not INTERNAL.
+
+    The MLPᵀ query shares a batching window with a valid NNᵀ query; it is
+    refused at validation and the NNᵀ query still gets its ranking.
+    """
+    from repro.service import MicroBatcher
+
+    service = PredictionService(
+        dataset, {"NN^T": BatchedLinearTransposition(), "MLP^T": BatchedMLPTransposition(epochs=5)}
+    )
+    batcher = MicroBatcher(service, window=0.05)
+    one_machine = dataset.machine_ids[:1]
+    machines = dataset.machine_ids[:4]
+    requests = [
+        {"application": "gcc", "method": "MLP^T", "predictive_machines": one_machine},
+        {"application": "gcc", "method": "NN^T", "predictive_machines": machines},
+    ]
+
+    async def run():
+        server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        before = batcher.batches_dispatched
+        writer.write("".join(json.dumps(request) + "\n" for request in requests).encode())
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in requests]
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        return batcher.batches_dispatched - before, replies
+
+    batches, (rejected, ranked) = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert batches == 1
+    assert rejected["ok"] is False and rejected["code"] == "INVALID_REQUEST"
+    assert "at least 2 predictive machines" in rejected["error"]
+    expected = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()}).rank(
+        RankingQuery("gcc", tuple(machines))
+    )
+    assert ranked["ok"] is True
+    assert [entry["machine"] for entry in ranked["ranking"]] == list(expected.machine_ids)
+    assert [entry["score"] for entry in ranked["ranking"]] == list(expected.scores)
+
+
+class _FailingMethod:
+    """A per-cell method with a deterministic bug: every call raises."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict_application_scores(self, dataset, split, application, training_benchmarks):
+        self.calls += 1
+        raise RuntimeError("deterministic bug")
+
+
+def test_internal_error_is_not_retried_in_process(dataset):
+    from repro.service import RetryPolicy
+
+    method = _FailingMethod()
+    sleeps = []
+    client = InProcessClient(
+        PredictionService(dataset, {"broken": method}),
+        retry=RetryPolicy(max_attempts=4, base_delay=0.01, seed=1),
+        sleep=sleeps.append,
+    )
+    reply = client.request(
+        {"application": "gcc", "method": "broken",
+         "predictive_machines": dataset.machine_ids[:4]}
+    )
+    assert reply["ok"] is False and reply["code"] == "INTERNAL"
+    assert method.calls == 1 and client.retries == 0 and sleeps == []
+
+
+def test_internal_error_is_not_retried_over_tcp(dataset):
+    from repro.service import RetryPolicy, TCPClient
+
+    method = _FailingMethod()
+    service = PredictionService(dataset, {"broken": method})
+    sleeps = []
+
+    async def run():
+        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        port = server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+
+        def client_call():
+            with TCPClient(
+                "127.0.0.1", port,
+                retry=RetryPolicy(max_attempts=4, base_delay=0.01, seed=1),
+                sleep=sleeps.append,
+            ) as client:
+                reply = client.request(
+                    {"application": "gcc", "method": "broken",
+                     "predictive_machines": dataset.machine_ids[:4]}
+                )
+                return reply, client.retries
+
+        result = await loop.run_in_executor(None, client_call)
+        server.close()
+        await server.wait_closed()
+        return result
+
+    reply, retries = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert reply["ok"] is False and reply["code"] == "INTERNAL"
+    assert method.calls == 1 and retries == 0 and sleeps == []
 
 
 # ------------------------------------------------------------------------ cli
