@@ -11,10 +11,11 @@ outliers, reduced training budgets).  Set ``REPRO_BENCH_PRESET=full`` to run
 the paper-faithful configuration (much slower).
 
 Besides pytest-benchmark's own ``--benchmark-json`` artefact, a session
-that ran benches persists per-module summaries at the repository root —
-``BENCH_service.json``, ``BENCH_engine.json``, ... (one per
-``test_bench_<module>.py`` that ran) — so the perf trajectory is tracked
-across PRs in-tree (ROADMAP open item 3).
+that ran benches writes per-module summaries to the ignored
+``benchmarks/out/`` directory — ``BENCH_service.json``,
+``BENCH_engine.json``, ... (one per ``test_bench_<module>.py`` that ran).
+They are single-round timings for inspecting one run; the tracked,
+noise-banded measurements come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -90,13 +91,13 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-#: Extra per-module payloads merged into BENCH_<module>.json at session end.
+#: Extra per-module payloads merged into out/BENCH_<module>.json at session end.
 #: Keyed module -> name -> JSON-safe payload; see :func:`record_bench_extra`.
 _BENCH_EXTRAS: dict[str, dict[str, object]] = {}
 
 
 def record_bench_extra(module: str, name: str, payload) -> None:
-    """Attach a JSON-safe *payload* to ``BENCH_<module>.json`` under ``extra``.
+    """Attach a JSON-safe *payload* to ``out/BENCH_<module>.json`` under ``extra``.
 
     Lets benches persist richer results than pytest-benchmark timing —
     e.g. the load bench stores full :class:`repro.loadgen.LoadReport`
@@ -108,10 +109,10 @@ def record_bench_extra(module: str, name: str, payload) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist per-module bench summaries as BENCH_<module>.json at the root.
+    """Persist per-module bench summaries as ``benchmarks/out/BENCH_<module>.json``.
 
-    ``benchmarks/test_bench_service.py`` writes ``BENCH_service.json`` and
-    so on, but only for modules whose benches actually ran (a filtered run
+    ``benchmarks/test_bench_service.py`` writes ``out/BENCH_service.json``
+    and so on, but only for modules whose benches actually ran (a filtered run
     never truncates another module's history).  Errored benches are
     skipped so a red run cannot poison the trajectory.
     """
@@ -136,7 +137,8 @@ def pytest_sessionfinish(session, exitstatus):
     modules = sorted(set(by_module) | set(_BENCH_EXTRAS))
     if not modules:
         return
-    root = Path(__file__).resolve().parent.parent
+    out = Path(__file__).resolve().parent / "out"
+    out.mkdir(exist_ok=True)
     preset = os.environ.get("REPRO_BENCH_PRESET", "fast").lower()
     for module in modules:
         results = by_module.get(module, {})
@@ -147,6 +149,6 @@ def pytest_sessionfinish(session, exitstatus):
         extras = _BENCH_EXTRAS.get(module)
         if extras:
             payload["extra"] = {name: extras[name] for name in sorted(extras)}
-        (root / f"BENCH_{module}.json").write_text(
+        (out / f"BENCH_{module}.json").write_text(
             json.dumps(payload, indent=2) + "\n"
         )

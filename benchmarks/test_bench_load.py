@@ -15,10 +15,10 @@ load-smoke leg runs against ``repro-serve``.  Three contracts are enforced:
   eviction/corruption, connection drops) every failure is a *typed* error
   code; zero untyped failures.
 
-Full :class:`~repro.loadgen.LoadReport` payloads are persisted into
-``BENCH_load.json`` (via :func:`conftest.record_bench_extra`) so the
-latency/throughput trajectory is tracked across PRs next to the timing
-numbers.
+Full :class:`~repro.loadgen.LoadReport` payloads are persisted into the
+ignored ``benchmarks/out/BENCH_load.json`` (via
+:func:`conftest.record_bench_extra`) next to the timing numbers; CI uploads
+that file as its load-report artifact.
 """
 
 import asyncio
@@ -71,7 +71,7 @@ class _LiveServer:
     def __enter__(self):
         self.thread.start()
         self._server = asyncio.run_coroutine_threadsafe(
-            serve_tcp(self.service, "127.0.0.1", 0, window=0.001), self.loop
+            serve_tcp(self.service, "127.0.0.1", 0), self.loop
         ).result(timeout=30)
         self.port = self._server.sockets[0].getsockname()[1]
         return self

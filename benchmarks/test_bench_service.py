@@ -98,7 +98,7 @@ def test_bench_service_microbatch_throughput(benchmark, dataset):
     service.rank(queries[0])  # warm the split
 
     async def drive():
-        batcher = MicroBatcher(service, window=0.001, max_batch=len(queries))
+        batcher = MicroBatcher(service, max_batch=len(queries))
         replies = await asyncio.gather(*(batcher.submit(query) for query in queries))
         return batcher, replies
 

@@ -275,7 +275,7 @@ class LoadReport:
         return (self.cache_hits / self.ok) if self.ok else None
 
     def to_payload(self) -> dict:
-        """JSON-serialisable form (persisted into ``BENCH_load.json``)."""
+        """JSON-serialisable form (persisted into ``benchmarks/out/BENCH_load.json``)."""
         payload = dataclasses.asdict(self)
         payload["error_total"] = self.error_total
         payload["cache_hit_rate"] = self.cache_hit_rate

@@ -427,10 +427,20 @@ class PredictionService:
 
     def rank(self, query: RankingQuery) -> RankingReply:
         """Answer one query (see :meth:`rank_many` for the batch form)."""
-        return self.rank_many([query])[0]
+        outcome = self.rank_many([query])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
-    def rank_many(self, queries: Sequence[RankingQuery]) -> list[RankingReply]:
-        """Answer a batch of queries, one reply per query, in order.
+    def rank_many(
+        self, queries: Sequence[RankingQuery]
+    ) -> "list[RankingReply | Exception]":
+        """Answer a batch of queries, one slot per query, in order.
+
+        Each slot holds the query's reply, or the exception answering it
+        failed with (as :func:`asyncio.gather` does with
+        ``return_exceptions=True``), so one failing query never fails its
+        batchmates.  :meth:`rank` raises its query's exception.
 
         Queries sharing a (split, method) pair are answered from one
         trained score table: the first of them triggers the batched tensor
@@ -439,54 +449,58 @@ class PredictionService:
         A query with an expired (or tight) deadline is still answered —
         degraded to its fallback method when one is configured and the
         requested method's cold cost cannot fit the remaining budget.
-        Deadline *errors* are the front ends' business: raising here would
-        poison batchmates sharing the engine call.
+        Deadline *errors* are the front ends' business.
         """
-        replies: list[RankingReply] = []
+        outcomes: "list[RankingReply | Exception]" = []
         for query in queries:
-            engine_span = (
-                query.trace.span("engine")
-                if query.trace is not None
-                else contextlib.nullcontext()
+            try:
+                outcomes.append(self._answer(query))
+            except Exception as exc:  # noqa: BLE001 - the failure is this query's alone
+                outcomes.append(exc)
+        return outcomes
+
+    def _answer(self, query: RankingQuery) -> RankingReply:
+        """One query's reply; raises when it cannot be answered."""
+        engine_span = (
+            query.trace.span("engine")
+            if query.trace is not None
+            else contextlib.nullcontext()
+        )
+        with engine_span:
+            split = self.split_for(query)
+            state = self._state_for(split)
+            served, degraded = self._choose_method(state, query)
+            started = time.monotonic()
+            scores, warm = state.scores_for(
+                self.dataset, served, self.methods[served], query.application
             )
-            with engine_span:
-                split = self.split_for(query)
-                state = self._state_for(split)
-                served, degraded = self._choose_method(state, query)
-                started = time.monotonic()
-                scores, warm = state.scores_for(
-                    self.dataset, served, self.methods[served], query.application
-                )
-            if not warm:
-                elapsed = time.monotonic() - started
-                if elapsed > self._cold_cost.get(served, 0.0):
-                    self._cold_cost[served] = elapsed
-                self.metrics.histogram("service.cold_train_ms").observe(elapsed * 1000.0)
-            self.metrics.counter("service.requests").inc()
-            self.metrics.counter(
-                "service.warm_hits" if warm else "service.cold_passes"
-            ).inc()
-            if degraded:
-                self.degraded_served += 1
-                self.metrics.counter("service.degraded").inc()
-            ranking = MachineRanking.from_scores(split.target_ids, scores)
-            ordered = ranking.ordered_ids()
-            if query.top_n is not None:
-                ordered = ordered[: query.top_n]
-            score_by_id = dict(zip(split.target_ids, (float(s) for s in scores)))
-            replies.append(
-                RankingReply(
-                    application=query.application,
-                    method=query.method,
-                    machine_ids=tuple(ordered),
-                    scores=tuple(score_by_id[mid] for mid in ordered),
-                    cache_hit=warm,
-                    split_fingerprint=state.fingerprint,
-                    degraded=degraded,
-                    served_method=served,
-                )
-            )
-        return replies
+        if not warm:
+            elapsed = time.monotonic() - started
+            if elapsed > self._cold_cost.get(served, 0.0):
+                self._cold_cost[served] = elapsed
+            self.metrics.histogram("service.cold_train_ms").observe(elapsed * 1000.0)
+        self.metrics.counter("service.requests").inc()
+        self.metrics.counter(
+            "service.warm_hits" if warm else "service.cold_passes"
+        ).inc()
+        if degraded:
+            self.degraded_served += 1
+            self.metrics.counter("service.degraded").inc()
+        ranking = MachineRanking.from_scores(split.target_ids, scores)
+        ordered = ranking.ordered_ids()
+        if query.top_n is not None:
+            ordered = ordered[: query.top_n]
+        score_by_id = dict(zip(split.target_ids, (float(s) for s in scores)))
+        return RankingReply(
+            application=query.application,
+            method=query.method,
+            machine_ids=tuple(ordered),
+            scores=tuple(score_by_id[mid] for mid in ordered),
+            cache_hit=warm,
+            split_fingerprint=state.fingerprint,
+            degraded=degraded,
+            served_method=served,
+        )
 
     # ------------------------------------------------------------ inspection
     def cache_stats(self) -> CacheStats:

@@ -6,8 +6,13 @@ split share one trained score table, so handing them to
 :meth:`~repro.service.api.PredictionService.rank_many` as a single batch
 trains once instead of racing to train concurrently.  :class:`MicroBatcher`
 provides that coalescing for asyncio front ends (the TCP server): requests
-arriving within a small window are collected and dispatched as one stacked
-batch call, and each caller awaits only its own reply.
+submitted before the event loop next runs its callbacks (pipelined lines read
+in one chunk, ``gather``-ed submits, a burst of connections) are dispatched
+as one stacked batch call on the next loop turn, and each caller awaits only
+its own reply.  No timer holds a lone request back.  Requests for one split
+that land in different batches still train it once, because
+:meth:`~repro.service.cache.SplitContextCache.get_or_create` builds each
+split under its shard lock.
 
 Replies are position-aligned with the submitted queries, so coalescing is
 invisible to callers: a batch of queries produces exactly the replies the
@@ -22,7 +27,7 @@ Examples::
     >>> dataset = build_default_dataset()
     >>> service = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
     >>> async def ask(apps):
-    ...     batcher = MicroBatcher(service, window=0.001)
+    ...     batcher = MicroBatcher(service)
     ...     machines = tuple(dataset.machine_ids[:4])
     ...     return await asyncio.gather(
     ...         *(batcher.submit(RankingQuery(app, machines, top_n=1)) for app in apps)
@@ -50,13 +55,9 @@ class MicroBatcher:
     service:
         The :class:`~repro.service.api.PredictionService` answering the
         batches.
-    window:
-        Seconds to wait after the first pending request before flushing; a
-        small value (default 2 ms) bounds the latency a lone request pays
-        for the chance of being batched.
     max_batch:
         Flush immediately once this many requests are pending, without
-        waiting for the window.
+        waiting for the next loop turn.
     max_queue:
         Admission bound on requests waiting for the next flush; a request
         arriving past it is shed with
@@ -71,10 +72,12 @@ class MicroBatcher:
     The batch is answered on the event loop's default thread-pool executor,
     so a cold training pass (seconds under the ``full`` preset) never
     freezes the loop — other connections keep being accepted and answered
-    while a batch trains.  Invalid queries fail their own caller with
-    :class:`~repro.service.api.ServiceError` — they never poison the other
-    requests in the batch, and a caller that disappears (cancelled future)
-    never prevents the rest of its batch from being answered.  A query
+    while a batch trains.  Invalid or failing queries fail their own caller
+    (each resolves from its own slot of the batch's
+    :meth:`~repro.service.api.PredictionService.rank_many` call) — they
+    never poison the other requests in the batch, and a caller that
+    disappears (cancelled future) never prevents the rest of its batch from
+    being answered.  A query
     whose deadline has already expired is rejected at admission (and again
     at flush time, for deadlines that expire while queued) with
     :class:`~repro.service.errors.DeadlineExceededError`; the rest of its
@@ -84,13 +87,10 @@ class MicroBatcher:
     def __init__(
         self,
         service: PredictionService,
-        window: float = 0.002,
         max_batch: int = 64,
         max_queue: int = 256,
         max_inflight: int = 1024,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue < 1:
@@ -98,12 +98,11 @@ class MicroBatcher:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.service = service
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.max_inflight = int(max_inflight)
         self._pending: list[tuple[RankingQuery, asyncio.Future]] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
+        self._flush_handle: asyncio.Handle | None = None
         self._inflight = 0
         self._inflight_tasks: set[asyncio.Future] = set()
         self._draining = False
@@ -119,11 +118,11 @@ class MicroBatcher:
     async def submit(self, query: RankingQuery) -> RankingReply:
         """Enqueue one query and await its reply.
 
-        The first pending request arms the flush timer; subsequent requests
-        inside the window ride the same batch.  Reaching ``max_batch``
-        flushes immediately.  Admission control happens here: a draining
-        batcher, a full queue, or an exhausted in-flight budget sheds the
-        request; an already-expired deadline rejects it.
+        The first pending request schedules a flush for the next loop turn;
+        requests submitted before it runs ride the same batch.  Reaching
+        ``max_batch`` flushes immediately.  Admission control happens here:
+        a draining batcher, a full queue, or an exhausted in-flight budget
+        sheds the request; an already-expired deadline rejects it.
         """
         metrics = self.service.metrics
         if self._draining:
@@ -147,7 +146,7 @@ class MicroBatcher:
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window, self._flush)
+            self._flush_handle = loop.call_soon(self._flush)
         return await future
 
     def _flush(self) -> None:
@@ -158,13 +157,12 @@ class MicroBatcher:
         batch, self._pending = self._pending, []
         if not batch:
             return
-        # Weed out invalid queries individually so one bad request cannot
-        # fail the whole batch (split_for covers name and shape validation);
-        # likewise fail queries whose deadline expired while they queued —
-        # dispatching them would waste an engine pass on an unusable reply.
-        # Futures may already be done (caller gone) — never touch those.
+        # Fail queries whose deadline expired while they queued: dispatching
+        # them would waste an engine pass on an unusable reply.  (Invalid
+        # queries fail in their own rank_many slot.)  Futures may already be
+        # done (caller gone) — never touch those.
         metrics = self.service.metrics
-        valid: list[tuple[RankingQuery, asyncio.Future]] = []
+        live: list[tuple[RankingQuery, asyncio.Future]] = []
         for query, future in batch:
             if query.trace is not None:
                 query.trace.end("queue")
@@ -176,56 +174,51 @@ class MicroBatcher:
                         DeadlineExceededError("deadline expired while queued")
                     )
                 continue
-            try:
-                self.service.split_for(query)
-            except Exception as exc:
-                if not future.done():
-                    future.set_exception(exc)
-            else:
-                valid.append((query, future))
+            live.append((query, future))
         self.batches_dispatched += 1
-        self.requests_served += len(valid)
+        self.requests_served += len(live)
         metrics.gauge("batcher.pending").set(len(self._pending))
-        if not valid:
+        if not live:
             return
         metrics.counter("batcher.batches").inc()
         metrics.histogram(
             "batcher.batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)
-        ).observe(len(valid))
-        for query, _ in valid:
+        ).observe(len(live))
+        for query, _ in live:
             if query.trace is not None:
                 query.trace.begin("batch")
         # Run the engine pass off the event loop: a cold split training can
         # take seconds, and other connections must stay responsive.
         loop = asyncio.get_running_loop()
         task = loop.run_in_executor(
-            None, self.service.rank_many, [query for query, _ in valid]
+            None, self.service.rank_many, [query for query, _ in live]
         )
-        self._inflight += len(valid)
+        self._inflight += len(live)
         metrics.gauge("batcher.inflight").set(self._inflight)
         self._inflight_tasks.add(task)
-        task.add_done_callback(lambda done: self._deliver(valid, done))
+        task.add_done_callback(lambda done: self._deliver(live, done))
 
     def _deliver(
-        self, valid: "list[tuple[RankingQuery, asyncio.Future]]", done: asyncio.Future
+        self, live: "list[tuple[RankingQuery, asyncio.Future]]", done: asyncio.Future
     ) -> None:
-        """Resolve each caller's future from the finished batch call."""
-        self._inflight -= len(valid)
+        """Resolve each caller's future from its own slot of the batch call."""
+        self._inflight -= len(live)
         self.service.metrics.gauge("batcher.inflight").set(self._inflight)
         self._inflight_tasks.discard(done)
-        for query, _ in valid:
+        for query, _ in live:
             if query.trace is not None:
                 query.trace.end("batch")
         try:
-            replies = done.result()
+            outcomes = done.result()
         except Exception as exc:
-            for _, future in valid:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (_, future), reply in zip(valid, replies):
-            if not future.done():
-                future.set_result(reply)
+            outcomes = [exc] * len(live)
+        for (_, future), outcome in zip(live, outcomes):
+            if future.done():
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     async def drain(self, timeout: float | None = None) -> None:
         """Stop admitting, flush the queue, and await in-flight batches.

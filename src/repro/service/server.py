@@ -712,7 +712,6 @@ async def serve_tcp(
     service: PredictionService,
     host: str = "127.0.0.1",
     port: int = 8077,
-    window: float = 0.002,
     max_batch: int = 64,
     batcher: MicroBatcher | None = None,
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
@@ -724,12 +723,12 @@ async def serve_tcp(
     Each connection exchanges the same newline-delimited JSON protocol as
     the stdio front end, but ranking requests from *all* connections funnel
     through one :class:`~repro.service.batching.MicroBatcher` (pass
-    *batcher* to share or observe it), so clients hammering the same split
-    coalesce into shared stacked passes.  Requests pipelined on one
-    connection are dispatched as they arrive — they can share a batch —
-    while replies are written strictly in request order.  The caller owns
-    the returned server (``async with server: await
-    server.serve_forever()``).
+    *batcher* to share or observe it).  Requests that arrive before the
+    event loop next runs its callbacks — lines pipelined in one read, or
+    lines from several connections — share one batch, dispatched on the
+    next loop turn; a lone request waits for no timer.  Replies are written
+    strictly in request order.  The caller owns the returned server
+    (``async with server: await server.serve_forever()``).
 
     Resilience behaviour: request lines longer than *max_line_bytes* are
     answered with ``PAYLOAD_TOO_LARGE`` without being buffered; at most
@@ -758,9 +757,7 @@ async def serve_tcp(
         >>> asyncio.run(probe())
         True
     """
-    batcher = batcher if batcher is not None else MicroBatcher(
-        service, window=window, max_batch=max_batch
-    )
+    batcher = batcher if batcher is not None else MicroBatcher(service, max_batch=max_batch)
     injector = (
         fault_injector
         if fault_injector is not None
@@ -984,12 +981,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve over TCP instead of stdin/stdout",
     )
     parser.add_argument(
-        "--window",
-        type=float,
-        default=0.002,
-        help="micro-batch coalescing window in seconds (TCP mode, default 2ms)",
-    )
-    parser.add_argument(
         "--cache-capacity", type=int, default=64, help="max cached splits (default 64)"
     )
     parser.add_argument(
@@ -1088,7 +1079,6 @@ def main(argv: list[str] | None = None) -> int:
     async def run() -> None:
         batcher = MicroBatcher(
             service,
-            window=args.window,
             max_queue=args.max_queue,
             max_inflight=args.max_inflight,
         )

@@ -125,7 +125,7 @@ def test_run_load_against_live_server_reconciles_with_metrics(dataset):
     server = None
     try:
         server = asyncio.run_coroutine_threadsafe(
-            serve_tcp(service, "127.0.0.1", 0, window=0.001), loop
+            serve_tcp(service, "127.0.0.1", 0), loop
         ).result(timeout=30)
         port = server.sockets[0].getsockname()[1]
         mix = QueryMix("small", n_splits=2, zipf_s=0.0)

@@ -388,7 +388,7 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
     thread.start()
     try:
         server = asyncio.run_coroutine_threadsafe(
-            serve_tcp(service, "127.0.0.1", 0, window=0.001), loop
+            serve_tcp(service, "127.0.0.1", 0), loop
         ).result(timeout=30)
         port = server.sockets[0].getsockname()[1]
 

@@ -318,7 +318,7 @@ def test_microbatcher_matches_one_at_a_time_answers(dataset):
     batched_service = _nnt_service(dataset)
 
     async def run():
-        batcher = MicroBatcher(batched_service, window=0.001)
+        batcher = MicroBatcher(batched_service)
         return await asyncio.gather(
             *(batcher.submit(RankingQuery(app, machines)) for app in apps)
         )
@@ -335,7 +335,7 @@ def test_microbatcher_coalesces_within_window(dataset):
     machines = tuple(dataset.machine_ids[:5])
 
     async def run():
-        batcher = MicroBatcher(service, window=0.005)
+        batcher = MicroBatcher(service)
         replies = await asyncio.gather(
             *(batcher.submit(RankingQuery(app, machines)) for app in ["gcc", "mcf", "lbm"])
         )
@@ -361,7 +361,7 @@ def test_microbatcher_concurrent_requests_keep_their_identity(dataset):
     ]
 
     async def run():
-        batcher = MicroBatcher(service, window=0.002)
+        batcher = MicroBatcher(service)
         return await asyncio.gather(*(batcher.submit(query) for query in queries))
 
     replies = asyncio.run(run())
@@ -377,17 +377,46 @@ def test_microbatcher_max_batch_flushes_immediately(dataset):
     service = _nnt_service(dataset)
     machines = tuple(dataset.machine_ids[:5])
 
+    sizes = []
+    rank_many = service.rank_many
+
+    def recording_rank_many(queries):
+        sizes.append(len(queries))
+        return rank_many(queries)
+
+    service.rank_many = recording_rank_many
+
     async def run():
-        batcher = MicroBatcher(service, window=60.0, max_batch=2)
+        batcher = MicroBatcher(service, max_batch=2)
         replies = await asyncio.gather(
-            *(batcher.submit(RankingQuery(app, machines)) for app in ["gcc", "mcf"])
+            *(batcher.submit(RankingQuery(app, machines)) for app in ["gcc", "mcf", "lbm"])
         )
         return batcher, replies
 
-    # A 60s window would time the test out unless max_batch forces the flush.
+    # All three are submitted before the loop turn that would flush them
+    # together, so only max_batch can split them.
     batcher, replies = asyncio.run(asyncio.wait_for(run(), timeout=10))
-    assert batcher.batches_dispatched == 1
-    assert len(replies) == 2
+    assert batcher.batches_dispatched == 2
+    assert sorted(sizes) == [1, 2]
+    assert len(replies) == 3
+
+
+def test_microbatcher_dispatches_lone_query_on_next_loop_turn(dataset):
+    service = _nnt_service(dataset)
+    machines = tuple(dataset.machine_ids[:5])
+
+    async def run():
+        batcher = MicroBatcher(service)
+        pending = asyncio.ensure_future(batcher.submit(RankingQuery("gcc", machines)))
+        await asyncio.sleep(0)  # the submit enqueues and schedules the flush
+        await asyncio.sleep(0)  # the flush runs: no timer holds the query back
+        dispatched = batcher.batches_dispatched
+        reply = await pending
+        return dispatched, reply
+
+    dispatched, reply = asyncio.run(asyncio.wait_for(run(), timeout=10))
+    assert dispatched == 1
+    assert reply.application == "gcc"
 
 
 def test_microbatcher_invalid_query_fails_alone(dataset):
@@ -395,7 +424,7 @@ def test_microbatcher_invalid_query_fails_alone(dataset):
     machines = tuple(dataset.machine_ids[:5])
 
     async def run():
-        batcher = MicroBatcher(service, window=0.002)
+        batcher = MicroBatcher(service)
         results = await asyncio.gather(
             batcher.submit(RankingQuery("gcc", machines)),
             batcher.submit(RankingQuery("not-a-benchmark", machines)),
@@ -418,7 +447,7 @@ def test_microbatcher_cancelled_caller_does_not_strand_the_batch(dataset):
     machines = tuple(dataset.machine_ids[:5])
 
     async def run():
-        batcher = MicroBatcher(service, window=0.01)
+        batcher = MicroBatcher(service)
         doomed_invalid = asyncio.ensure_future(
             batcher.submit(RankingQuery("not-a-benchmark", machines))
         )
@@ -451,8 +480,6 @@ def test_service_reply_fingerprint_matches_engine_context(dataset, splits):
 def test_microbatcher_validates_parameters(dataset):
     service = _nnt_service(dataset)
     with pytest.raises(ValueError):
-        MicroBatcher(service, window=-1.0)
-    with pytest.raises(ValueError):
         MicroBatcher(service, max_batch=0)
 
 
@@ -476,9 +503,10 @@ def test_microbatcher_sheds_past_queue_bound(dataset):
     machines = tuple(dataset.machine_ids[:4])
 
     async def run():
-        # A huge window keeps everything queued; max_batch above the bound
-        # keeps the queue from flushing early.
-        batcher = MicroBatcher(service, window=5.0, max_batch=64, max_queue=2)
+        # The flush waits for the next loop turn, so the main task runs
+        # first and finds both queued; max_batch above the bound keeps the
+        # queue from flushing early.
+        batcher = MicroBatcher(service, max_batch=64, max_queue=2)
         admitted = [
             asyncio.ensure_future(
                 batcher.submit(RankingQuery(app, machines, top_n=1))
@@ -505,7 +533,7 @@ def test_microbatcher_rejects_expired_deadline_at_admission(dataset):
     expired = Deadline(expires_at=0.0, clock=lambda: 1.0)
 
     async def run():
-        batcher = MicroBatcher(service, window=0.001)
+        batcher = MicroBatcher(service)
         with pytest.raises(DeadlineExceededError):
             await batcher.submit(
                 RankingQuery("gcc", machines, top_n=1, deadline=expired)
@@ -525,7 +553,7 @@ def test_microbatcher_deadline_expiring_in_queue_fails_alone(dataset):
     doomed_deadline = Deadline(expires_at=0.5, clock=lambda: now[0])
 
     async def run():
-        batcher = MicroBatcher(service, window=5.0, max_batch=64)
+        batcher = MicroBatcher(service, max_batch=64)
         healthy = asyncio.ensure_future(
             batcher.submit(RankingQuery("gcc", machines, top_n=1))
         )
@@ -555,7 +583,7 @@ def test_microbatcher_cancelled_caller_with_deadline_does_not_strand_batch(datas
     generous = Deadline.after_ms(60_000)
 
     async def run():
-        batcher = MicroBatcher(service, window=5.0, max_batch=64)
+        batcher = MicroBatcher(service, max_batch=64)
         cancelled = asyncio.ensure_future(
             batcher.submit(RankingQuery("gcc", machines, top_n=1, deadline=generous))
         )
@@ -581,7 +609,7 @@ def test_microbatcher_drain_answers_inflight_then_refuses(dataset):
     machines = tuple(dataset.machine_ids[:4])
 
     async def run():
-        batcher = MicroBatcher(service, window=5.0, max_batch=64)
+        batcher = MicroBatcher(service, max_batch=64)
         inflight = asyncio.ensure_future(
             batcher.submit(RankingQuery("gcc", machines, top_n=1))
         )

@@ -163,7 +163,7 @@ def test_serve_tcp_round_trip(service, dataset):
     machines = dataset.machine_ids[:4]
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         requests = [
@@ -224,7 +224,7 @@ def test_non_finite_deadline_is_invalid_request_over_tcp(service, dataset):
                              "deadline_ms": 10_000}))
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         for line in lines:
@@ -249,7 +249,7 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
 
     machines = dataset.machine_ids[:4]
     apps = ["gcc", "mcf", "lbm", "namd", "povray"]
-    batcher = MicroBatcher(service, window=0.02)
+    batcher = MicroBatcher(service)
 
     async def run():
         server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
@@ -283,7 +283,7 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
 def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
     """A too-small predictive set for MLPᵀ is a client error, not INTERNAL.
 
-    The MLPᵀ query shares a batching window with a valid NNᵀ query; it is
+    The MLPᵀ query shares a micro-batch with a valid NNᵀ query; it is
     refused at validation and the NNᵀ query still gets its ranking.
     """
     from repro.service import MicroBatcher
@@ -291,7 +291,7 @@ def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition(), "MLP^T": BatchedMLPTransposition(epochs=5)}
     )
-    batcher = MicroBatcher(service, window=0.05)
+    batcher = MicroBatcher(service)
     one_machine = dataset.machine_ids[:1]
     machines = dataset.machine_ids[:4]
     requests = [
@@ -336,6 +336,46 @@ class _FailingMethod:
         raise RuntimeError("deterministic bug")
 
 
+def test_failing_query_does_not_poison_its_batch(dataset):
+    """A query whose method raises fails alone; its batchmate is answered."""
+    from repro.service import MicroBatcher
+
+    service = PredictionService(
+        dataset, {"NN^T": BatchedLinearTransposition(), "broken": _FailingMethod()}
+    )
+    batcher = MicroBatcher(service)
+    machines = dataset.machine_ids[:4]
+    requests = [
+        {"application": "gcc", "method": "broken", "predictive_machines": machines},
+        {"application": "gcc", "method": "NN^T", "predictive_machines": machines},
+    ]
+
+    async def run():
+        server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        before = batcher.batches_dispatched
+        writer.write("".join(json.dumps(request) + "\n" for request in requests).encode())
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in requests]
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        return batcher.batches_dispatched - before, replies
+
+    batches, (failed, ranked) = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert batches == 1
+    assert failed["ok"] is False and failed["code"] == "INTERNAL"
+    assert "deterministic bug" in failed["error"]
+    expected = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()}).rank(
+        RankingQuery("gcc", tuple(machines))
+    )
+    assert ranked["ok"] is True
+    assert [entry["machine"] for entry in ranked["ranking"]] == list(expected.machine_ids)
+    assert [entry["score"] for entry in ranked["ranking"]] == list(expected.scores)
+
+
 def test_internal_error_is_not_retried_in_process(dataset):
     from repro.service import RetryPolicy
 
@@ -362,7 +402,7 @@ def test_internal_error_is_not_retried_over_tcp(dataset):
     sleeps = []
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
 
@@ -451,7 +491,7 @@ def test_serve_tcp_bounds_line_length(service, dataset):
 
     async def run():
         server = await serve_tcp(
-            service, "127.0.0.1", 0, window=0.001, max_line_bytes=1024
+            service, "127.0.0.1", 0, max_line_bytes=1024
         )
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -502,7 +542,7 @@ def test_tcp_client_round_trip_and_reuse(service, dataset):
     machines = dataset.machine_ids[:4]
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
 
@@ -534,7 +574,7 @@ def test_tcp_client_reconnects_after_connection_drop(service, dataset):
     drops = {"remaining": 1}
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         real_port = server.sockets[0].getsockname()[1]
 
         # A proxy that kills the first connection before any reply.
@@ -705,7 +745,7 @@ def test_tcp_replies_carry_queue_and_batch_spans(service, dataset):
     machines = dataset.machine_ids[:4]
 
     async def run():
-        server = await serve_tcp(service, "127.0.0.1", 0, window=0.001)
+        server = await serve_tcp(service, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(
