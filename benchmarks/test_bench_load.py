@@ -11,9 +11,9 @@ load-smoke leg runs against ``repro-serve``.  Three contracts are enforced:
   counters/percentiles reconcile with what the client measured;
 * **cold sweep** — a pure cold mix (every arrival trains a fresh split)
   completes with every request answered and typed;
-* **chaos** — under scheduled faults (backend errors, latency, cache
-  eviction/corruption, connection drops) every failure is a *typed* error
-  code; zero untyped failures.
+* **chaos** — under scheduled faults (failed and slowed cold engine
+  passes, cache eviction/corruption, connection drops) every failure is a
+  *typed* error code; zero untyped failures.
 
 Full :class:`~repro.loadgen.LoadReport` payloads are persisted into the
 ignored ``benchmarks/out/BENCH_load.json`` (via
@@ -28,11 +28,9 @@ from repro.core import BatchedLinearTransposition
 from repro.loadgen import MIXES, run_load
 from repro.service import (
     ERROR_CODES,
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     PredictionService,
-    ResilientBackend,
     SplitContextCache,
     serve_tcp,
 )
@@ -94,19 +92,13 @@ def _warm_service(dataset):
 
 def _chaos_service(dataset, spec=CHAOS_SPEC):
     injector = FaultInjector(FaultPlan.parse(spec))
-    backend = ResilientBackend(
-        breaker=CircuitBreaker(failure_threshold=2, cooldown=0.05),
-        injector=injector,
-    )
     cache = SplitContextCache(capacity=8, n_shards=2, fault_injector=injector)
-    service = PredictionService(
+    return PredictionService(
         dataset,
-        {"NN^T": BatchedLinearTransposition(backend=backend)},
+        {"NN^T": BatchedLinearTransposition()},
         cache=cache,
         fault_injector=injector,
     )
-    service.resilient_backend = backend
-    return service
 
 
 def _replay(port, **kwargs):

@@ -14,9 +14,9 @@ Installed as ``repro-experiments``.  Examples::
 (see ``docs/serving.md``); ``loadgen`` does the same for the load
 generator (``repro-loadgen``, :mod:`repro.loadgen`); ``list-methods``
 prints the engine's method
-registry — every registered ranking method with its capabilities and the
-array backend it would run on — so users can discover what ``--method`` /
-``methods=`` names mean without reading source.
+registry — every registered ranking method with its capabilities and
+fallback — so users can discover what ``--method`` / ``methods=`` names
+mean without reading source.
 """
 
 from __future__ import annotations
@@ -49,17 +49,13 @@ def format_method_registry() -> str:
     """The method registry as an aligned text table.
 
     One row per registered method: name, canonical label, capabilities,
-    the array backend a backend-capable method would run on right now
-    (honouring ``REPRO_BACKEND``; ``-`` for pure-NumPy methods), the
-    deadline-degradation fallback the serving layer may substitute
-    (``-`` when the method is already the cheap end of its chain), and
-    the one-line description.
+    the fallback the serving layer may substitute when a deadline or a
+    failed engine pass rules the method out (``-`` when the method is
+    already the end of its chain), and the one-line description.
     """
-    from repro.core.backends import resolve_backend
     from repro.core.engine import registered_methods
 
-    active_backend = resolve_backend().name
-    header = ("name", "label", "capabilities", "backend", "fallback", "description")
+    header = ("name", "label", "capabilities", "fallback", "description")
     rows = [header]
     for spec in registered_methods():
         rows.append(
@@ -67,7 +63,6 @@ def format_method_registry() -> str:
                 spec.name,
                 spec.label,
                 ", ".join(sorted(spec.capabilities)),
-                active_backend if "backend" in spec.capabilities else "-",
                 spec.fallback if spec.fallback is not None else "-",
                 spec.description,
             )

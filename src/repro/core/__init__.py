@@ -1,6 +1,5 @@
 """Core: the data-transposition method and its evaluation pipeline."""
 
-from repro.core.backends import ArrayBackend, available_backends, resolve_backend
 from repro.core.batch import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
@@ -49,7 +48,6 @@ from repro.core.pipeline import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "BatchedLinearTransposition",
     "BatchedMLPTransposition",
     "BatchedRankingMethod",
@@ -75,7 +73,6 @@ __all__ = [
     "TranspositionResult",
     "UnknownMethodError",
     "actual_ranking",
-    "available_backends",
     "compare_rankings",
     "create_method",
     "create_methods",
@@ -84,7 +81,6 @@ __all__ = [
     "predict_split_scores",
     "register_method",
     "registered_methods",
-    "resolve_backend",
     "resolve_methods",
     "run_cross_validation",
     "split_cache_key",

@@ -329,20 +329,17 @@ class BatchedLinearTransposition(TranspositionMethod):
         selection_criterion: str = "rss",
         top_k: int = 1,
         name: str = "NN^T",
-        backend: "str | object | None" = None,
     ) -> None:
         super().__init__(
             partial(
                 LinearTranspositionPredictor,
                 selection_criterion=selection_criterion,
                 top_k=top_k,
-                backend=backend,
             ),
             name,
         )
         self.selection_criterion = selection_criterion
         self.top_k = int(top_k)
-        self.backend = backend
 
     def predict_all_applications(
         self,
@@ -389,7 +386,6 @@ class BatchedMLPTransposition(TranspositionMethod):
         seed: int = 0,
         gradient_clip: float = GRADIENT_CLIP,
         name: str = "MLP^T",
-        backend: "str | object | None" = None,
     ) -> None:
         super().__init__(
             partial(
@@ -409,7 +405,6 @@ class BatchedMLPTransposition(TranspositionMethod):
         self.momentum = float(momentum)
         self.seed = int(seed)
         self.gradient_clip = float(gradient_clip)
-        self.backend = backend
 
     def predict_all_applications(
         self,
@@ -433,7 +428,6 @@ class BatchedMLPTransposition(TranspositionMethod):
             epochs=self.epochs,
             seed=self.seed,
             gradient_clip=self.gradient_clip,
-            backend=self.backend,
         )
         predictions = model.fit(features, targets).predict(queries)    # (N, T)
         return {app: predictions[i] for i, app in enumerate(applications)}

@@ -8,7 +8,7 @@ one registry:
 
 * :func:`register_method` declares a ranking method once — a *factory*
   building the instance from :class:`MethodParams`, plus the
-  *capabilities* it supports (``batched`` / ``per-cell`` / ``backend``);
+  *capabilities* it supports (``batched`` / ``per-cell``);
 * :func:`create_method` / :func:`create_methods` /
   :func:`resolve_methods` are the only places a method name is turned into
   an implementation — :func:`~repro.core.pipeline.run_cross_validation`,
@@ -73,9 +73,8 @@ DEFAULT_METHOD = "NN^T"
 #: The capability vocabulary.  ``batched``: implements
 #: :class:`~repro.core.batch.BatchedRankingMethod` (one tensor pass per
 #: split).  ``per-cell``: implements the per-application
-#: :class:`~repro.core.pipeline.RankingMethod` protocol only.  ``backend``:
-#: hot loops run on a pluggable :mod:`~repro.core.backends` kernel.
-CAPABILITIES = frozenset({"batched", "per-cell", "backend"})
+#: :class:`~repro.core.pipeline.RankingMethod` protocol only.
+CAPABILITIES = frozenset({"batched", "per-cell"})
 
 
 class MethodRegistryError(ValueError):
@@ -118,9 +117,6 @@ class MethodParams:
     ga_generations: int = 15
     knn_neighbours: int = 10
     seed: int = 0
-    #: Array backend name for backend-capable methods (``None`` resolves
-    #: via ``REPRO_BACKEND``, default NumPy).
-    backend: str | None = None
 
     def ga_config(self) -> GAConfig:
         """The GA hyper-parameters implied by these params."""
@@ -148,8 +144,9 @@ class MethodSpec:
         One line for ``repro-experiments list-methods``.
     fallback:
         Registry name of a cheaper method the serving layer may degrade
-        to when this one cannot meet a query's deadline (``None`` = no
-        degradation; this method is already the cheap end of its chain).
+        to when this one cannot meet a query's deadline or its engine pass
+        fails (``None`` = no degradation; this method is already the end
+        of its chain).
     """
 
     name: str
@@ -179,7 +176,8 @@ def register_method(
     """Register a ranking method and return its :class:`MethodSpec`.
 
     *fallback* optionally names the (cheaper, already-registered) method
-    the serving layer may degrade to under deadline pressure.
+    the serving layer may degrade to under deadline pressure or when an
+    engine pass fails.
 
     Raises :class:`DuplicateMethodError` when *name* is taken (pass
     ``replace=True`` to overwrite deliberately) and ``ValueError`` when a
@@ -235,7 +233,7 @@ def method_spec(name: str) -> MethodSpec:
 
     Examples::
 
-        >>> method_spec("MLP^T").capabilities == frozenset({"batched", "backend"})
+        >>> method_spec("MLP^T").capabilities == frozenset({"batched"})
         True
         >>> try:
         ...     method_spec("nope")
@@ -358,7 +356,7 @@ def resolve_methods(
 def _make_nnt(params: MethodParams) -> "RankingMethod":
     from repro.core.batch import BatchedLinearTransposition
 
-    return BatchedLinearTransposition(backend=params.backend)
+    return BatchedLinearTransposition()
 
 
 def _make_nnt_per_cell(params: MethodParams) -> "RankingMethod":
@@ -375,7 +373,6 @@ def _make_mlpt(params: MethodParams) -> "RankingMethod":
         hidden_units=params.mlp_hidden_units,
         epochs=params.mlp_epochs,
         seed=params.seed,
-        backend=params.backend,
     )
 
 
@@ -431,9 +428,9 @@ def _make_most_similar(params: MethodParams) -> "RankingMethod":
 register_method(
     "NN^T",
     _make_nnt,
-    ["batched", "backend"],
+    ["batched"],
     description="data transposition, per-(predictive,target) linear fits; "
-    "rank-one leave-one-out downdating on the backend kernel",
+    "rank-one leave-one-out downdating, one kernel call per split",
 )
 register_method(
     "NN^T/per-cell",
@@ -446,9 +443,9 @@ register_method(
 register_method(
     "MLP^T",
     _make_mlpt,
-    ["batched", "backend"],
+    ["batched"],
     description="data transposition via MLP regression; all leave-one-out "
-    "networks trained as one stacked SGD pass on the backend kernel",
+    "networks trained as one stacked SGD pass",
     fallback="NN^T",
 )
 register_method(

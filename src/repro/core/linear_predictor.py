@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.backends import NumpyBackend
+
 __all__ = ["LinearFitDetail", "LinearTranspositionPredictor"]
 
 
@@ -88,7 +90,6 @@ class LinearTranspositionPredictor:
         self,
         selection_criterion: str = "rss",
         top_k: int = 1,
-        backend: "str | object | None" = None,
     ) -> None:
         if selection_criterion not in {"rss", "correlation"}:
             raise ValueError("selection_criterion must be 'rss' or 'correlation'")
@@ -96,7 +97,6 @@ class LinearTranspositionPredictor:
             raise ValueError("top_k must be >= 1")
         self.selection_criterion = selection_criterion
         self.top_k = int(top_k)
-        self.backend = backend
         self.fit_details_: list[LinearFitDetail] = []
 
     # ------------------------------------------------------------- internals
@@ -260,15 +260,13 @@ class LinearTranspositionPredictor:
         # Downdating identities for removing row r (sample count B -> B - 1):
         #   mean' = (B * mean - row_r) / (B - 1)
         #   S'    = S - B / (B - 1) * (row_r - mean) ** 2   (and the cross term)
-        # The stacked statistics kernel is backend-pluggable; the NumPy
-        # reference computes each row's downdate with the historical
-        # arithmetic, so predictions are bit-identical to the per-row loop.
-        from repro.core.backends import resolve_backend
-
+        # The stacked statistics kernel computes each row's downdate with
+        # the historical arithmetic, so predictions are bit-identical to the
+        # per-row loop.
         row_array = np.fromiter(row_indices, dtype=np.intp)
-        sxx_all, syy_all, sxy_all, mean_x_all, mean_y_all = resolve_backend(
-            self.backend
-        ).nnt_downdated_statistics(pred, target, row_array)
+        sxx_all, syy_all, sxy_all, mean_x_all, mean_y_all = (
+            NumpyBackend().nnt_downdated_statistics(pred, target, row_array)
+        )
 
         predictions = np.empty((len(row_array), n_target))
         for i, r in enumerate(row_array):

@@ -11,8 +11,7 @@ set once (:class:`~repro.core.batch.SplitContext`) and, for methods that
 implement :class:`~repro.core.batch.BatchedRankingMethod` (the standard
 NNᵀ/MLPᵀ/GA-kNN line-up all does), evaluates all leave-one-out
 applications in a single vectorised pass.  Methods without a batched entry
-point fall back to the historical per-cell loop, and an opt-in ``n_jobs``
-process pool fans the splits out across cores for them.
+point fall back to the historical per-cell loop.
 
 Method resolution goes through the registry (:mod:`repro.core.engine`):
 callers may pass registered method *names* instead of instances, and this
@@ -30,7 +29,6 @@ tables.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -182,7 +180,6 @@ def run_cross_validation(
     splits: Sequence[MachineSplit],
     methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
     applications: Sequence[str] | None = None,
-    n_jobs: int = 1,
 ) -> dict[str, MethodResults]:
     """Run every method over every (split, application) cell.
 
@@ -204,13 +201,6 @@ def run_cross_validation(
         Applications of interest; defaults to all benchmarks (the full
         leave-one-out loop).  Restricting this list is how tests and quick
         benches bound runtime.
-    n_jobs:
-        Number of worker processes to fan the splits out over (default 1 =
-        in-process).  Useful for methods that stay sequential per cell
-        (GA-kNN); requires picklable dataset/method objects, and method
-        instance state mutated while predicting (e.g. learned weights) is
-        not propagated back from the workers.  Results are identical to the
-        in-process path regardless of worker count.
 
     Returns
     -------
@@ -232,31 +222,18 @@ def run_cross_validation(
         raise ValueError("at least one machine split is required")
     if not methods:
         raise ValueError("at least one method is required")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    # Resolve once, up front: worker processes receive built instances, and
-    # every split sees the same objects (split-level state reuse).
+    # Resolve once, up front: every split sees the same objects
+    # (split-level state reuse).
     methods = resolve_methods(methods)
     app_names = list(applications) if applications is not None else dataset.benchmark_names
     unknown = set(app_names) - set(dataset.benchmark_names)
     if unknown:
         raise ValueError(f"unknown applications of interest: {sorted(unknown)}")
 
-    n_workers = min(n_jobs, len(splits))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_run_single_split, dataset, split, methods, app_names)
-                for split in splits
-            ]
-            split_cells = [future.result() for future in futures]
-    else:
-        split_cells = [
-            _run_single_split(dataset, split, methods, app_names) for split in splits
-        ]
-
     results = {name: MethodResults(method=name) for name in methods}
-    for cells in split_cells:
-        for name, method_cells in cells.items():
+    for split in splits:
+        for name, method_cells in _run_single_split(
+            dataset, split, methods, app_names
+        ).items():
             results[name].extend(method_cells)
     return results

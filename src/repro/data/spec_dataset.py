@@ -56,9 +56,9 @@ class SpecDataset:
         machine columns and score values are identical, regardless of which
         process built them.  This is the dataset half of the prediction
         service's cache key (:func:`repro.core.batch.split_cache_key`):
-        unlike ``id(dataset)``, it survives pickling across the ``n_jobs``
-        process pool and server restarts, so cached trained state is reused
-        if and only if it was derived from the same scores.
+        unlike ``id(dataset)``, it survives rebuilding the dataset and
+        server restarts, so cached trained state is reused if and only if
+        it was derived from the same scores.
 
         The digest covers the row/column *order* as well as the values —
         a reordered matrix is a different dataset to every consumer that

@@ -120,7 +120,7 @@ class ExperimentConfig:
         """The GA hyper-parameters implied by this configuration."""
         return GAConfig(population_size=self.ga_population, generations=self.ga_generations)
 
-    def method_params(self, backend: str | None = None) -> MethodParams:
+    def method_params(self) -> MethodParams:
         """This preset's knobs as engine-level :class:`~repro.core.engine.
         MethodParams`, ready for the method registry's factories."""
         return MethodParams(
@@ -130,5 +130,4 @@ class ExperimentConfig:
             ga_generations=self.ga_generations,
             knn_neighbours=self.knn_neighbours,
             seed=self.seed,
-            backend=backend,
         )

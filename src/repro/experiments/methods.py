@@ -12,8 +12,7 @@ pipeline evaluates with one vectorised pass per split (all leave-one-out
 applications at once — GA-kNN included, via the lockstep GA);
 ``batched=False`` resolves the ``*/per-cell`` reference variants instead,
 which the engine benches and equivalence tests use as the speedup/accuracy
-baseline.  Either way every instance is picklable so the line-up works
-with ``run_cross_validation(..., n_jobs=N)``.
+baseline.
 """
 
 from __future__ import annotations
@@ -32,17 +31,15 @@ GAKNN = "GA-kNN"
 
 
 def standard_methods(
-    config: ExperimentConfig, batched: bool = True, backend: str | None = None
+    config: ExperimentConfig, batched: bool = True
 ) -> dict[str, RankingMethod]:
     """The NNᵀ / MLPᵀ / GA-kNN line-up with the configured hyper-parameters.
 
     Resolves through the method registry: *batched* picks between the
     first-class batched registrations and their ``*/per-cell`` reference
-    variants (same labels either way), and *backend* selects the array
-    backend for backend-capable methods (``None`` = ``REPRO_BACKEND`` or
-    NumPy).
+    variants (same labels either way).
     """
     names = [NNT, MLPT, GAKNN]
     if not batched:
         names = [f"{name}/per-cell" for name in names]
-    return create_methods(names, config.method_params(backend=backend))
+    return create_methods(names, config.method_params())

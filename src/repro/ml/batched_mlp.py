@@ -37,15 +37,12 @@ trained alone:
   it (``tests/test_mlp_sgd_oracle.py`` keeps that loop as a test-only
   oracle and compares ``tobytes()``).
 
-Array backends
---------------
-The SGD inner loop is a backend kernel
-(:meth:`repro.core.backends.ArrayBackend.mlp_sgd`): the default NumPy
-backend runs the packed-state loop (bit-identical to the oracle), while
-alternative backends (``backend="torch"`` or ``REPRO_BACKEND=torch``) may
-trade bit-exactness for their own kernels.  All RNG draws — weight
-initialisation and the per-epoch shuffle orders — happen here, outside the
-kernel, so the random stream is backend-independent.
+The kernel
+----------
+The SGD inner loop is the packed-state kernel
+:meth:`repro.core.backends.NumpyBackend.mlp_sgd` (bit-identical to the
+oracle).  All RNG draws — weight initialisation and the per-epoch shuffle
+orders — happen here, outside the kernel.
 """
 
 from __future__ import annotations
@@ -95,10 +92,6 @@ class BatchedMLPRegressor:
         gradients are formed.  Note the clip caps the error signal even when
         ``learning_rate`` is tuned down to compensate; raise this threshold
         (or set it very large) when sweeping learning rates.
-    backend:
-        An :class:`~repro.core.backends.ArrayBackend` name or instance for
-        the SGD kernel (``None`` resolves via ``REPRO_BACKEND``, default
-        NumPy).
     """
 
     def __init__(
@@ -110,7 +103,6 @@ class BatchedMLPRegressor:
         normalize: bool = True,
         seed: int = 0,
         gradient_clip: float = GRADIENT_CLIP,
-        backend: "str | object | None" = None,
     ) -> None:
         if hidden_units is not None and hidden_units < 1:
             raise ValueError("hidden_units must be >= 1")
@@ -129,7 +121,6 @@ class BatchedMLPRegressor:
         self.normalize = bool(normalize)
         self.seed = int(seed)
         self.gradient_clip = float(gradient_clip)
-        self.backend = backend
 
         self._w_hidden: np.ndarray | None = None  # (N, F, H)
         self._b_hidden: np.ndarray | None = None  # (N, H)
@@ -200,16 +191,16 @@ class BatchedMLPRegressor:
 
         # Per-epoch shuffle orders come from the same stream, after the
         # weight draws, exactly as the in-loop shuffles did — precomputing
-        # them keeps all randomness out of the backend kernel.
+        # them keeps all randomness out of the kernel.
         indices = np.arange(n_samples)
         shuffle_orders = np.empty((self.epochs, n_samples), dtype=np.intp)
         for epoch in range(self.epochs):
             rng.shuffle(indices)
             shuffle_orders[epoch] = indices
 
-        from repro.core.backends import resolve_backend
+        from repro.core.backends import NumpyBackend
 
-        w_hidden, b_hidden, w_output, b_output = resolve_backend(self.backend).mlp_sgd(
+        w_hidden, b_hidden, w_output, b_output = NumpyBackend().mlp_sgd(
             x_samples,
             y_samples,
             w_hidden,

@@ -9,7 +9,9 @@ stack for it:
   answers single or bulk ranking queries through the same
   :func:`~repro.core.pipeline.predict_split_scores` entry point the offline
   tables use (service answers are bit-identical to
-  :func:`~repro.core.pipeline.run_cross_validation` cells);
+  :func:`~repro.core.pipeline.run_cross_validation` cells), degrading a
+  query along the registry's fallback chain when a deadline or a failed
+  engine pass rules its method out;
 * :mod:`repro.service.cache` — :class:`SplitContextCache`, the sharded
   LRU+TTL cache holding trained split state, keyed by
   :func:`~repro.core.batch.split_cache_key`;
@@ -19,9 +21,8 @@ stack for it:
 * :mod:`repro.service.server` — the ``repro-serve`` entry point (stdio
   JSON-lines or TCP) plus the synchronous :class:`InProcessClient` and
   the reconnecting :class:`TCPClient`;
-* :mod:`repro.service.resilience` — :class:`Deadline` propagation, the
-  backend :class:`CircuitBreaker` with bit-exact NumPy degradation
-  (:class:`ResilientBackend`), and full-jitter :class:`RetryPolicy`;
+* :mod:`repro.service.resilience` — :class:`Deadline` propagation and
+  full-jitter :class:`RetryPolicy`;
 * :mod:`repro.service.errors` — the stable error-code taxonomy every
   front end answers with;
 * :mod:`repro.service.faults` — the deterministic, seed-driven
@@ -79,12 +80,7 @@ from repro.service.observability import (
     PeriodicSnapshot,
     Trace,
 )
-from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    ResilientBackend,
-    RetryPolicy,
-)
+from repro.service.resilience import Deadline, RetryPolicy
 from repro.service.server import (
     InProcessClient,
     TCPClient,
@@ -96,7 +92,6 @@ from repro.service.server import (
 __all__ = [
     "BackendFailureError",
     "CacheStats",
-    "CircuitBreaker",
     "Counter",
     "Deadline",
     "DeadlineExceededError",
@@ -117,7 +112,6 @@ __all__ = [
     "RETRYABLE_CODES",
     "RankingQuery",
     "RankingReply",
-    "ResilientBackend",
     "RetryPolicy",
     "ServiceError",
     "SplitContextCache",

@@ -16,6 +16,13 @@ SplitContextCache` keyed by :func:`~repro.core.batch.split_cache_key`.
 The first query against a split pays for the pass; every later query on
 that split — any application, any ``top_n`` — is a dictionary lookup.
 
+Degradation has one mechanism: the registry's fallback chain (``MLP^T`` →
+``NN^T``, ...).  A query walks it when its deadline cannot afford the
+requested method's cold pass, or when a cold pass fails (the fault
+injector's ``backend_error`` seam); the reply then says ``degraded`` and
+names its ``served_method``.  A failure with no method left in the chain
+is a retryable ``BACKEND_FAILURE``.
+
 Examples::
 
     >>> from repro.core import BatchedLinearTransposition
@@ -51,8 +58,8 @@ from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
 from repro.service.cache import CacheStats, SplitContextCache
-from repro.service.errors import ServiceError
-from repro.service.faults import FaultInjector
+from repro.service.errors import BackendFailureError, ServiceError
+from repro.service.faults import FaultInjector, InjectedFault
 from repro.service.observability import MetricsRegistry, Trace
 from repro.service.resilience import Deadline
 
@@ -139,8 +146,9 @@ class RankingReply:
         Content address of the (dataset, split) pair that answered the
         query — the cache key digest, useful for tracing shard routing.
     degraded:
-        ``True`` when the service answered with a cheaper fallback method
-        because the requested one could not meet the query's deadline.
+        ``True`` when the service answered with a fallback method because
+        the requested one could not meet the query's deadline or its
+        engine pass failed.
     served_method:
         The method that actually produced the scores (equals ``method``
         unless the reply is degraded).
@@ -211,12 +219,22 @@ class _SplitState:
         method_name: str,
         method: RankingMethod,
         application: str,
+        injector: FaultInjector | None = None,
     ) -> tuple[np.ndarray, bool]:
-        """``(target scores for application, answer_was_already_trained)``."""
+        """``(target scores for application, answer_was_already_trained)``.
+
+        *injector*'s engine seams (``latency``, ``backend_error``) fire
+        once per cold pass, before it starts, so an injected failure never
+        leaves a half-built table behind.
+        """
         with self._lock:
             table = self._scores.setdefault(method_name, {})
             if application in table:
                 return table[application], True
+            if injector is not None:
+                injector.inject_latency()
+                if injector.fires("backend_error"):
+                    raise InjectedFault(f"injected engine fault in a cold {method_name} pass")
             applications = (
                 dataset.benchmark_names
                 if supports_batched_prediction(method)
@@ -248,20 +266,20 @@ class PredictionService:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
         split state (default: 64 entries, 4 shards, no TTL).
     fallbacks:
-        ``{method: cheaper_method}`` degradation map used when a query's
-        deadline cannot be met by its requested method.  ``None`` (the
-        default) derives it from the registry's ``fallback`` declarations,
-        restricted to the methods this service actually serves.
+        ``{method: fallback_method}`` degradation map, walked when a
+        query's deadline cannot be met by its requested method or a cold
+        engine pass fails.  ``None`` (the default) derives it from the
+        registry's ``fallback`` declarations, restricted to the methods
+        this service actually serves.
     fault_injector:
         The :class:`~repro.service.faults.FaultInjector` active in this
-        stack, if any — the service only *reports* it (health payloads);
-        injection itself happens at the cache and backend seams.
+        stack, if any.  Its engine seams fire before every cold pass; the
+        health payload reports its counters.  (The cache's seams are wired
+        into the :class:`~repro.service.cache.SplitContextCache` itself.)
     metrics:
         The :class:`~repro.service.observability.MetricsRegistry` this
         stack records into.  ``None`` (the default) creates a private
-        registry, so recording never needs a null check;
-        :func:`~repro.service.server.build_service` passes one shared
-        registry to the service and the resilient backend.
+        registry, so recording never needs a null check.
 
     Examples::
 
@@ -301,7 +319,7 @@ class PredictionService:
         #: Worst observed cold-training seconds per served method, fed by
         #: rank_many; the deadline-degradation decision consults it.
         self._cold_cost: dict[str, float] = {}
-        #: Replies answered by a fallback method under deadline pressure.
+        #: Replies answered by a fallback method (deadline or failed pass).
         self.degraded_served = 0
         #: Cache entries found corrupted (wrong type) and rebuilt.
         self.corrupt_entries_dropped = 0
@@ -398,32 +416,33 @@ class PredictionService:
                 state = factory()
         return state
 
-    def _choose_method(self, state: _SplitState, query: RankingQuery) -> tuple[str, bool]:
-        """``(method to serve, degraded?)`` under the query's deadline.
+    def _candidates(self, state: _SplitState, query: RankingQuery) -> list[str]:
+        """The methods to try for *query*, in order: its fallback chain.
 
-        Degradation walks the fallback chain only when the requested
-        method's answer is cold *and* its observed cold-training cost
-        exceeds the remaining budget; a warm answer is always served as
-        asked (a lookup beats any deadline a training pass could).
+        The chain is the requested method followed by each fallback in
+        turn (cycle-safe).  Under a deadline it starts at the first method
+        whose answer is warm (a lookup beats any deadline a training pass
+        could) or whose observed cold-training cost fits the remaining
+        budget; when none does, at the chain's last method.  The caller
+        moves on to the next candidate when a cold pass fails.
         """
-        requested = query.method
+        chain = [query.method]
+        while (fallback := self._fallbacks.get(chain[-1])) is not None:
+            if fallback in chain:
+                break
+            chain.append(fallback)
         deadline = query.deadline
         if deadline is None:
-            return requested, False
-        candidate = requested
-        seen = {candidate}
-        while True:
-            if state.has(candidate, query.application):
-                break  # warm: a table lookup meets any deadline
+            return chain
+        for index, candidate in enumerate(chain):
             cost = self._cold_cost.get(candidate)
-            if cost is None or cost <= max(deadline.remaining(), 0.0):
-                break  # unknown or affordable cold cost: attempt it
-            fallback = self._fallbacks.get(candidate)
-            if fallback is None or fallback in seen:
-                break  # end of the chain: serve the best we reached
-            candidate = fallback
-            seen.add(candidate)
-        return candidate, candidate != requested
+            if (
+                state.has(candidate, query.application)
+                or cost is None
+                or cost <= max(deadline.remaining(), 0.0)
+            ):
+                return chain[index:]
+        return chain[-1:]
 
     def rank(self, query: RankingQuery) -> RankingReply:
         """Answer one query (see :meth:`rank_many` for the batch form)."""
@@ -449,7 +468,10 @@ class PredictionService:
         A query with an expired (or tight) deadline is still answered —
         degraded to its fallback method when one is configured and the
         requested method's cold cost cannot fit the remaining budget.
-        Deadline *errors* are the front ends' business.
+        Deadline *errors* are the front ends' business.  A failed cold pass
+        likewise degrades the query to the next method of the chain, and
+        past the chain's end its slot holds a
+        :class:`~repro.service.errors.BackendFailureError`.
         """
         outcomes: "list[RankingReply | Exception]" = []
         for query in queries:
@@ -469,11 +491,24 @@ class PredictionService:
         with engine_span:
             split = self.split_for(query)
             state = self._state_for(split)
-            served, degraded = self._choose_method(state, query)
-            started = time.monotonic()
-            scores, warm = state.scores_for(
-                self.dataset, served, self.methods[served], query.application
-            )
+            for served in self._candidates(state, query):
+                started = time.monotonic()
+                try:
+                    scores, warm = state.scores_for(
+                        self.dataset,
+                        served,
+                        self.methods[served],
+                        query.application,
+                        self.fault_injector,
+                    )
+                    break
+                except InjectedFault as exc:
+                    fault = exc  # degrade to the next method of the chain
+            else:
+                raise BackendFailureError(
+                    f"{fault}, and no fallback method is left to answer"
+                ) from fault
+        degraded = served != query.method
         if not warm:
             elapsed = time.monotonic() - started
             if elapsed > self._cold_cost.get(served, 0.0):

@@ -4,10 +4,12 @@ Real resilience machinery is only trustworthy when the failures it guards
 against actually happen on schedule.  This module provides that schedule:
 a :class:`FaultInjector` fires faults at *named seams* of the stack —
 
-* ``backend_error`` — the array backend raises :class:`InjectedFault`
-  inside a kernel call (exercises the circuit breaker + NumPy fallback);
+* ``backend_error`` — a cold engine pass raises :class:`InjectedFault`
+  before it starts (exercises the service's walk along the method
+  fallback chain, and ``BACKEND_FAILURE`` at the chain's end);
 * ``latency`` — a latency spike of ``latency_ms`` milliseconds before a
-  kernel call (exercises deadline enforcement and method degradation);
+  cold engine pass (exercises deadline enforcement and method
+  degradation);
 * ``cache_evict`` — a resident split-state cache entry is dropped
   (exercises retrain-on-miss; the request still succeeds, just colder);
 * ``cache_corrupt`` — a resident cache entry is replaced with a
@@ -73,8 +75,10 @@ class InjectedFault(RuntimeError):
     """A deliberate failure raised by the fault-injection harness.
 
     Distinct from real exception types so tests can tell injected faults
-    from genuine bugs, and so nothing anywhere catches it *specifically* —
-    the resilience layer must handle it like any other backend failure.
+    from genuine bugs.  :class:`~repro.service.api.PredictionService`
+    catches it around a cold engine pass and serves the query from the
+    next method of its fallback chain (or answers ``BACKEND_FAILURE``);
+    any other exception stays an ``INTERNAL`` error.
     """
 
 
@@ -181,7 +185,7 @@ class FaultInjector:
     Each seam owns an independent ``random.Random`` seeded from
     ``plan.seed`` and the seam name, so the decision sequence of one seam
     depends only on how many times *that* seam was consulted — injection at
-    the cache never perturbs the backend's schedule.  Thread-safe; counts
+    the cache never perturbs the engine's schedule.  Thread-safe; counts
     every fired fault in :attr:`injected`.
 
     Examples::

@@ -40,7 +40,7 @@ Invoke as ``python -m repro.service`` (the installed alias is
 ``repro-serve``) or through the experiments CLI as
 ``repro-experiments serve``; see ``docs/serving.md`` for a walkthrough
 (including the "Resilience & failure modes" section: deadlines, load
-shedding, the backend circuit breaker, and fault injection via
+shedding, fallback-chain degradation, and fault injection via
 ``REPRO_FAULTS``).
 """
 
@@ -64,8 +64,8 @@ from repro.service.batching import MicroBatcher
 from repro.service.cache import SplitContextCache
 from repro.service.errors import ERROR_CODES, RETRYABLE_CODES
 from repro.service.faults import FaultInjector, injector_from_env
-from repro.service.observability import MetricsRegistry, PeriodicSnapshot, Trace
-from repro.service.resilience import CircuitBreaker, Deadline, ResilientBackend, RetryPolicy
+from repro.service.observability import PeriodicSnapshot, Trace
+from repro.service.resilience import Deadline, RetryPolicy
 
 __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
@@ -163,9 +163,9 @@ def query_from_payload(payload: Mapping[str, Any]) -> RankingQuery:
 def reply_to_payload(reply: RankingReply) -> dict[str, Any]:
     """Serialise one reply to its wire object.
 
-    A degraded reply (fallback method served under deadline pressure)
-    carries ``"degraded": true`` plus the ``served_method`` that actually
-    produced the scores.
+    A degraded reply (a fallback method served because of the deadline or
+    a failed engine pass) carries ``"degraded": true`` plus the
+    ``served_method`` that actually produced the scores.
 
     Examples::
 
@@ -228,8 +228,8 @@ def _metrics_payload(
 
     One snapshot combining the shared
     :class:`~repro.service.observability.MetricsRegistry` (counters, gauges,
-    latency histograms with p50/p95/p99) with the cache, batcher, and
-    resilient-backend accounting — everything a load generator needs to
+    latency histograms with p50/p95/p99) with the cache and batcher
+    accounting — everything a load generator needs to
     reconcile its client-side measurements against the server's own.
 
     Examples::
@@ -244,9 +244,6 @@ def _metrics_payload(
     """
     snapshot = service.metrics.snapshot()
     snapshot["cache"] = service.cache.snapshot()
-    backend = getattr(service, "resilient_backend", None)
-    if backend is not None:
-        snapshot["backend"] = backend.snapshot()
     if batcher is not None:
         snapshot["batcher"] = batcher.snapshot()
     return {"ok": True, "metrics": snapshot}
@@ -257,9 +254,10 @@ def _health_payload(
 ) -> dict[str, Any]:
     """The ``{"op": "health"}`` reply: resilience state of the whole stack.
 
-    ``status`` is ``"ok"`` while the backend breaker is closed,
-    ``"degraded"`` while it is open or probing (requests are served by the
-    NumPy fallback), and ``"draining"`` once shutdown has begun.
+    ``status`` is ``"ok"``, or ``"draining"`` once shutdown has begun.
+    Replies degraded along the fallback chain are counted in
+    ``degraded_served``; an active fault injector's plan and fired-fault
+    counters are echoed under ``faults``.
 
     Examples::
 
@@ -271,19 +269,11 @@ def _health_payload(
         >>> (health["ok"], health["status"], health["ready"])
         (True, 'ok', True)
     """
-    backend = getattr(service, "resilient_backend", None)
     injector: FaultInjector | None = getattr(service, "fault_injector", None)
     draining = batcher.draining if batcher is not None else False
-    breaker_state = backend.breaker.state if backend is not None else "closed"
-    if draining:
-        status = "draining"
-    elif breaker_state != CircuitBreaker.CLOSED:
-        status = "degraded"
-    else:
-        status = "ok"
     payload: dict[str, Any] = {
         "ok": True,
-        "status": status,
+        "status": "draining" if draining else "ok",
         "ready": not draining,
         "degraded_served": service.degraded_served,
         "corrupt_entries_dropped": service.corrupt_entries_dropped,
@@ -293,8 +283,6 @@ def _health_payload(
             "injected_corruptions": service.cache.injected_corruptions,
         },
     }
-    if backend is not None:
-        payload["backend"] = backend.snapshot()
     if batcher is not None:
         payload["batcher"] = batcher.snapshot()
     if injector is not None:
@@ -896,9 +884,6 @@ def build_service(
     cache_ttl: float | None = None,
     cache_shards: int = 4,
     seed: int | None = None,
-    backend: "str | None" = None,
-    breaker_threshold: int = 3,
-    breaker_cooldown: float = 5.0,
     fault_injector: FaultInjector | None = None,
 ) -> PredictionService:
     """Assemble the default serving stack for one configuration preset.
@@ -908,12 +893,10 @@ def build_service(
     ``fast`` / ``full``), so a served answer under preset *P* matches the
     offline tables regenerated under *P*.
 
-    The stack is assembled resilient: the configured array backend is
-    wrapped in a :class:`~repro.service.resilience.ResilientBackend`
-    (circuit breaker + bit-exact NumPy degradation), and — when
-    ``REPRO_FAULTS`` is set or *fault_injector* is passed — the fault
-    injector is wired through the backend, the split cache, and the
-    service (the TCP front end picks it up for connection drops).
+    When ``REPRO_FAULTS`` is set or *fault_injector* is passed, the fault
+    injector is wired through the split cache and the service (whose cold
+    engine passes it can fail or slow down; the TCP front end picks it up
+    for connection drops).
 
     Examples::
 
@@ -922,8 +905,6 @@ def build_service(
         ['GA-kNN', 'MLP^T', 'NN^T']
         >>> service.cache.capacity
         8
-        >>> service.resilient_backend.breaker.state
-        'closed'
     """
     presets = {
         "fast": ExperimentConfig.fast,
@@ -936,15 +917,6 @@ def build_service(
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     injector = fault_injector if fault_injector is not None else injector_from_env()
-    metrics = MetricsRegistry()
-    resilient = ResilientBackend(
-        primary=backend,
-        breaker=CircuitBreaker(
-            failure_threshold=breaker_threshold, cooldown=breaker_cooldown
-        ),
-        injector=injector,
-        metrics=metrics,
-    )
     dataset = build_default_dataset(noise_sigma=config.noise_sigma, seed=config.seed)
     cache = SplitContextCache(
         capacity=cache_capacity,
@@ -952,15 +924,12 @@ def build_service(
         n_shards=cache_shards,
         fault_injector=injector,
     )
-    service = PredictionService(
+    return PredictionService(
         dataset,
-        standard_methods(config, backend=resilient),
+        standard_methods(config),
         cache=cache,
         fault_injector=injector,
-        metrics=metrics,
     )
-    service.resilient_backend = resilient
-    return service
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1012,18 +981,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dispatched-but-unanswered request bound before OVERLOADED (default 1024)",
     )
     parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive backend failures before the circuit breaker trips (default 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        help="seconds an open breaker waits before a half-open probe (default 5)",
-    )
-    parser.add_argument(
         "--drain-grace",
         type=float,
         default=10.0,
@@ -1052,8 +1009,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_ttl=args.cache_ttl,
         cache_shards=args.cache_shards,
         seed=args.seed,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
     )
     if args.tcp is None:
         try:

@@ -51,13 +51,7 @@ def test_batched_mlp_matches_sequential_across_shapes():
         features = rng.uniform(1.0, 50.0, (n_networks, n_samples, n_features))
         targets = rng.uniform(1.0, 50.0, (n_networks, n_samples))
         queries = rng.uniform(1.0, 50.0, (n_networks, 6, n_features))
-        # backend="numpy" pins the reference kernel: byte equality with the
-        # oracle is the NumPy-backend contract, independent of any
-        # REPRO_BACKEND selection the surrounding environment (e.g. the CI
-        # matrix leg) made.
-        batched = BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(
-            features, targets
-        )
+        batched = BatchedMLPRegressor(epochs=epochs, seed=seed).fit(features, targets)
         predictions = batched.predict(queries)
         for n in range(n_networks):
             reference = (
@@ -75,7 +69,7 @@ def test_batched_mlp_matches_sequential_with_explicit_hyperparameters():
     kwargs = dict(
         hidden_units=5, learning_rate=0.1, momentum=0.5, epochs=90, seed=4, gradient_clip=1.0
     )
-    batched = BatchedMLPRegressor(**kwargs, backend="numpy").fit(features, targets)
+    batched = BatchedMLPRegressor(**kwargs).fit(features, targets)
     predictions = batched.predict(features)
     assert batched.n_networks == 3
     assert batched.n_hidden_units == 5
@@ -93,9 +87,7 @@ def test_batched_mlp_single_network_stack_matches_sequential():
     features = rng.uniform(1.0, 50.0, (1, 10, 4))
     targets = rng.uniform(1.0, 50.0, (1, 10))
     queries = rng.uniform(1.0, 50.0, (1, 5, 4))
-    batched = BatchedMLPRegressor(epochs=50, seed=2, backend="numpy").fit(
-        features, targets
-    )
+    batched = BatchedMLPRegressor(epochs=50, seed=2).fit(features, targets)
     reference = (
         ReferenceMLPRegressor(epochs=50, seed=2).fit(features[0], targets[0]).predict(queries[0])
     )
@@ -125,7 +117,7 @@ def test_nnt_leave_one_out_matches_refit_across_shapes():
         for criterion in ("rss", "correlation"):
             for top_k in (1, 2):
                 predictor = LinearTranspositionPredictor(
-                    selection_criterion=criterion, top_k=top_k, backend="numpy"
+                    selection_criterion=criterion, top_k=top_k
                 )
                 leave_one_out = predictor.predict_leave_one_out(predictive, target)
                 assert leave_one_out.shape == (n_benchmarks, n_target)
@@ -161,13 +153,10 @@ def test_nnt_selection_breaks_ties_by_lowest_index():
 
 # -------------------------------------------------------- pipeline equivalence
 def _transposition_methods(batched, epochs=40):
-    # The per-cell reference adapters are pure sequential NumPy, so the
-    # batched side pins backend="numpy" — this equivalence is the reference
-    # kernel's contract, whatever REPRO_BACKEND says.
     if batched:
         return {
-            "NN^T": BatchedLinearTransposition(backend="numpy"),
-            "MLP^T": BatchedMLPTransposition(epochs=epochs, seed=0, backend="numpy"),
+            "NN^T": BatchedLinearTransposition(),
+            "MLP^T": BatchedMLPTransposition(epochs=epochs, seed=0),
         }
     return {
         "NN^T": TranspositionMethod(LinearTranspositionPredictor, "NN^T"),
@@ -219,23 +208,6 @@ def test_run_cross_validation_is_deterministic(dataset, splits):
     second = run_cross_validation(dataset, splits[:2], methods(), applications)
     for name in first:
         assert first[name].cells == second[name].cells
-
-
-def test_run_cross_validation_n_jobs_matches_in_process(dataset, splits):
-    applications = ["gcc", "mcf"]
-    methods = {"NN^T": BatchedLinearTransposition()}
-    in_process = run_cross_validation(dataset, splits[:3], methods, applications)
-    fanned_out = run_cross_validation(
-        dataset, splits[:3], {"NN^T": BatchedLinearTransposition()}, applications, n_jobs=2
-    )
-    assert in_process["NN^T"].cells == fanned_out["NN^T"].cells
-
-
-def test_run_cross_validation_rejects_bad_n_jobs(dataset, splits):
-    with pytest.raises(ValueError):
-        run_cross_validation(
-            dataset, splits[:1], {"NN^T": BatchedLinearTransposition()}, ["gcc"], n_jobs=0
-        )
 
 
 def test_split_context_is_cached_and_consistent(dataset, splits):
@@ -357,7 +329,7 @@ def test_gradient_clip_is_configurable():
     predictions = {}
     for clip in (0.01, 100.0):
         kwargs = dict(epochs=30, seed=0, normalize=False, gradient_clip=clip)
-        model = BatchedMLPRegressor(**kwargs, backend="numpy").fit(x, y)
+        model = BatchedMLPRegressor(**kwargs).fit(x, y)
         predictions[clip] = model.predict(x)[0]
         reference = ReferenceMLPRegressor(**kwargs).fit(x[0], y[0]).predict(x[0])
         assert predictions[clip].tobytes() == reference.tobytes()

@@ -108,7 +108,7 @@ def test_registration_validates_capabilities():
         register_method("tmp-bad-capability", lambda p: None, ["turbo"])
     with pytest.raises(MethodRegistryError):
         register_method("tmp-no-capability", lambda p: None, [])
-    assert CAPABILITIES == {"batched", "per-cell", "backend"}
+    assert CAPABILITIES == {"batched", "per-cell"}
 
 
 def test_create_methods_rejects_label_collisions():
@@ -154,24 +154,14 @@ def test_standard_methods_resolve_through_registry():
     assert not isinstance(per_cell[GAKNN], BatchedGAKNN)
 
 
-def test_standard_methods_forward_backend_selection():
-    config = ExperimentConfig.smoke()
-    methods = standard_methods(config, backend="numpy")
-    assert methods[NNT].backend == "numpy"
-    assert methods[MLPT].backend == "numpy"
-
-
 # ------------------------------------------------------------------ discovery
 def test_cli_list_methods_prints_the_registry(capsys):
     from repro.cli import main
-    from repro.core.backends import resolve_backend
 
     assert main(["list-methods"]) == 0
     out = capsys.readouterr().out
     for spec in registered_methods():
         assert spec.name in out
-    # The backend column resolves for backend-capable rows.
-    assert resolve_backend().name in out
 
 
 def test_every_method_documented_in_api_docs_is_registered():

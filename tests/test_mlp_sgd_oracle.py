@@ -271,7 +271,7 @@ class ReferenceMLPRegressor:
 def assert_single_network_matches_oracle(features, targets, queries, **kwargs):
     """An N=1 ``BatchedMLPRegressor`` fit must equal the oracle byte for byte."""
     expected = ReferenceMLPRegressor(**kwargs).fit(features, targets).predict(queries)
-    model = BatchedMLPRegressor(**kwargs, backend="numpy").fit(features[None], targets[None])
+    model = BatchedMLPRegressor(**kwargs).fit(features[None], targets[None])
     got = model.predict(queries[None])[0]
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()

@@ -2,17 +2,17 @@
 
 Three layers of coverage:
 
-* unit — :class:`Deadline`, :class:`CircuitBreaker` (trip / cooldown /
-  half-open probe / recovery, with injectable clocks), :class:`RetryPolicy`
-  determinism, :class:`FaultPlan` parsing, and :class:`ResilientBackend`
-  degradation bit-exactness;
-* integration — deadline-driven method degradation through
-  :class:`PredictionService`, retrying :class:`InProcessClient`;
+* unit — :class:`Deadline`, :class:`RetryPolicy` determinism and
+  :class:`FaultPlan` parsing;
+* integration — degradation along the fallback chain through
+  :class:`PredictionService`, driven by a deadline or by a failed cold
+  engine pass, and ``BACKEND_FAILURE`` at the chain's end; retrying
+  :class:`InProcessClient`;
 * chaos acceptance — a live TCP server under an active fault injector
-  (backend errors, latency spikes, cache evictions/corruption, connection
+  (failed and slowed cold passes, cache evictions/corruption, connection
   drops): every request must end in a successful bit-identical reply or a
   typed error, deadlines must be honored, and ``{"op": "health"}`` must
-  report the degraded state truthfully.  The CI chaos leg reruns this file
+  report the stack's state truthfully.  The CI chaos leg reruns this file
   (and the rest of the service suite) with ``REPRO_FAULTS`` set; the
   acceptance test honours that spec when present.
 """
@@ -26,20 +26,16 @@ import numpy as np
 import pytest
 
 from repro.core import BatchedLinearTransposition, BatchedMLPTransposition
-from repro.core.backends import NumpyBackend
 from repro.data import build_default_dataset
 from repro.service import (
     ERROR_CODES,
-    CircuitBreaker,
     Deadline,
     FaultInjector,
     FaultPlan,
     InProcessClient,
-    InjectedFault,
     OverloadedError,
     PredictionService,
     RankingQuery,
-    ResilientBackend,
     RetryPolicy,
     SplitContextCache,
     TCPClient,
@@ -80,50 +76,6 @@ def test_deadline_rejects_non_finite_budget(budget):
     # NaN <= 0 is false, so without this check a NaN budget never expires.
     with pytest.raises(ValueError, match="finite"):
         Deadline.after_ms(budget)
-
-
-# ------------------------------------------------------------ circuit breaker
-def test_breaker_trips_after_consecutive_failures_only():
-    breaker = CircuitBreaker(failure_threshold=3, cooldown=1.0, clock=lambda: 0.0)
-    breaker.record_failure()
-    breaker.record_failure()
-    breaker.record_success()  # resets the consecutive count
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == "closed"
-    breaker.record_failure()
-    assert breaker.state == "open"
-    assert breaker.trips == 1
-
-
-def test_breaker_half_open_grants_single_probe_then_recovers():
-    now = [0.0]
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=2.0, clock=lambda: now[0])
-    breaker.record_failure()
-    assert breaker.state == "open"
-    assert breaker.allow() is False  # still cooling down
-    now[0] = 2.0
-    assert breaker.allow() is True   # the half-open probe
-    assert breaker.state == "half-open"
-    assert breaker.allow() is False  # one probe at a time
-    breaker.record_success()
-    assert breaker.state == "closed"
-    assert breaker.recoveries == 1
-    assert breaker.allow() is True
-
-
-def test_breaker_failed_probe_reopens_for_another_cooldown():
-    now = [0.0]
-    breaker = CircuitBreaker(failure_threshold=1, cooldown=2.0, clock=lambda: now[0])
-    breaker.record_failure()
-    now[0] = 2.0
-    assert breaker.allow() is True
-    breaker.record_failure()  # the probe fails
-    assert breaker.state == "open"
-    assert breaker.trips == 2
-    assert breaker.allow() is False  # cooldown restarted at t=2
-    now[0] = 4.0
-    assert breaker.allow() is True
 
 
 # -------------------------------------------------------------------- retries
@@ -192,109 +144,6 @@ def test_fault_injector_streams_are_per_seam_independent():
     assert schedule == solo_schedule
 
 
-# ----------------------------------------------------------- resilient backend
-class _ExplodingBackend:
-    """A backend whose kernels vandalise their inputs and then fail."""
-
-    name = "exploding"
-
-    def __init__(self):
-        self.calls = 0
-
-    def mlp_sgd(self, x, y, w_hidden, b_hidden, w_output, b_output, *rest):
-        self.calls += 1
-        w_hidden += 1e6  # corrupt the (supposedly consumed) weights
-        raise RuntimeError("kernel exploded")
-
-    def nnt_downdated_statistics(self, pred, target, rows):
-        self.calls += 1
-        raise RuntimeError("kernel exploded")
-
-
-def test_resilient_backend_degrades_bit_exactly_on_primary_failure():
-    rng = np.random.default_rng(0)
-    pred = rng.normal(size=(10, 3))
-    target = rng.normal(size=(10, 2))
-    rows = np.arange(10)
-    primary = _ExplodingBackend()
-    backend = ResilientBackend(
-        primary=primary, breaker=CircuitBreaker(failure_threshold=2, cooldown=60.0)
-    )
-    degraded = backend.nnt_downdated_statistics(pred, target, rows)
-    reference = NumpyBackend().nnt_downdated_statistics(pred, target, rows)
-    for got, want in zip(degraded, reference):
-        np.testing.assert_array_equal(got, want)
-    assert backend.fallback_calls == 1 and backend.primary_calls == 0
-
-
-def test_resilient_backend_protects_mlp_weights_from_failed_primary():
-    rng = np.random.default_rng(1)
-    n_networks, n_features, n_hidden, n_samples = 2, 3, 4, 5
-    args = dict(
-        x=rng.normal(size=(n_samples, n_networks, n_features)),
-        y=rng.normal(size=(n_samples, n_networks)),
-        w_hidden=rng.normal(size=(n_networks, n_features, n_hidden)),
-        b_hidden=rng.normal(size=(n_networks, n_hidden)),
-        w_output=rng.normal(size=(n_networks, n_hidden)),
-        b_output=rng.normal(size=n_networks),
-        shuffle=np.stack([rng.permutation(n_samples) for _ in range(3)]),
-    )
-
-    def call(backend):
-        return backend.mlp_sgd(
-            args["x"].copy(), args["y"].copy(),
-            args["w_hidden"].copy(), args["b_hidden"].copy(),
-            args["w_output"].copy(), args["b_output"].copy(),
-            args["shuffle"].copy(), 0.1, 0.9, 5.0,
-        )
-
-    resilient = ResilientBackend(primary=_ExplodingBackend())
-    for got, want in zip(call(resilient), call(NumpyBackend())):
-        np.testing.assert_array_equal(got, want)
-
-
-def test_resilient_backend_breaker_recovers_via_half_open_probe():
-    now = [0.0]
-    primary = _ExplodingBackend()
-    backend = ResilientBackend(
-        primary=primary,
-        breaker=CircuitBreaker(failure_threshold=2, cooldown=5.0, clock=lambda: now[0]),
-    )
-    rng = np.random.default_rng(2)
-    pred, target = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-    rows = np.arange(8)
-
-    for _ in range(3):
-        backend.nnt_downdated_statistics(pred, target, rows)
-    assert backend.breaker.state == "open"
-    calls_when_open = primary.calls
-    backend.nnt_downdated_statistics(pred, target, rows)  # open: no primary call
-    assert primary.calls == calls_when_open
-
-    # The primary heals; after the cooldown one probe goes through and
-    # closes the breaker.
-    primary.nnt_downdated_statistics = NumpyBackend().nnt_downdated_statistics
-    now[0] = 5.0
-    backend.nnt_downdated_statistics(pred, target, rows)
-    assert backend.breaker.state == "closed"
-    assert backend.breaker.recoveries == 1
-    assert backend.primary_calls >= 1
-
-
-def test_resilient_backend_injected_faults_fire_on_primary_only():
-    injector = FaultInjector(FaultPlan(seed=4, backend_error=1.0))
-    backend = ResilientBackend(injector=injector)
-    rng = np.random.default_rng(3)
-    pred, target = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
-    rows = np.arange(8)
-    degraded = backend.nnt_downdated_statistics(pred, target, rows)
-    reference = NumpyBackend().nnt_downdated_statistics(pred, target, rows)
-    for got, want in zip(degraded, reference):
-        np.testing.assert_array_equal(got, want)
-    assert injector.injected["backend_error"] >= 1
-    assert backend.fallback_calls == 1
-
-
 # --------------------------------------------------------- method degradation
 def test_deadline_degrades_to_fallback_method_when_cold_cost_too_high(dataset):
     service = PredictionService(
@@ -343,6 +192,97 @@ def test_warm_method_is_served_as_asked_despite_tight_deadline(dataset):
     assert reply.cache_hit is True
 
 
+# ------------------------------------------------- failure-driven degradation
+def _fire_then_calm_seed(n_calm=2):
+    """A seed whose ``backend_error`` schedule fires once, then *n_calm* times not.
+
+    Found from a twin injector, so the schedule the service consumes is
+    known before the test drives it.
+    """
+    for seed in range(10_000):
+        twin = FaultInjector(FaultPlan(seed=seed, backend_error=0.5))
+        if [twin.fires("backend_error") for _ in range(1 + n_calm)] == [True] + [False] * n_calm:
+            return seed
+    raise AssertionError("no seed with a fire-then-calm schedule")
+
+
+def _nnt_mlpt_service(dataset, injector=None):
+    return PredictionService(
+        dataset,
+        {
+            "NN^T": BatchedLinearTransposition(),
+            "MLP^T": BatchedMLPTransposition(epochs=5),
+        },
+        fault_injector=injector,
+    )
+
+
+def test_failed_cold_pass_at_chain_end_is_retryable_backend_failure(dataset):
+    injector = FaultInjector(FaultPlan(seed=4, backend_error=1.0))
+    service = PredictionService(
+        dataset, {"NN^T": BatchedLinearTransposition()}, fault_injector=injector
+    )
+    request = {"application": "gcc", "predictive_machines": dataset.machine_ids[:4]}
+
+    reply = InProcessClient(service).request(request)
+    assert reply["ok"] is False and reply["code"] == "BACKEND_FAILURE"
+
+    sleeps = []
+    client = InProcessClient(
+        service, retry=RetryPolicy(max_attempts=3, seed=7), sleep=sleeps.append
+    )
+    reply = client.request(request)
+    assert reply["ok"] is False and reply["code"] == "BACKEND_FAILURE"
+    assert client.retries == 2 and len(sleeps) == 2
+    assert injector.injected["backend_error"] == 4  # one per cold pass attempted
+
+
+def test_failed_cold_pass_degrades_bit_exactly_along_fallback_chain(dataset):
+    injector = FaultInjector(FaultPlan(seed=_fire_then_calm_seed(), backend_error=0.5))
+    service = _nnt_mlpt_service(dataset, injector)
+    machines = tuple(dataset.machine_ids[:4])
+
+    # MLP^T's cold pass draws the fault; the registry's chain (MLP^T ->
+    # NN^T) serves the query from NN^T's cold pass, which draws no fault.
+    reply = service.rank(RankingQuery("gcc", machines, method="MLP^T", top_n=3))
+    assert reply.degraded is True
+    assert reply.method == "MLP^T" and reply.served_method == "NN^T"
+    clean = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
+    want = clean.rank(RankingQuery("gcc", machines, top_n=3))
+    assert reply.machine_ids == want.machine_ids
+    assert np.array(reply.scores).tobytes() == np.array(want.scores).tobytes()
+    assert service.degraded_served == 1
+    assert service.metrics.counter("service.degraded").value == 1
+
+    # The failed pass left no half-built MLP^T table: the next MLP^T query
+    # trains it cold and is served as asked.
+    again = service.rank(RankingQuery("gcc", machines, method="MLP^T", top_n=3))
+    assert again.degraded is False and again.cache_hit is False
+    assert injector.injected["backend_error"] == 1
+
+
+def test_health_under_backend_faults_reports_ok_without_backend_block(dataset):
+    injector = FaultInjector(FaultPlan(seed=_fire_then_calm_seed(), backend_error=0.5))
+    service = _nnt_mlpt_service(dataset, injector)
+    client = InProcessClient(service)
+    reply = client.request(
+        {
+            "application": "gcc",
+            "predictive_machines": dataset.machine_ids[:4],
+            "method": "MLP^T",
+        }
+    )
+    assert reply["ok"] is True and reply["served_method"] == "NN^T"
+
+    health = client.request({"op": "health"})
+    assert health["ok"] is True and health["status"] == "ok"
+    assert "backend" not in health
+    assert health["degraded_served"] == 1
+    assert health["faults"]["injected"] == injector.snapshot()
+    assert health["faults"]["injected"]["backend_error"] == 1
+    assert json.loads(json.dumps(health)) == health
+
+
 # ------------------------------------------------------------------ chaos run
 DEFAULT_CHAOS_SPEC = (
     "seed=1307,backend_error=0.3,latency=0.2,latency_ms=2,"
@@ -352,19 +292,14 @@ DEFAULT_CHAOS_SPEC = (
 
 def _chaos_stack(dataset, spec):
     injector = FaultInjector(FaultPlan.parse(spec))
-    backend = ResilientBackend(
-        breaker=CircuitBreaker(failure_threshold=2, cooldown=0.05),
-        injector=injector,
-    )
     cache = SplitContextCache(capacity=8, n_shards=2, fault_injector=injector)
     service = PredictionService(
         dataset,
-        {"NN^T": BatchedLinearTransposition(backend=backend)},
+        {"NN^T": BatchedLinearTransposition()},
         cache=cache,
         fault_injector=injector,
     )
-    service.resilient_backend = backend
-    return service, injector, backend
+    return service, injector
 
 
 def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
@@ -372,10 +307,10 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
 
     Every query must end in a successful (bit-identical) reply or a typed
     error; no reply may arrive after its deadline; the server must never
-    crash; and health must reflect the breaker truthfully afterwards.
+    crash; and health must report the stack truthfully afterwards.
     """
     spec = os.environ.get("REPRO_FAULTS") or DEFAULT_CHAOS_SPEC
-    service, injector, backend = _chaos_stack(dataset, spec)
+    service, injector = _chaos_stack(dataset, spec)
     machines = tuple(dataset.machine_ids[:4])
     apps = [name for name in dataset.benchmark_names[:8]]
     reference = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
@@ -410,8 +345,8 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
                 )
                 if reply["ok"]:
                     outcomes["ok"] += 1
-                    # Degraded or not, the ranking is bit-identical to the
-                    # clean reference — the fallback backend is exact.
+                    # A failed cold pass leaves no half-built table, so
+                    # every ranking is bit-identical to the clean reference.
                     want = expected[app]
                     assert [r["machine"] for r in reply["ranking"]] == list(
                         want.machine_ids
@@ -435,10 +370,7 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
         health = client.request({"op": "health"})
         client.close()
         assert health["ok"] is True
-        assert health["status"] in {"ok", "degraded"}
-        snapshot = health["backend"]["breaker"]
-        assert snapshot["trips"] == backend.breaker.trips
-        assert (health["status"] == "degraded") == (snapshot["state"] != "closed")
+        assert health["status"] == "ok"
         assert health["cache"]["injected_evictions"] == service.cache.injected_evictions
         assert health["faults"]["injected"] == injector.snapshot()
 
@@ -469,7 +401,7 @@ def test_chaos_stdio_front_end_survives_fault_injection(dataset):
     from repro.service import serve_stdio
 
     spec = os.environ.get("REPRO_FAULTS") or DEFAULT_CHAOS_SPEC
-    service, _, _ = _chaos_stack(dataset, spec)
+    service, _ = _chaos_stack(dataset, spec)
     machines = list(dataset.machine_ids[:4])
     requests = "".join(
         json.dumps({"application": app, "predictive_machines": machines, "top_n": 1})

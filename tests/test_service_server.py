@@ -462,14 +462,6 @@ def test_health_and_ready_ops_report_ok_state(service):
     assert unknown["ok"] is False and unknown["code"] == "INVALID_REQUEST"
 
 
-def test_health_reports_resilient_backend_breaker():
-    fresh = build_service(preset="smoke", cache_capacity=4, cache_shards=2)
-    health = InProcessClient(fresh).request({"op": "health"})
-    assert health["backend"]["breaker"]["state"] == "closed"
-    assert health["backend"]["primary"] == fresh.resilient_backend.primary.name
-    assert json.loads(json.dumps(health)) == health
-
-
 # -------------------------------------------------------------- bounded lines
 def test_serve_stdio_bounds_line_length(service, dataset):
     machines = dataset.machine_ids[:4]
