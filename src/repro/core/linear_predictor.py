@@ -16,8 +16,8 @@ For the leave-one-out evaluation, :meth:`LinearTranspositionPredictor.
 predict_leave_one_out` goes one step further: the sufficient statistics
 (``sxx``, ``syy``, ``sxy``) are computed once on the full benchmark set and
 every application's fit is derived by *downdating* them with that
-application's row, instead of re-centering and refitting once per
-application.
+application's row; fit and selection are then one stacked pass over all
+rows, of which :meth:`LinearTranspositionPredictor.predict` is the one-row case.
 """
 
 from __future__ import annotations
@@ -44,28 +44,26 @@ class LinearFitDetail:
 
 
 def _stable_top_k(quality: np.ndarray, k: int) -> np.ndarray:
-    """Per-column indices of the *k* highest-quality rows, in quality order.
+    """Per-(row, target) indices of the *k* highest-quality machines, in quality order.
 
-    Equivalent to ``np.argsort(-quality, axis=0, kind="mergesort")[:k]``
-    (descending quality, ties broken by lower row index) but built on a
-    vectorised ``argpartition`` so only the k candidates per column are
-    sorted.  Columns with exact quality ties across the partition boundary
-    — where the candidate *set* itself is ambiguous — fall back to the full
-    stable sort, preserving the historical tie-breaking exactly.
+    Equals ``np.argsort(-quality, axis=1, kind="mergesort")[:, :k]`` for
+    ``(rows, machines, targets)`` *quality*, but only the k ``argpartition``
+    candidates per column are sorted.  Columns with exact quality ties across
+    the partition boundary (an ambiguous candidate *set*) fall back to one
+    stable sort of them all, preserving the historical tie-breaking exactly.
     """
-    n_rows = quality.shape[0]
-    if k >= n_rows:
-        return np.argsort(-quality, axis=0, kind="mergesort")
-    candidates = np.sort(np.argpartition(-quality, k - 1, axis=0)[:k], axis=0)
-    cand_quality = np.take_along_axis(quality, candidates, axis=0)
-    order = np.argsort(-cand_quality, axis=0, kind="mergesort")
-    chosen = np.take_along_axis(candidates, order, axis=0)
-    boundary = cand_quality.min(axis=0)
-    ambiguous = np.nonzero((quality >= boundary).sum(axis=0) > k)[0]
-    if ambiguous.size:
-        chosen[:, ambiguous] = np.argsort(
-            -quality[:, ambiguous], axis=0, kind="mergesort"
-        )[:k]
+    if k >= quality.shape[1]:
+        return np.argsort(-quality, axis=1, kind="mergesort")
+    candidates = np.sort(np.argpartition(-quality, k - 1, axis=1)[:, :k], axis=1)
+    cand_quality = np.take_along_axis(quality, candidates, axis=1)
+    order = np.argsort(-cand_quality, axis=1, kind="mergesort")
+    chosen = np.take_along_axis(candidates, order, axis=1)
+    boundary = cand_quality.min(axis=1, keepdims=True)
+    rows, columns = np.nonzero((quality >= boundary).sum(axis=1) > k)
+    if rows.size:
+        chosen[rows, :, columns] = np.argsort(
+            -quality[rows, :, columns], axis=1, kind="mergesort"
+        )[:, :k]
     return chosen
 
 
@@ -108,22 +106,22 @@ class LinearTranspositionPredictor:
         mean_x: np.ndarray,
         mean_y: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Slopes, intercepts, residuals and selection quality from (P,)/(T,)/(P,T) stats."""
-        degenerate = sxx <= 0.0
+        """(R, P, T) slopes, intercepts, residuals and quality from (R,P)/(R,T)/(R,P,T) stats."""
+        degenerate = sxx <= 0.0                                   # (R, P)
         safe_sxx = np.where(degenerate, 1.0, sxx)
-        slopes = sxy / safe_sxx[:, None]                          # (P, T)
-        slopes[degenerate, :] = 0.0
-        intercepts = mean_y[None, :] - slopes * mean_x[:, None]
+        slopes = sxy / safe_sxx[:, :, None]                       # (R, P, T)
+        slopes[degenerate] = 0.0
+        intercepts = mean_y[:, None, :] - slopes * mean_x[:, :, None]
 
         # Residual sum of squares of each fit: syy - slope * sxy.
-        rss = np.clip(syy[None, :] - slopes * sxy, 0.0, None)     # (P, T)
+        rss = np.clip(syy[:, None, :] - slopes * sxy, 0.0, None)  # (R, P, T)
 
         if self.selection_criterion == "rss":
             quality = -rss
         else:
-            denom = np.sqrt(np.outer(safe_sxx, np.where(syy <= 0.0, 1.0, syy)))
+            denom = np.sqrt(safe_sxx[:, :, None] * np.where(syy <= 0.0, 1.0, syy)[:, None, :])
             quality = np.abs(sxy / denom)
-            quality[degenerate, :] = 0.0
+            quality[degenerate] = 0.0
         return slopes, intercepts, rss, quality
 
     def _select_predictions(
@@ -133,14 +131,15 @@ class LinearTranspositionPredictor:
         quality: np.ndarray,
         app: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k averaged predictions per target, plus the best machine per target."""
-        k = min(self.top_k, slopes.shape[0])
-        chosen = _stable_top_k(quality, k)                        # (k, T)
+        """Top-k averaged (R, T) predictions and best machines, for (R, P) app scores."""
+        k = min(self.top_k, slopes.shape[1])
+        chosen = _stable_top_k(quality, k)                        # (R, k, T)
         per_machine = (
-            np.take_along_axis(slopes, chosen, axis=0) * app[chosen]
-            + np.take_along_axis(intercepts, chosen, axis=0)
+            np.take_along_axis(slopes, chosen, axis=1)
+            * np.take_along_axis(app[:, :, None], chosen, axis=1)
+            + np.take_along_axis(intercepts, chosen, axis=1)
         )
-        return per_machine.mean(axis=0), chosen[0]
+        return per_machine.mean(axis=1), chosen[:, 0]
 
     @staticmethod
     def _validate(pred: np.ndarray, target: np.ndarray) -> None:
@@ -188,8 +187,6 @@ class LinearTranspositionPredictor:
                 f"app_scores_predictive has shape {app.shape}, expected ({pred.shape[1]},)"
             )
 
-        n_target = target.shape[1]
-
         # Closed-form simple regression for every (predictive, target) pair.
         mean_x = pred.mean(axis=0)
         mean_y = target.mean(axis=0)
@@ -200,27 +197,25 @@ class LinearTranspositionPredictor:
         sxy = pred_centered.T @ target_centered                   # (P, T)
 
         slopes, intercepts, rss, quality = self._fit_from_statistics(
-            sxx, syy, sxy, mean_x, mean_y
+            sxx[None], syy[None], sxy[None], mean_x[None], mean_y[None]
         )
-        predictions, best = self._select_predictions(slopes, intercepts, quality, app)
+        predictions, best = self._select_predictions(slopes, intercepts, quality, app[None])
 
-        targets = np.arange(n_target)
-        rss_best = rss[best, targets]
-        ss_tot = syy
-        r_squared = np.where(
-            ss_tot == 0.0, 1.0, 1.0 - rss_best / np.where(ss_tot == 0.0, 1.0, ss_tot)
-        )
+        best = best[0]
+        targets = np.arange(target.shape[1])
+        safe_syy = np.where(syy == 0.0, 1.0, syy)
+        r_squared = np.where(syy == 0.0, 1.0, 1.0 - rss[0, best, targets] / safe_syy)
         self.fit_details_ = [
             LinearFitDetail(
                 target_index=int(t),
                 chosen_predictive_index=int(best[t]),
-                slope=float(slopes[best[t], t]),
-                intercept=float(intercepts[best[t], t]),
+                slope=float(slopes[0, best[t], t]),
+                intercept=float(intercepts[0, best[t], t]),
                 r_squared=float(r_squared[t]),
             )
             for t in targets
         ]
-        return predictions
+        return predictions[0]
 
     def predict_leave_one_out(
         self,
@@ -236,12 +231,24 @@ class LinearTranspositionPredictor:
         training set — but instead of re-centering and refitting per
         application, the full-set sufficient statistics are computed once
         and each application's fit is derived by a rank-one *downdate* with
-        that application's row.  *rows* defaults to every benchmark.
-        Agreement with the refit path is exact up to floating-point
-        roundoff (~1e-12 relative); the equivalence suite enforces it.
+        that application's row; fit and selection run once over the stack.
+        *rows* (integer indices) defaults to every benchmark.  Agreement with
+        the refit path is exact up to floating-point roundoff (~1e-12
+        relative); the equivalence suite enforces it.
 
         ``fit_details_`` is not populated by this entry point (there is one
         fit per application, not one); use :meth:`predict` for diagnostics.
+
+        Examples::
+
+            >>> rng = np.random.default_rng(0)
+            >>> pred, target = rng.uniform(1, 60, (29, 6)), rng.uniform(1, 60, (29, 111))
+            >>> full = LinearTranspositionPredictor().predict_leave_one_out(pred, target)
+            >>> full.shape
+            (29, 111)
+            >>> row = LinearTranspositionPredictor().predict_leave_one_out(pred, target, rows=[3])
+            >>> row.tobytes() == full[3].tobytes()
+            True
         """
         pred = np.asarray(benchmark_scores_predictive, dtype=float)
         target = np.asarray(benchmark_scores_target, dtype=float)
@@ -252,30 +259,23 @@ class LinearTranspositionPredictor:
                 "leave-one-out needs at least three benchmarks "
                 "(two training benchmarks per fit)"
             )
-        n_target = target.shape[1]
-        row_indices = range(n_benchmarks) if rows is None else [int(r) for r in rows]
-        if any(not 0 <= r < n_benchmarks for r in row_indices):
+        row_array = np.arange(n_benchmarks) if rows is None else np.asarray(rows)
+        if row_array.ndim != 1 or (row_array.size and row_array.dtype.kind not in "iu"):
+            raise ValueError("rows must be a sequence of integer benchmark indices")
+        if ((row_array < 0) | (row_array >= n_benchmarks)).any():
             raise ValueError("rows must index benchmark rows")
+        row_array = row_array.astype(np.intp, copy=False)
 
         # Downdating identities for removing row r (sample count B -> B - 1):
         #   mean' = (B * mean - row_r) / (B - 1)
         #   S'    = S - B / (B - 1) * (row_r - mean) ** 2   (and the cross term)
-        # The stacked statistics kernel computes each row's downdate with
-        # the historical arithmetic, so predictions are bit-identical to the
-        # per-row loop.
-        row_array = np.fromiter(row_indices, dtype=np.intp)
-        sxx_all, syy_all, sxy_all, mean_x_all, mean_y_all = (
-            NumpyBackend().nnt_downdated_statistics(pred, target, row_array)
+        # The kernel downdates every row with the historical arithmetic and the
+        # stacked fit is elementwise per row: bit-identical to a per-row loop.
+        statistics = NumpyBackend().nnt_downdated_statistics(pred, target, row_array)
+        slopes, intercepts, _, quality = self._fit_from_statistics(*statistics)
+        predictions, _ = self._select_predictions(
+            slopes, intercepts, quality, pred[row_array]
         )
-
-        predictions = np.empty((len(row_array), n_target))
-        for i, r in enumerate(row_array):
-            slopes, intercepts, _, quality = self._fit_from_statistics(
-                sxx_all[i], syy_all[i], sxy_all[i], mean_x_all[i], mean_y_all[i]
-            )
-            predictions[i], _ = self._select_predictions(
-                slopes, intercepts, quality, pred[r]
-            )
         self.fit_details_ = []
         return predictions
 
