@@ -15,12 +15,15 @@ stack for it:
 * :mod:`repro.service.cache` — :class:`SplitContextCache`, the sharded
   LRU+TTL cache holding trained split state, keyed by
   :func:`~repro.core.batch.split_cache_key`;
-* :mod:`repro.service.batching` — :class:`MicroBatcher`, the asyncio
-  front end coalescing concurrent requests into stacked batch calls, with
-  bounded admission and load shedding;
-* :mod:`repro.service.server` — the ``repro-serve`` entry point (stdio
-  JSON-lines or TCP) plus the synchronous :class:`InProcessClient` and
-  the reconnecting :class:`TCPClient`;
+* :mod:`repro.service.batching` — :class:`MicroBatcher`, coalescing
+  concurrent requests into stacked batch calls, with bounded admission
+  and load shedding;
+* :mod:`repro.service.server` — the ``repro-serve`` entry point: stdio
+  JSON-lines or TCP, both answering through one request path
+  (:func:`~repro.service.server.handle_line` on the micro-batcher);
+* :mod:`repro.service.client` — the in-process :class:`InProcessClient`
+  (the same request path without a process boundary) and the
+  reconnecting :class:`TCPClient`;
 * :mod:`repro.service.resilience` — :class:`Deadline` propagation and
   full-jitter :class:`RetryPolicy`;
 * :mod:`repro.service.errors` — the stable error-code taxonomy every
@@ -81,13 +84,8 @@ from repro.service.observability import (
     Trace,
 )
 from repro.service.resilience import Deadline, RetryPolicy
-from repro.service.server import (
-    InProcessClient,
-    TCPClient,
-    build_service,
-    serve_stdio,
-    serve_tcp,
-)
+from repro.service.client import InProcessClient, TCPClient
+from repro.service.server import build_service, serve_stdio, serve_tcp
 
 __all__ = [
     "BackendFailureError",

@@ -444,13 +444,6 @@ class PredictionService:
                 return chain[index:]
         return chain[-1:]
 
-    def rank(self, query: RankingQuery) -> RankingReply:
-        """Answer one query (see :meth:`rank_many` for the batch form)."""
-        outcome = self.rank_many([query])[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
     def rank_many(
         self, queries: Sequence[RankingQuery]
     ) -> "list[RankingReply | Exception]":
@@ -476,13 +469,16 @@ class PredictionService:
         outcomes: "list[RankingReply | Exception]" = []
         for query in queries:
             try:
-                outcomes.append(self._answer(query))
+                outcomes.append(self.rank(query))
             except Exception as exc:  # noqa: BLE001 - the failure is this query's alone
                 outcomes.append(exc)
         return outcomes
 
-    def _answer(self, query: RankingQuery) -> RankingReply:
-        """One query's reply; raises when it cannot be answered."""
+    def rank(self, query: RankingQuery) -> RankingReply:
+        """Answer one query; raises when it cannot be answered.
+
+        :meth:`rank_many` is the batch form the micro-batcher calls.
+        """
         engine_span = (
             query.trace.span("engine")
             if query.trace is not None

@@ -1,12 +1,13 @@
-"""Asyncio micro-batching front end.
+"""Asyncio micro-batching under every front end.
 
 A serving process receives queries one at a time, but the engine underneath
 is happiest answering them in bulk: queries that address the same machine
 split share one trained score table, so handing them to
 :meth:`~repro.service.api.PredictionService.rank_many` as a single batch
 trains once instead of racing to train concurrently.  :class:`MicroBatcher`
-provides that coalescing for asyncio front ends (the TCP server): requests
-submitted before the event loop next runs its callbacks (pipelined lines read
+provides that coalescing for every front end (stdio, TCP and
+:class:`~repro.service.client.InProcessClient` all submit through it):
+requests submitted before the event loop next runs its callbacks (lines read
 in one chunk, ``gather``-ed submits, a burst of connections) are dispatched
 as one stacked batch call on the next loop turn, and each caller awaits only
 its own reply.  No timer holds a lone request back.  Requests for one split

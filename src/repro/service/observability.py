@@ -43,6 +43,7 @@ Examples::
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import itertools
 import json
@@ -419,28 +420,22 @@ class Trace:
 
 
 class PeriodicSnapshot:
-    """Emit a metrics snapshot line at most once per *interval* seconds.
+    """Emit a metrics snapshot line every *interval* seconds.
 
-    The front ends use this for the periodic snapshot log: the stdio loop
-    calls :meth:`maybe_emit` after each reply, the TCP server from a timer
-    task.  The default sink writes one ``repro-serve metrics {...}`` line
-    to stderr (never stdout — that belongs to the reply stream).
+    ``repro-serve --metrics-interval`` runs :meth:`run` as one timer task
+    beside either front end.  The default sink writes one
+    ``repro-serve metrics {...}`` line to stderr (never stdout — that
+    belongs to the reply stream).
 
     Examples::
 
-        >>> now = [0.0]
         >>> lines = []
         >>> registry = MetricsRegistry()
-        >>> snap = PeriodicSnapshot(
-        ...     registry, interval=10.0, sink=lines.append, clock=lambda: now[0]
-        ... )
-        >>> snap.maybe_emit()       # interval not yet elapsed
-        False
-        >>> now[0] = 10.0
-        >>> snap.maybe_emit()
+        >>> registry.counter("requests").inc()
+        >>> PeriodicSnapshot(registry, interval=10.0, sink=lines.append).emit()["counters"]
+        {'requests': 1}
+        >>> lines[0].startswith("repro-serve metrics ")
         True
-        >>> len(lines)
-        1
     """
 
     def __init__(
@@ -448,30 +443,25 @@ class PeriodicSnapshot:
         registry: MetricsRegistry,
         interval: float,
         sink: Callable[[str], None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be > 0 seconds")
         self.registry = registry
         self.interval = float(interval)
         self._sink = sink if sink is not None else self._stderr_sink
-        self._clock = clock
-        self._last = clock()
 
     @staticmethod
     def _stderr_sink(line: str) -> None:  # pragma: no cover - exercised via CLI
         print(line, file=sys.stderr, flush=True)
 
     def emit(self) -> dict:
-        """Snapshot now, hand the JSON line to the sink, reset the timer."""
+        """Snapshot now and hand the JSON line to the sink."""
         snapshot = self.registry.snapshot()
         self._sink("repro-serve metrics " + json.dumps(snapshot, sort_keys=True))
-        self._last = self._clock()
         return snapshot
 
-    def maybe_emit(self) -> bool:
-        """Emit when *interval* has elapsed since the last emission."""
-        if self._clock() - self._last < self.interval:
-            return False
-        self.emit()
-        return True
+    async def run(self) -> None:
+        """Emit one snapshot every *interval* seconds until cancelled."""
+        while True:
+            await asyncio.sleep(self.interval)
+            self.emit()

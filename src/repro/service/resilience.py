@@ -8,8 +8,8 @@ share:
   engine dispatch, and at reply write; carried by
   :class:`~repro.service.api.RankingQuery`.
 * :class:`RetryPolicy` — exponential backoff with full jitter for the
-  clients (:class:`~repro.service.server.InProcessClient`,
-  :class:`~repro.service.server.TCPClient`).  Safe because every ranking
+  clients (:class:`~repro.service.client.InProcessClient`,
+  :class:`~repro.service.client.TCPClient`).  Safe because every ranking
   request is idempotent by content fingerprint.
 
 Degradation itself — serving a query from the next method of the

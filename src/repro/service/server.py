@@ -5,9 +5,15 @@ front ends, both speaking newline-delimited JSON (one object per line):
 
 * **stdio** (default): read queries from stdin, write replies to stdout —
   composes with shell pipelines and is what the examples and docs drive;
-* **TCP** (``--tcp HOST:PORT``): an asyncio server where concurrent client
-  requests are coalesced by the :class:`~repro.service.batching.
-  MicroBatcher` into stacked batch calls.
+* **TCP** (``--tcp HOST:PORT``): an asyncio server, one stream per
+  connection.
+
+Both answer through one request path: a byte-bounded line reader,
+:func:`handle_line` (JSON parsing, protocol verbs, admission through the
+:class:`~repro.service.batching.MicroBatcher`, deadline check) and an
+ordered reply writer.  Concurrent ranking requests — lines read together
+from one stream, or lines from several connections — are coalesced into
+stacked batch calls.  The clients live in :mod:`repro.service.client`.
 
 Request objects::
 
@@ -49,12 +55,15 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import functools
 import json
+import os
+import queue
 import signal
-import socket
 import sys
+import threading
 import time
-from typing import Any, AsyncIterator, Callable, Iterator, Mapping, TextIO
+from typing import Any, AsyncIterator, Awaitable, Callable, Mapping, TextIO
 
 from repro.data.spec_dataset import build_default_dataset
 from repro.experiments.config import ExperimentConfig
@@ -62,16 +71,16 @@ from repro.experiments.methods import standard_methods
 from repro.service.api import PredictionService, RankingQuery, RankingReply, ServiceError
 from repro.service.batching import MicroBatcher
 from repro.service.cache import SplitContextCache
-from repro.service.errors import ERROR_CODES, RETRYABLE_CODES
+from repro.service.errors import ERROR_CODES, DeadlineExceededError
 from repro.service.faults import FaultInjector, injector_from_env
 from repro.service.observability import PeriodicSnapshot, Trace
-from repro.service.resilience import Deadline, RetryPolicy
+from repro.service.resilience import Deadline
 
 __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
-    "InProcessClient",
-    "TCPClient",
+    "MAX_PIPELINE",
     "build_service",
+    "handle_line",
     "main",
     "query_from_payload",
     "reply_to_payload",
@@ -82,6 +91,12 @@ __all__ = [
 #: Default bound on one request line; a longer line is answered with a
 #: ``PAYLOAD_TOO_LARGE`` error instead of being buffered without limit.
 DEFAULT_MAX_LINE_BYTES = 1_048_576
+
+#: Requests one stream may have in flight before its reader stops
+#: consuming (on TCP, flow control then pushes back on the client).
+MAX_PIPELINE = 128
+
+_CHUNK_BYTES = 65536
 
 
 # ------------------------------------------------------------------ protocol
@@ -114,7 +129,7 @@ def query_from_payload(payload: Mapping[str, Any]) -> RankingQuery:
         "method",
         "top_n",
         "deadline_ms",
-        "trace_id",  # consumed by the front ends (_trace_for), tolerated here
+        "trace_id",  # consumed by handle_line, tolerated here
     }
     if unknown:
         raise ServiceError(f"unknown request fields: {sorted(unknown)}")
@@ -200,137 +215,71 @@ def _error_payload(message: str, code: str = "INVALID_REQUEST") -> dict[str, Any
     return {"ok": False, "code": code, "error": message}
 
 
-def _error_from_exception(exc: Exception) -> dict[str, Any]:
-    """The error reply an exception maps to (its ``code`` attribute, else INTERNAL)."""
-    code = getattr(exc, "code", "INTERNAL")
-    if code not in ERROR_CODES:
-        code = "INTERNAL"
-    return _error_payload(str(exc), code=code)
-
-
-def _stats_payload(service: PredictionService) -> dict[str, Any]:
-    """The ``{"op": "stats"}`` reply: split-state cache counters + line-up.
-
-    Exposes the full :class:`~repro.service.cache.SplitContextCache`
-    accounting — aggregate hit/miss/eviction/expiration counters, the
-    derived hit rate, capacity, and the per-shard breakdown (which reveals
-    routing skew the aggregate hides).
-    """
-    stats = service.cache.snapshot()
-    stats["methods"] = sorted(service.methods)
-    return {"ok": True, "stats": stats}
-
-
-def _metrics_payload(
-    service: PredictionService, batcher: MicroBatcher | None = None
-) -> dict[str, Any]:
-    """The ``{"op": "metrics"}`` reply: the whole stack's observability state.
-
-    One snapshot combining the shared
-    :class:`~repro.service.observability.MetricsRegistry` (counters, gauges,
-    latency histograms with p50/p95/p99) with the cache and batcher
-    accounting — everything a load generator needs to
-    reconcile its client-side measurements against the server's own.
-
-    Examples::
-
-        >>> from repro.core import BatchedLinearTransposition
-        >>> service = PredictionService(
-        ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
-        ... )
-        >>> payload = _metrics_payload(service)
-        >>> payload["ok"], sorted(payload["metrics"])[:3]
-        (True, ['cache', 'counters', 'gauges'])
-    """
-    snapshot = service.metrics.snapshot()
-    snapshot["cache"] = service.cache.snapshot()
-    if batcher is not None:
-        snapshot["batcher"] = batcher.snapshot()
-    return {"ok": True, "metrics": snapshot}
-
-
-def _health_payload(
-    service: PredictionService, batcher: MicroBatcher | None = None
-) -> dict[str, Any]:
-    """The ``{"op": "health"}`` reply: resilience state of the whole stack.
-
-    ``status`` is ``"ok"``, or ``"draining"`` once shutdown has begun.
-    Replies degraded along the fallback chain are counted in
-    ``degraded_served``; an active fault injector's plan and fired-fault
-    counters are echoed under ``faults``.
-
-    Examples::
-
-        >>> from repro.core import BatchedLinearTransposition
-        >>> service = PredictionService(
-        ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
-        ... )
-        >>> health = _health_payload(service)
-        >>> (health["ok"], health["status"], health["ready"])
-        (True, 'ok', True)
-    """
-    injector: FaultInjector | None = getattr(service, "fault_injector", None)
-    draining = batcher.draining if batcher is not None else False
-    payload: dict[str, Any] = {
-        "ok": True,
-        "status": "draining" if draining else "ok",
-        "ready": not draining,
-        "degraded_served": service.degraded_served,
-        "corrupt_entries_dropped": service.corrupt_entries_dropped,
-        "cache": {
-            "entries": service.cache_stats().entries,
-            "injected_evictions": service.cache.injected_evictions,
-            "injected_corruptions": service.cache.injected_corruptions,
-        },
-    }
-    if batcher is not None:
-        payload["batcher"] = batcher.snapshot()
-    if injector is not None:
-        payload["faults"] = {"plan": dataclasses.asdict(injector.plan),
-                             "injected": injector.snapshot()}
-    return payload
-
-
-def _ready_payload(
-    service: PredictionService, batcher: MicroBatcher | None = None
-) -> dict[str, Any]:
-    """The ``{"op": "ready"}`` reply: is the stack accepting new requests?"""
-    draining = batcher.draining if batcher is not None else False
-    return {"ok": True, "ready": not draining}
-
-
 def _handle_op(
-    service: PredictionService,
-    payload: Mapping[str, Any],
-    batcher: MicroBatcher | None = None,
+    service: PredictionService, payload: Mapping[str, Any], batcher: MicroBatcher
 ) -> dict[str, Any] | None:
-    """Dispatch a protocol verb; ``None`` when the payload is a ranking query."""
+    """Answer a protocol verb; ``None`` when the payload is a ranking query.
+
+    * ``stats`` (legacy alias ``{"stats": true}``): the full
+      :class:`~repro.service.cache.SplitContextCache` accounting —
+      hit/miss/eviction/expiration counters, hit rate, capacity and the
+      per-shard breakdown, which reveals routing skew — plus the line-up;
+    * ``health``: ``status`` ``"ok"``, or ``"draining"`` once shutdown has
+      begun; replies degraded along the fallback chain
+      (``degraded_served``); cache and batcher state; and an active fault
+      injector's plan and fired-fault counters under ``faults``;
+    * ``ready``: whether new requests are admitted;
+    * ``metrics``: the shared
+      :class:`~repro.service.observability.MetricsRegistry` snapshot
+      (counters, gauges, p50/p95/p99 histograms) with the cache and batcher
+      accounting — what a load generator reconciles its own counts against.
+
+    Examples::
+
+        >>> from repro.core import BatchedLinearTransposition
+        >>> service = PredictionService(
+        ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
+        ... )
+        >>> health = _handle_op(service, {"op": "health"}, MicroBatcher(service))
+        >>> (health["ok"], health["status"], health["ready"], "batcher" in health)
+        (True, 'ok', True, True)
+    """
     op = payload.get("op")
     if op is None and payload.get("stats"):
         op = "stats"  # legacy {"stats": true} form
     if op is None:
         return None
     if op == "stats":
-        return _stats_payload(service)
-    if op == "health":
-        return _health_payload(service, batcher)
+        stats = service.cache.snapshot()
+        stats["methods"] = sorted(service.methods)
+        return {"ok": True, "stats": stats}
     if op == "ready":
-        return _ready_payload(service, batcher)
+        return {"ok": True, "ready": not batcher.draining}
     if op == "metrics":
-        return _metrics_payload(service, batcher)
+        snapshot = service.metrics.snapshot()
+        snapshot["cache"] = service.cache.snapshot()
+        snapshot["batcher"] = batcher.snapshot()
+        return {"ok": True, "metrics": snapshot}
+    if op == "health":
+        health: dict[str, Any] = {
+            "ok": True,
+            "status": "draining" if batcher.draining else "ok",
+            "ready": not batcher.draining,
+            "degraded_served": service.degraded_served,
+            "corrupt_entries_dropped": service.corrupt_entries_dropped,
+            "cache": {
+                "entries": service.cache_stats().entries,
+                "injected_evictions": service.cache.injected_evictions,
+                "injected_corruptions": service.cache.injected_corruptions,
+            },
+            "batcher": batcher.snapshot(),
+        }
+        injector: FaultInjector | None = service.fault_injector
+        if injector is not None:
+            health["faults"] = {"plan": dataclasses.asdict(injector.plan),
+                                "injected": injector.snapshot()}
+        return health
     return _error_payload(f"unknown op {op!r} (known: health, metrics, ready, stats)")
-
-
-def _trace_for(payload: Any) -> Trace:
-    """The request's :class:`~repro.service.observability.Trace`.
-
-    Honours a client-supplied ``trace_id`` string (so callers can correlate
-    replies with their own logs); anything else gets a server-assigned id.
-    """
-    trace_id = payload.get("trace_id") if isinstance(payload, Mapping) else None
-    if not isinstance(trace_id, str) or not trace_id:
-        trace_id = None
-    return Trace(trace_id=trace_id)
 
 
 def _finish_reply(
@@ -360,12 +309,32 @@ def _finish_reply(
     return payload
 
 
-def _answer_line(service: PredictionService, line: str) -> dict[str, Any]:
-    """One request line in, one reply object out (never raises)."""
+# -------------------------------------------------------------- request path
+async def handle_line(
+    service: PredictionService, batcher: MicroBatcher, line: str
+) -> dict[str, Any]:
+    """Answer one request line: the request path of every front end and client.
+
+    Parses the line, answers a protocol verb (``op``) at once, admits a
+    ranking query through *batcher* and checks its deadline before the
+    reply is serialised.  Never raises: a line that does not parse —
+    including JSON nested past the parser's recursion limit — is answered
+    with ``INVALID_JSON``, any other failure with its typed code.
+
+    Examples::
+
+        >>> from repro.core import BatchedLinearTransposition
+        >>> service = PredictionService(
+        ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
+        ... )
+        >>> nested = "[" * 100_000 + "]" * 100_000
+        >>> asyncio.run(handle_line(service, MicroBatcher(service), nested))["code"]
+        'INVALID_JSON'
+    """
     started = time.monotonic()
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return _finish_reply(
             service,
             Trace(),
@@ -373,239 +342,202 @@ def _answer_line(service: PredictionService, line: str) -> dict[str, Any]:
             _error_payload(f"invalid JSON: {exc}", code="INVALID_JSON"),
         )
     if isinstance(payload, Mapping):
-        op_reply = _handle_op(service, payload)
+        op_reply = _handle_op(service, payload, batcher)
         if op_reply is not None:
             return op_reply
-    trace = _trace_for(payload)
+    # A client-supplied trace_id string is echoed, to correlate with its logs.
+    trace_id = payload.get("trace_id") if isinstance(payload, Mapping) else None
+    trace = Trace(trace_id=trace_id if isinstance(trace_id, str) and trace_id else None)
     trace.begin("admission")
     try:
         query = query_from_payload(payload)
         trace.end("admission")
         query = dataclasses.replace(query, trace=trace)
-        reply = service.rank(query)
+        reply = await batcher.submit(query)
         if query.deadline is not None and query.deadline.expired:
-            return _finish_reply(
-                service,
-                trace,
-                started,
-                _error_payload(
-                    "deadline exceeded before the reply could be written",
-                    code="DEADLINE_EXCEEDED",
-                ),
-            )
+            raise DeadlineExceededError("deadline exceeded before the reply could be written")
         with trace.span("reply"):
             reply_payload = reply_to_payload(reply)
-        return _finish_reply(service, trace, started, reply_payload)
     except ServiceError as exc:
-        return _finish_reply(service, trace, started, _error_from_exception(exc))
-    except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
-        return _finish_reply(
-            service, trace, started, _error_payload(f"internal error: {exc}", code="INTERNAL")
-        )
+        reply_payload = _error_payload(str(exc), code=exc.code)
+    except Exception as exc:  # noqa: BLE001 - a request must never kill its stream
+        reply_payload = _error_payload(f"internal error: {exc}", code="INTERNAL")
+    return _finish_reply(service, trace, started, reply_payload)
 
 
-# ------------------------------------------------------------------- clients
-class InProcessClient:
-    """Synchronous client driving a service through the wire protocol.
+# ---------------------------------------------------------------- front ends
+async def _iter_lines(
+    read: Callable[[], Awaitable[bytes]], max_bytes: int
+) -> AsyncIterator[bytes | None]:
+    """Newline-delimited lines of the chunks *read* returns (``b""`` at EOF).
 
-    Useful in examples and tests: requests and replies take exactly the
-    shape the stdio/TCP servers exchange, without a process boundary.
-    When built with a :class:`~repro.service.resilience.RetryPolicy`, a
-    reply whose error code is retryable (``OVERLOADED`` /
-    ``BACKEND_FAILURE``) is retried with full-jitter
-    exponential backoff — safe because every ranking request is idempotent
-    by content fingerprint.
-
-    Examples::
-
-        >>> from repro.core import BatchedLinearTransposition
-        >>> from repro.data import build_default_dataset
-        >>> dataset = build_default_dataset()
-        >>> client = InProcessClient(
-        ...     PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
-        ... )
-        >>> reply = client.request({
-        ...     "application": "gcc",
-        ...     "predictive_machines": dataset.machine_ids[:4],
-        ...     "top_n": 1,
-        ... })
-        >>> reply["ok"], len(reply["ranking"])
-        (True, 1)
+    A line longer than *max_bytes* bytes yields ``None`` once; it is
+    discarded chunk by chunk, never accumulated.
     """
-
-    def __init__(
-        self,
-        service: PredictionService,
-        retry: RetryPolicy | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.service = service
-        self.retry = retry
-        self._sleep = sleep
-        #: Requests re-sent after a retryable error reply.
-        self.retries = 0
-
-    def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Send one request object, get its reply object (retrying if configured)."""
-        line = json.dumps(payload)
-        reply = _answer_line(self.service, line)
-        if self.retry is None:
-            return reply
-        for delay in self.retry.delays():
-            if reply.get("ok") or reply.get("code") not in RETRYABLE_CODES:
-                return reply
-            self._sleep(delay)
-            self.retries += 1
-            reply = _answer_line(self.service, line)
-        return reply
-
-    def rank(self, query: RankingQuery) -> RankingReply:
-        """Typed convenience bypassing JSON: answer one query directly."""
-        return self.service.rank(query)
-
-
-class TCPClient:
-    """Blocking JSON-lines client for the TCP front end, with retries.
-
-    Maintains one connection, re-establishing it transparently when the
-    server (or an injected ``conn_drop`` fault) closes it mid-conversation.
-    Connection failures and retryable error replies are retried under the
-    :class:`~repro.service.resilience.RetryPolicy` — full-jitter backoff,
-    safe because ranking requests are idempotent by content fingerprint.
-    A non-retryable error reply is returned as-is; exhausting every
-    attempt on connection failures re-raises the last ``OSError``.
-
-    Use as a context manager::
-
-        with TCPClient("127.0.0.1", 8077) as client:
-            reply = client.request({"op": "health"})
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        retry: RetryPolicy | None = None,
-        timeout: float = 10.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.host = host
-        self.port = int(port)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.timeout = timeout
-        self._sleep = sleep
-        self._sock: socket.socket | None = None
-        self._file = None
-        #: Requests re-sent after a drop or retryable error reply.
-        self.retries = 0
-
-    # --------------------------------------------------------- connection
-    def connect(self) -> None:
-        """Ensure a live connection (no-op when already connected)."""
-        if self._sock is not None:
-            return
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._file = self._sock.makefile("rwb")
-
-    def close(self) -> None:
-        """Drop the connection (a later request reconnects)."""
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-            self._file = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - best-effort teardown
-                pass
-            self._sock = None
-
-    def __enter__(self) -> "TCPClient":
-        self.connect()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ----------------------------------------------------------- requests
-    def _roundtrip(self, line: bytes) -> dict[str, Any]:
-        self.connect()
-        assert self._file is not None
-        self._file.write(line + b"\n")
-        self._file.flush()
-        reply_line = self._file.readline()
-        if not reply_line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(reply_line.decode())
-
-    def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Send one request object, get its reply object (with retries)."""
-        line = json.dumps(payload).encode()
-        delays = list(self.retry.delays())
-        last_error: OSError | None = None
-        for attempt in range(self.retry.max_attempts):
-            try:
-                reply = self._roundtrip(line)
-            except (OSError, ValueError) as exc:
-                # OSError covers ConnectionError + timeouts; ValueError is a
-                # torn JSON line from a connection dropped mid-reply.
-                self.close()
-                last_error = exc if isinstance(exc, OSError) else ConnectionError(str(exc))
-            else:
-                if reply.get("ok") or reply.get("code") not in RETRYABLE_CODES:
-                    return reply
-                last_error = None
-            if attempt < len(delays):
-                self._sleep(delays[attempt])
-                self.retries += 1
-        if last_error is not None:
-            raise last_error
-        return reply
-
-
-# ------------------------------------------------------------------ frontends
-def _iter_text_lines(stream: TextIO, max_chars: int) -> Iterator[str | None]:
-    """Lines of *stream*, bounded: an over-long line yields ``None`` instead.
-
-    Reads at most ``max_chars + 1`` characters per ``readline`` call, so an
-    adversarial multi-GB line never materialises in memory; its remainder
-    is consumed and discarded up to the next newline.
-    """
+    buffer = bytearray()
+    oversized = False  # inside a too-long line that was already reported
     while True:
-        line = stream.readline(max_chars + 1)
-        if not line:
+        chunk = await read()
+        buffer += chunk
+        start = 0
+        while (newline := buffer.find(b"\n", start)) >= 0:
+            line, start = buffer[start:newline], newline + 1
+            if oversized:
+                oversized = False
+            else:
+                yield bytes(line) if len(line) <= max_bytes else None
+        del buffer[:start]
+        if not oversized and len(buffer) > max_bytes:
+            oversized = True
+            yield None
+        if oversized:
+            buffer.clear()
+        if not chunk:
+            if buffer:
+                yield bytes(buffer)
             return
-        if len(line) <= max_chars or (len(line) == max_chars + 1 and line.endswith("\n")):
-            yield line
-            continue
-        while True:  # discard the rest of the oversized line
-            rest = stream.readline(65536)
-            if not rest or rest.endswith("\n"):
-                break
-        yield None
+
+
+def _thread_reader(stream: Any) -> Callable[[], Awaitable[bytes]]:
+    """Awaitable chunk reads of the blocking *stream*, done by a daemon thread.
+
+    A daemon thread, not the loop's executor, whose shutdown would wait on a
+    read parked on an idle stdin.  The stream's file descriptor is read when
+    it has one (a buffered read parked in a daemon thread aborts the
+    interpreter at exit), else its ``readline``, with text encoded to UTF-8.
+    A read that raises ends the input; an unexpected error then ends the
+    thread with its traceback.
+    """
+    loop = asyncio.get_running_loop()
+    wanted: "queue.SimpleQueue[asyncio.Future]" = queue.SimpleQueue()
+    try:
+        read_chunk = functools.partial(os.read, stream.fileno(), _CHUNK_BYTES)
+    except (AttributeError, OSError, ValueError):  # no descriptor, e.g. io.StringIO
+        read_chunk = functools.partial(stream.readline, _CHUNK_BYTES)
+
+    def settle(future: asyncio.Future, chunk: bytes) -> None:
+        if not future.done():
+            future.set_result(chunk)
+
+    def deliver(future: asyncio.Future, chunk: bytes) -> None:
+        try:
+            loop.call_soon_threadsafe(settle, future, chunk)
+        except RuntimeError:  # the loop has closed: nobody reads any more
+            pass
+
+    def pump() -> None:
+        chunk = b"\n"
+        while chunk:
+            future = wanted.get()
+            chunk = b""  # what a read that raises delivers: the end of input
+            try:
+                chunk = read_chunk()
+            except (OSError, ValueError, KeyboardInterrupt):
+                pass  # a broken, closed or interrupted stream
+            finally:
+                deliver(future, chunk.encode() if isinstance(chunk, str) else chunk)
+
+    threading.Thread(target=pump, name="repro-serve-reader", daemon=True).start()
+
+    async def read() -> bytes:
+        future = loop.create_future()
+        wanted.put(future)
+        return await future
+
+    return read
+
+
+async def _serve_lines(
+    service: PredictionService,
+    batcher: MicroBatcher,
+    read: Callable[[], Awaitable[bytes]],
+    write: Callable[[dict[str, Any]], Awaitable[None]],
+    max_line_bytes: int,
+    drop: Callable[[], bool] = lambda: False,
+) -> int:
+    """The stream loop of every front end; returns the replies written.
+
+    Each request line becomes one :func:`handle_line` task, so lines read
+    together share a micro-batch; the writer awaits the tasks in request
+    order.  Past :data:`MAX_PIPELINE` outstanding answers the reader stops
+    consuming.  Blank lines are skipped.  When *drop* (the ``conn_drop``
+    fault seam) fires, unwritten answers are abandoned and the loop ends.
+    """
+    loop = asyncio.get_running_loop()
+    pending: "asyncio.Queue[asyncio.Future | None]" = asyncio.Queue()
+    slots = asyncio.Semaphore(MAX_PIPELINE)
+    written = 0
+
+    async def write_replies() -> None:
+        nonlocal written
+        while (answer := await pending.get()) is not None:
+            try:
+                payload = await answer
+            finally:
+                slots.release()
+            await write(payload)
+            written += 1
+
+    writer = asyncio.ensure_future(write_replies())
+    try:
+        async for line in _iter_lines(read, max_line_bytes):
+            if drop():
+                while not pending.empty():
+                    pending.get_nowait().cancel()
+                return written
+            text = line.decode(errors="replace").strip() if line is not None else None
+            if text == "":
+                continue
+            await slots.acquire()
+            if text is None:
+                answer = loop.create_future()
+                answer.set_result(_finish_reply(
+                    service, Trace(), time.monotonic(),
+                    _error_payload(f"request line exceeds {max_line_bytes} bytes",
+                                   code="PAYLOAD_TOO_LARGE"),
+                ))
+            else:
+                answer = asyncio.ensure_future(handle_line(service, batcher, text))
+            pending.put_nowait(answer)
+        pending.put_nowait(None)
+        await writer
+        return written
+    finally:
+        writer.cancel()
+
+
+async def _serve_stream(
+    service: PredictionService,
+    batcher: MicroBatcher,
+    in_stream: Any,
+    out_stream: TextIO | None,
+    max_line_bytes: int,
+) -> int:
+    """The stdio front end: :func:`_serve_lines` over one stream pair."""
+    out = out_stream if out_stream is not None else sys.stdout
+
+    async def write(payload: dict[str, Any]) -> None:
+        out.write(json.dumps(payload) + "\n")
+        out.flush()
+
+    reader = _thread_reader(in_stream if in_stream is not None else sys.stdin)
+    return await _serve_lines(service, batcher, reader, write, max_line_bytes)
 
 
 def serve_stdio(
     service: PredictionService,
-    in_stream: TextIO | None = None,
+    in_stream: Any = None,
     out_stream: TextIO | None = None,
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-    metrics_interval: float | None = None,
 ) -> int:
     """Answer newline-delimited JSON queries from *in_stream* until EOF.
 
-    Blank lines are ignored; every non-blank line yields exactly one reply
-    line (an over-long line yields a ``PAYLOAD_TOO_LARGE`` error without
-    being buffered).  ``KeyboardInterrupt`` (ctrl-C / SIGTERM via the
-    ``main`` signal handler) ends the loop cleanly after the in-progress
-    reply.  Returns the number of replies written (handy for tests).
-    *metrics_interval* (seconds, ``--metrics-interval``) enables the
-    periodic snapshot log: at most once per interval, checked after each
-    reply, one ``repro-serve metrics {...}`` line goes to stderr.
+    Runs the stream loop of each TCP connection on its own
+    :class:`~repro.service.batching.MicroBatcher`.  Every non-blank line
+    yields one reply line, in request order; a line over *max_line_bytes*
+    UTF-8 bytes yields ``PAYLOAD_TOO_LARGE`` without being buffered.  A
+    read that fails or is interrupted ends the input like EOF.  Returns the
+    number of replies written.
 
     Examples::
 
@@ -621,113 +553,30 @@ def serve_stdio(
         >>> json.loads(out.getvalue())["ok"]
         True
     """
-    in_stream = in_stream if in_stream is not None else sys.stdin
-    out_stream = out_stream if out_stream is not None else sys.stdout
-    snapshot_log = (
-        PeriodicSnapshot(service.metrics, metrics_interval)
-        if metrics_interval is not None and metrics_interval > 0
-        else None
+    return asyncio.run(
+        _serve_stream(service, MicroBatcher(service), in_stream, out_stream, max_line_bytes)
     )
-    served = 0
-    try:
-        for line in _iter_text_lines(in_stream, max_line_bytes):
-            if line is None:
-                reply = _finish_reply(
-                    service,
-                    Trace(),
-                    time.monotonic(),
-                    _error_payload(
-                        f"request line exceeds {max_line_bytes} bytes",
-                        code="PAYLOAD_TOO_LARGE",
-                    ),
-                )
-            elif not line.strip():
-                continue
-            else:
-                reply = _answer_line(service, line)
-            print(json.dumps(reply), file=out_stream, flush=True)
-            served += 1
-            if snapshot_log is not None:
-                snapshot_log.maybe_emit()
-    except KeyboardInterrupt:
-        # Drain-and-exit: every line read so far has been answered (the
-        # loop is synchronous), so simply stop reading new ones.
-        pass
-    return served
-
-
-async def _iter_lines(
-    reader: asyncio.StreamReader, max_bytes: int
-) -> "AsyncIterator[bytes | None]":
-    """Newline-delimited lines from *reader*, bounded like :func:`_iter_text_lines`.
-
-    Maintains its own buffer instead of ``StreamReader.readline`` so an
-    oversized line is discarded incrementally (never accumulated) and
-    yields ``None`` exactly once.
-    """
-    buffer = bytearray()
-    oversized = False
-    while True:
-        chunk = await reader.read(65536)
-        at_eof = not chunk
-        buffer.extend(chunk)
-        while True:
-            newline = buffer.find(b"\n")
-            if newline < 0:
-                break
-            line = bytes(buffer[:newline])
-            del buffer[: newline + 1]
-            if oversized:  # tail of an already-reported oversized line
-                oversized = False
-                continue
-            if len(line) > max_bytes:
-                yield None
-            else:
-                yield line
-        if oversized:
-            buffer.clear()
-        elif len(buffer) > max_bytes:
-            buffer.clear()
-            oversized = True
-            yield None
-        if at_eof:
-            if not oversized and buffer:
-                yield bytes(buffer)
-            return
 
 
 async def serve_tcp(
     service: PredictionService,
     host: str = "127.0.0.1",
     port: int = 8077,
-    max_batch: int = 64,
     batcher: MicroBatcher | None = None,
     max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-    max_pipeline: int = 128,
-    fault_injector: FaultInjector | None = None,
 ) -> "asyncio.AbstractServer":
     """Start the TCP front end and return the listening server.
 
-    Each connection exchanges the same newline-delimited JSON protocol as
-    the stdio front end, but ranking requests from *all* connections funnel
-    through one :class:`~repro.service.batching.MicroBatcher` (pass
-    *batcher* to share or observe it).  Requests that arrive before the
-    event loop next runs its callbacks — lines pipelined in one read, or
-    lines from several connections — share one batch, dispatched on the
-    next loop turn; a lone request waits for no timer.  Replies are written
-    strictly in request order.  The caller owns the returned server
-    (``async with server: await server.serve_forever()``).
-
-    Resilience behaviour: request lines longer than *max_line_bytes* are
-    answered with ``PAYLOAD_TOO_LARGE`` without being buffered; at most
-    *max_pipeline* requests per connection are in flight before the read
-    loop stops consuming (letting TCP flow control push back on the
-    client); a query whose ``deadline_ms`` elapsed is answered with
-    ``DEADLINE_EXCEEDED`` instead of a stale ranking; and admission
-    control in the batcher sheds with ``OVERLOADED``.  When a fault
-    injector with an active ``conn_drop`` seam is present (explicitly or
-    via the service), connections are dropped on schedule to exercise
-    client reconnect logic.
+    Each connection runs the stdio front end's stream loop, and ranking
+    requests from *all* connections funnel through one
+    :class:`~repro.service.batching.MicroBatcher` (pass *batcher* to share
+    or observe it): requests that arrive before the event loop next runs
+    its callbacks share one batch, and a lone request waits for no timer.
+    Once :data:`MAX_PIPELINE` requests of a connection are in flight, TCP
+    flow control pushes back on its client.  When the service's fault
+    injector has an active ``conn_drop`` seam, connections are dropped on
+    schedule to exercise client reconnect logic.  The caller owns the
+    returned server (``async with server: await server.serve_forever()``).
 
     Examples::
 
@@ -745,126 +594,21 @@ async def serve_tcp(
         >>> asyncio.run(probe())
         True
     """
-    batcher = batcher if batcher is not None else MicroBatcher(service, max_batch=max_batch)
-    injector = (
-        fault_injector
-        if fault_injector is not None
-        else getattr(service, "fault_injector", None)
-    )
+    batcher = batcher if batcher is not None else MicroBatcher(service)
+    injector = service.fault_injector
 
-    async def answer(text: str) -> dict[str, Any]:
-        started = time.monotonic()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return _finish_reply(
-                service,
-                Trace(),
-                started,
-                _error_payload(f"invalid JSON: {exc}", code="INVALID_JSON"),
-            )
-        if isinstance(payload, Mapping):
-            op_reply = _handle_op(service, payload, batcher)
-            if op_reply is not None:
-                return op_reply
-        trace = _trace_for(payload)
-        trace.begin("admission")
-        try:
-            query = query_from_payload(payload)
-            trace.end("admission")
-            query = dataclasses.replace(query, trace=trace)
-            reply = await batcher.submit(query)
-            if query.deadline is not None and query.deadline.expired:
-                return _finish_reply(
-                    service,
-                    trace,
-                    started,
-                    _error_payload(
-                        "deadline exceeded before the reply could be written",
-                        code="DEADLINE_EXCEEDED",
-                    ),
-                )
-            with trace.span("reply"):
-                reply_payload = reply_to_payload(reply)
-            return _finish_reply(service, trace, started, reply_payload)
-        except ServiceError as exc:
-            return _finish_reply(service, trace, started, _error_from_exception(exc))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            # Answer tasks are awaited by the writer loop; an escaping
-            # exception would kill the whole connection instead of the one
-            # request that triggered it.
-            return _finish_reply(
-                service,
-                trace,
-                started,
-                _error_payload(f"internal error: {exc}", code="INTERNAL"),
-            )
+    def drop() -> bool:
+        return injector is not None and injector.fires("conn_drop")
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        # One task per request line keeps pipelined requests of the same
-        # connection eligible for micro-batch coalescing; the writer loop
-        # preserves request order on the way out.  The semaphore bounds
-        # per-connection pipelining: once full, the read loop stops
-        # consuming and TCP flow control pushes back on the client.
-        pending: "asyncio.Queue[asyncio.Future | None]" = asyncio.Queue()
-        slots = asyncio.Semaphore(max_pipeline)
-        loop = asyncio.get_running_loop()
-        dropped = False
+        async def write(payload: dict[str, Any]) -> None:
+            writer.write((json.dumps(payload) + "\n").encode())
+            await writer.drain()
 
-        async def write_replies() -> None:
-            while True:
-                task = await pending.get()
-                if task is None:
-                    return
-                try:
-                    payload = await task
-                finally:
-                    slots.release()
-                writer.write((json.dumps(payload) + "\n").encode())
-                await writer.drain()
-
-        write_loop = asyncio.ensure_future(write_replies())
+        read = functools.partial(reader.read, _CHUNK_BYTES)
         try:
-            async for raw in _iter_lines(reader, max_line_bytes):
-                if injector is not None and injector.fires("conn_drop"):
-                    dropped = True
-                    break
-                if raw is None:
-                    await slots.acquire()
-                    oversize: asyncio.Future = loop.create_future()
-                    oversize.set_result(
-                        _finish_reply(
-                            service,
-                            Trace(),
-                            time.monotonic(),
-                            _error_payload(
-                                f"request line exceeds {max_line_bytes} bytes",
-                                code="PAYLOAD_TOO_LARGE",
-                            ),
-                        )
-                    )
-                    pending.put_nowait(oversize)
-                    continue
-                text = raw.decode(errors="replace").strip()
-                if not text:
-                    continue
-                await slots.acquire()
-                pending.put_nowait(asyncio.ensure_future(answer(text)))
-            if dropped:
-                # Injected connection drop: abandon in-flight answers (their
-                # callers will reconnect and retry) and cut the socket.
-                write_loop.cancel()
-                while not pending.empty():
-                    task = pending.get_nowait()
-                    if task is not None:
-                        task.cancel()
-            else:
-                pending.put_nowait(None)
-                await write_loop
+            await _serve_lines(service, batcher, read, write, max_line_bytes, drop)
         finally:
-            write_loop.cancel()
             writer.close()
             # Last statement of the handler: suppressing cancellation here
             # only silences the teardown race when the server closes while
@@ -949,60 +693,43 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="serve over TCP instead of stdin/stdout",
     )
-    parser.add_argument(
-        "--cache-capacity", type=int, default=64, help="max cached splits (default 64)"
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        help="cached split lifetime in seconds (default: no expiry)",
-    )
-    parser.add_argument(
-        "--cache-shards", type=int, default=4, help="cache lock shards (default 4)"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="override the dataset seed")
-    parser.add_argument(
-        "--max-line-bytes",
-        type=int,
-        default=DEFAULT_MAX_LINE_BYTES,
-        help="bound on one request line before PAYLOAD_TOO_LARGE (default 1 MiB)",
-    )
-    parser.add_argument(
-        "--max-queue",
-        type=int,
-        default=256,
-        help="micro-batch admission queue bound before OVERLOADED (default 256)",
-    )
-    parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=1024,
-        help="dispatched-but-unanswered request bound before OVERLOADED (default 1024)",
-    )
-    parser.add_argument(
-        "--drain-grace",
-        type=float,
-        default=10.0,
-        help="seconds to wait for in-flight batches on shutdown (default 10)",
-    )
-    parser.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=0.0,
-        help="seconds between periodic metrics snapshot lines on stderr (0 = off)",
-    )
+    for flag, kind, default, help_text in (
+        ("--cache-capacity", int, 64, "max cached splits (default 64)"),
+        ("--cache-ttl", float, None, "cached split lifetime in seconds (default: no expiry)"),
+        ("--cache-shards", int, 4, "cache lock shards (default 4)"),
+        ("--seed", int, None, "override the dataset seed"),
+        ("--max-line-bytes", int, DEFAULT_MAX_LINE_BYTES,
+         "bound on one request line before PAYLOAD_TOO_LARGE (default 1 MiB)"),
+        ("--max-queue", int, 256,
+         "micro-batch admission queue bound before OVERLOADED (default 256)"),
+        ("--max-inflight", int, 1024,
+         "dispatched-but-unanswered request bound before OVERLOADED (default 1024)"),
+        ("--drain-grace", float, 10.0,
+         "seconds to wait for in-flight batches on shutdown (default 10)"),
+        ("--metrics-interval", float, 0.0,
+         "seconds between periodic metrics snapshot lines on stderr (0 = off)"),
+    ):
+        parser.add_argument(flag, type=kind, default=default, help=help_text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``repro-serve`` / ``python -m repro.service.server``.
 
-    Both front ends shut down cleanly on SIGINT/SIGTERM: the stdio loop
-    stops reading and returns, the TCP server stops accepting, drains
-    in-flight micro-batches (bounded by ``--drain-grace``), and exits 0.
+    Either front end runs in one event loop on one
+    :class:`~repro.service.batching.MicroBatcher` (``--max-queue``,
+    ``--max-inflight``), with one ``--metrics-interval`` snapshot timer,
+    and both stop the same way.  SIGINT/SIGTERM, or EOF on stdin, ends
+    the serving: the TCP listener closes, in-flight micro-batches drain
+    for up to ``--drain-grace`` seconds (requests still arriving are
+    refused with ``OVERLOADED``), and the process exits 0.
     """
     args = _build_parser().parse_args(argv)
+    if args.tcp is not None:
+        host, _, port_text = args.tcp.rpartition(":")
+        if not host or not port_text.isdigit():
+            print(f"--tcp expects HOST:PORT, got {args.tcp!r}", file=sys.stderr)
+            return 2
     service = build_service(
         preset=args.preset,
         cache_capacity=args.cache_capacity,
@@ -1010,81 +737,47 @@ def main(argv: list[str] | None = None) -> int:
         cache_shards=args.cache_shards,
         seed=args.seed,
     )
-    if args.tcp is None:
-        try:
-            # SIGTERM behaves like ctrl-C: serve_stdio's KeyboardInterrupt
-            # handler finishes the in-progress reply and returns.
-            signal.signal(
-                signal.SIGTERM, lambda signum, frame: (_raise_interrupt())
-            )
-        except ValueError:  # pragma: no cover - non-main thread (embedding)
-            pass
-        serve_stdio(
-            service,
-            max_line_bytes=args.max_line_bytes,
-            metrics_interval=args.metrics_interval,
-        )
-        return 0
-
-    host, _, port_text = args.tcp.rpartition(":")
-    if not host or not port_text.isdigit():
-        print(f"--tcp expects HOST:PORT, got {args.tcp!r}", file=sys.stderr)
-        return 2
 
     async def run() -> None:
+        loop = asyncio.get_running_loop()
         batcher = MicroBatcher(
-            service,
-            max_queue=args.max_queue,
-            max_inflight=args.max_inflight,
-        )
-        server = await serve_tcp(
-            service,
-            host,
-            int(port_text),
-            batcher=batcher,
-            max_line_bytes=args.max_line_bytes,
+            service, max_queue=args.max_queue, max_inflight=args.max_inflight
         )
         stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
-        addresses = ", ".join(
-            f"{sock.getsockname()[0]}:{sock.getsockname()[1]}" for sock in server.sockets
-        )
-        print(f"repro-serve listening on {addresses}", file=sys.stderr)
-        snapshot_task: asyncio.Task | None = None
+        tasks = {asyncio.ensure_future(stop.wait())}
         if args.metrics_interval > 0:
-            snapshot_log = PeriodicSnapshot(service.metrics, args.metrics_interval)
+            snapshots = PeriodicSnapshot(service.metrics, args.metrics_interval)
+            tasks.add(asyncio.ensure_future(snapshots.run()))
+        server = None
+        if args.tcp is None:
+            tasks.add(asyncio.ensure_future(
+                _serve_stream(service, batcher, None, None, args.max_line_bytes)
+            ))
+        else:
+            server = await serve_tcp(
+                service, host, int(port_text), batcher=batcher,
+                max_line_bytes=args.max_line_bytes,
+            )
+            addresses = ", ".join(
+                f"{sock.getsockname()[0]}:{sock.getsockname()[1]}" for sock in server.sockets
+            )
+            print(f"repro-serve listening on {addresses}", file=sys.stderr)
+        done, _ = await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+        print("repro-serve draining...", file=sys.stderr)
+        if server is not None:
+            server.close()
+            await server.wait_closed()
+        await batcher.drain(timeout=args.drain_grace)
+        for task in done:
+            task.result()  # re-raise a failed front end (e.g. a closed stdout)
 
-            async def emit_snapshots() -> None:
-                while True:
-                    await asyncio.sleep(args.metrics_interval)
-                    snapshot_log.emit()
-
-            snapshot_task = asyncio.create_task(emit_snapshots())
-        try:
-            async with server:
-                await stop.wait()
-                print("repro-serve draining...", file=sys.stderr)
-                server.close()
-                await server.wait_closed()
-                await batcher.drain(timeout=args.drain_grace)
-        finally:
-            if snapshot_task is not None:
-                snapshot_task.cancel()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - fallback when no handler fired
-        pass
+    asyncio.run(run())
     return 0
-
-
-def _raise_interrupt() -> None:
-    raise KeyboardInterrupt
 
 
 if __name__ == "__main__":  # pragma: no cover

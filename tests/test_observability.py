@@ -6,6 +6,7 @@ estimator's contract: linear interpolation inside fixed buckets, clamped
 to the observed min/max, overflow bucket reporting the observed maximum.
 """
 
+import asyncio
 import json
 import threading
 
@@ -214,22 +215,21 @@ def test_trace_stage_catalogue_is_the_pipeline_order():
 
 
 # ---------------------------------------------------------- periodic snapshots
-def test_periodic_snapshot_respects_interval_with_fake_clock():
-    now = [0.0]
+def test_periodic_snapshot_run_emits_until_cancelled():
     lines = []
     registry = MetricsRegistry()
     registry.counter("requests").inc(3)
-    snap = PeriodicSnapshot(
-        registry, interval=5.0, sink=lines.append, clock=lambda: now[0]
-    )
-    assert snap.maybe_emit() is False
-    now[0] = 4.9
-    assert snap.maybe_emit() is False
-    now[0] = 5.0
-    assert snap.maybe_emit() is True
-    now[0] = 9.0  # timer reset at the last emission
-    assert snap.maybe_emit() is False
-    assert len(lines) == 1
+    snap = PeriodicSnapshot(registry, interval=0.01, sink=lines.append)
+
+    async def run_briefly():
+        task = asyncio.ensure_future(snap.run())
+        while len(lines) < 3:
+            await asyncio.sleep(0.005)
+        task.cancel()
+
+    asyncio.run(asyncio.wait_for(run_briefly(), timeout=10))
+    assert len(lines) >= 3
+    assert all('"requests": 3' in line for line in lines)
 
 
 def test_periodic_snapshot_line_is_parseable_json():

@@ -2,13 +2,21 @@
 
 Covers request parsing (every malformed-payload branch answers with an
 error object, never a traceback), the stdio JSON-lines loop, the TCP front
-end with micro-batching, and the CLI dispatch from ``repro-experiments
-serve``.
+end with micro-batching, the one request path both transports share
+(nested JSON, byte-bounded lines), SIGTERM on a real ``repro-serve``
+process, and the CLI dispatch from ``repro-experiments serve``.
 """
 
 import asyncio
 import io
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -765,3 +773,149 @@ def test_tcp_replies_carry_queue_and_batch_spans(service, dataset):
     stages = [span["stage"] for span in reply["trace"]["spans"]]
     for stage in ("admission", "queue", "batch", "engine", "reply"):
         assert stage in stages, stages
+
+
+# ------------------------------------------------- one request path, both ends
+def _stdio_replies(service, lines, **kwargs):
+    out = io.StringIO()
+    serve_stdio(service, io.StringIO("".join(line + "\n" for line in lines)), out, **kwargs)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _tcp_replies(service, lines, **kwargs):
+    async def run():
+        server = await serve_tcp(service, "127.0.0.1", 0, **kwargs)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write("".join(line + "\n" for line in lines).encode())
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in lines]
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        return replies
+
+    return asyncio.run(asyncio.wait_for(run(), timeout=30))
+
+
+TRANSPORTS = {"stdio": _stdio_replies, "tcp": _tcp_replies}
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_nested_json_is_invalid_json_and_the_next_line_is_ranked(
+    service, dataset, transport
+):
+    """JSON nested past the parser's recursion limit is a client error."""
+    nested = "[" * 100_000 + "]" * 100_000
+    good = json.dumps({"application": "gcc", "predictive_machines": dataset.machine_ids[:4]})
+    replies = TRANSPORTS[transport](service, [nested, good])
+    assert len(replies) == 2
+    assert replies[0]["ok"] is False and replies[0]["code"] == "INVALID_JSON"
+    assert replies[1]["ok"] is True and replies[1]["application"] == "gcc"
+
+
+def _line_of_utf8_bytes(dataset, n_bytes):
+    """A valid request line of exactly *n_bytes* UTF-8 bytes, mostly 'é'."""
+    base = json.dumps(
+        {"application": "gcc", "predictive_machines": dataset.machine_ids[:4],
+         "trace_id": ""},
+        ensure_ascii=False,
+    )
+    pad = n_bytes - len(base.encode())
+    line = base[:-2] + "é" * (pad // 2) + "x" * (pad % 2) + base[-2:]
+    assert len(line.encode()) == n_bytes
+    return line
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_line_bound_counts_utf8_bytes_not_characters(service, dataset, transport):
+    bound = 1024
+    at_bound = _line_of_utf8_bytes(dataset, bound)
+    over = _line_of_utf8_bytes(dataset, bound + 1)
+    assert len(over) < bound  # within the bound in characters, over it in bytes
+    replies = TRANSPORTS[transport](service, [over, at_bound], max_line_bytes=bound)
+    assert replies[0]["ok"] is False and replies[0]["code"] == "PAYLOAD_TOO_LARGE"
+    assert replies[1]["ok"] is True and replies[1]["trace"]["id"].startswith("é")
+
+
+@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+def test_stdio_and_tcp_answer_the_same_line_alike(service, dataset, transport):
+    """Both front ends run one handler: same codes, and ranking lines coalesce."""
+    machines = dataset.machine_ids[:4]
+    lines = [
+        json.dumps({"application": app, "predictive_machines": machines, "top_n": 1})
+        for app in ("gcc", "mcf", "lbm")
+    ] + ["not json", json.dumps({"op": "ready"}), json.dumps([1, 2])]
+    replies = TRANSPORTS[transport](service, lines)
+    assert [reply["ok"] for reply in replies] == [True, True, True, False, True, False]
+    assert [reply.get("code") for reply in replies[3:]] == [
+        "INVALID_JSON", None, "INVALID_REQUEST"
+    ]
+    assert all("batch" in [s["stage"] for s in r["trace"]["spans"]] for r in replies[:3])
+
+
+# ------------------------------------------------------- process-level SIGTERM
+SIGTERM_BUDGET_S = 10.0
+
+
+def _serve_process(*args, **popen_kwargs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--preset", "smoke", *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen_kwargs,
+    )
+
+
+def _terminate(proc):
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.communicate(timeout=SIGTERM_BUDGET_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"no exit within {SIGTERM_BUDGET_S} s of SIGTERM")
+    return proc.returncode
+
+
+def test_stdio_process_exits_zero_on_sigterm_with_idle_stdin(dataset):
+    proc = _serve_process(stdin=subprocess.PIPE)
+    try:
+        request = json.dumps({"application": "gcc",
+                              "predictive_machines": dataset.machine_ids[:4]})
+        proc.stdin.write((request + "\n").encode())
+        proc.stdin.flush()
+        reply = json.loads(proc.stdout.readline())  # served, then stdin idles
+        assert reply["ok"] is True
+        time.sleep(0.2)
+    finally:
+        code = _terminate(proc)
+    assert code == 0
+
+
+def test_tcp_process_exits_zero_on_sigterm_after_replies(dataset):
+    from repro.service import TCPClient
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    proc = _serve_process("--tcp", f"127.0.0.1:{port}", stdin=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            assert proc.poll() is None, "server exited early"
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=0.5).close()
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+        with TCPClient("127.0.0.1", port) as client:
+            reply = client.request({"application": "gcc",
+                                    "predictive_machines": dataset.machine_ids[:4]})
+            assert reply["ok"] is True
+    finally:
+        code = _terminate(proc)
+    assert code == 0
