@@ -92,7 +92,7 @@ def _warm_service(dataset):
 
 def _chaos_service(dataset, spec=CHAOS_SPEC):
     injector = FaultInjector(FaultPlan.parse(spec))
-    cache = SplitContextCache(capacity=8, n_shards=2, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     return PredictionService(
         dataset,
         {"NN^T": BatchedLinearTransposition()},

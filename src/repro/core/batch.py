@@ -158,9 +158,9 @@ class SplitContext:
         The :class:`~repro.data.splits.MachineSplit` this context serves.
     fingerprint:
         Hex SHA-256 digest of :func:`split_cache_key`, i.e. a stable
-        content address for this (dataset, split) pair.  The prediction
-        service uses it to route entries to cache shards deterministically
-        (``hash()`` would vary with ``PYTHONHASHSEED``).
+        content address for this (dataset, split) pair, stable across
+        processes (``hash()`` would vary with ``PYTHONHASHSEED``).  The
+        prediction service echoes it on every reply.
     predictive_scores / target_scores:
         Contiguous ``(benchmarks x machines)`` score blocks for the
         predictive and target machine sets.

@@ -51,7 +51,11 @@ def _stable_top_k(quality: np.ndarray, k: int) -> np.ndarray:
     candidates per column are sorted.  Columns with exact quality ties across
     the partition boundary (an ambiguous candidate *set*) fall back to one
     stable sort of them all, preserving the historical tie-breaking exactly.
+    For ``k == 1`` without NaN that is one ``argmax``, which also returns
+    the first of tied maxima.
     """
+    if k == 1 and not np.isnan(quality).any():
+        return np.argmax(quality, axis=1)[:, None, :]
     if k >= quality.shape[1]:
         return np.argsort(-quality, axis=1, kind="mergesort")
     candidates = np.sort(np.argpartition(-quality, k - 1, axis=1)[:, :k], axis=1)

@@ -12,12 +12,13 @@ stack for it:
   :func:`~repro.core.pipeline.run_cross_validation` cells), degrading a
   query along the registry's fallback chain when a deadline or a failed
   engine pass rules its method out;
-* :mod:`repro.service.cache` — :class:`SplitContextCache`, the sharded
-  LRU+TTL cache holding trained split state, keyed by
+* :mod:`repro.service.cache` — :class:`SplitContextCache`, the LRU
+  cache holding trained split state, keyed by
   :func:`~repro.core.batch.split_cache_key`;
 * :mod:`repro.service.batching` — :class:`MicroBatcher`, coalescing
-  concurrent requests into stacked batch calls, with bounded admission
-  and load shedding;
+  concurrent requests into stacked batch calls that answer warm queries
+  on the event loop and send only cold passes to a worker thread, with
+  bounded admission and load shedding;
 * :mod:`repro.service.server` — the ``repro-serve`` entry point: stdio
   JSON-lines or TCP, both answering through one request path
   (:func:`~repro.service.server.handle_line` on the micro-batcher);
@@ -52,6 +53,7 @@ Examples::
 """
 
 from repro.service.api import (
+    ColdPass,
     PredictionService,
     RankingQuery,
     RankingReply,
@@ -90,6 +92,7 @@ from repro.service.server import build_service, serve_stdio, serve_tcp
 __all__ = [
     "BackendFailureError",
     "CacheStats",
+    "ColdPass",
     "Counter",
     "Deadline",
     "DeadlineExceededError",

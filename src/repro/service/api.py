@@ -15,6 +15,11 @@ resulting score table is cached in a :class:`~repro.service.cache.
 SplitContextCache` keyed by :func:`~repro.core.batch.split_cache_key`.
 The first query against a split pays for the pass; every later query on
 that split — any application, any ``top_n`` — is a dictionary lookup.
+Answering is therefore two stages: :meth:`PredictionService.rank_many`
+answers every query whose table is trained and marks the rest as
+:class:`ColdPass` slots, and :meth:`PredictionService.train_cold` trains
+and answers those.  The micro-batcher runs the first stage on the event
+loop and sends only the second to a worker thread.
 
 Degradation has one mechanism: the registry's fallback chain (``MLP^T`` →
 ``NN^T``, ...).  A query walks it when its deadline cannot afford the
@@ -64,6 +69,7 @@ from repro.service.observability import MetricsRegistry, Trace
 from repro.service.resilience import Deadline
 
 __all__ = [
+    "ColdPass",
     "DEFAULT_METHOD",
     "PredictionService",
     "RankingQuery",
@@ -144,7 +150,7 @@ class RankingReply:
         (no tensor pass was needed).
     split_fingerprint:
         Content address of the (dataset, split) pair that answered the
-        query — the cache key digest, useful for tracing shard routing.
+        query — the digest of its cache key.
     degraded:
         ``True`` when the service answered with a fallback method because
         the requested one could not meet the query's deadline or its
@@ -200,6 +206,11 @@ class _SplitState:
     later query on the split a lookup; per-cell methods (GA-kNN) are
     expensive per application, so their table fills one application at a
     time as queries ask for them.
+
+    Training runs under the state's own lock, so one split trains once
+    however many threads ask for it, while other splits train in parallel.
+    A table is replaced, never mutated, once published, so :meth:`lookup`
+    reads without the lock: the event loop never waits for a training pass.
     """
 
     def __init__(self, split: MachineSplit, fingerprint: str) -> None:
@@ -208,12 +219,11 @@ class _SplitState:
         self._lock = threading.Lock()
         self._scores: dict[str, dict[str, np.ndarray]] = {}
 
-    def has(self, method_name: str, application: str) -> bool:
-        """Is *application*'s score row already trained under *method_name*?"""
-        with self._lock:
-            return application in self._scores.get(method_name, {})
+    def lookup(self, method_name: str, application: str) -> np.ndarray | None:
+        """*application*'s trained score row under *method_name*, or ``None``."""
+        return self._scores.get(method_name, {}).get(application)
 
-    def scores_for(
+    def train(
         self,
         dataset: SpecDataset,
         method_name: str,
@@ -228,9 +238,9 @@ class _SplitState:
         leaves a half-built table behind.
         """
         with self._lock:
-            table = self._scores.setdefault(method_name, {})
-            if application in table:
-                return table[application], True
+            trained = self.lookup(method_name, application)
+            if trained is not None:
+                return trained, True
             if injector is not None:
                 injector.inject_latency()
                 if injector.fires("backend_error"):
@@ -240,12 +250,26 @@ class _SplitState:
                 if supports_batched_prediction(method)
                 else [application]
             )
-            table.update(
-                predict_split_scores(
-                    dataset, self.split, {method_name: method}, applications
-                )[method_name]
-            )
-            return table[application], False
+            fresh = predict_split_scores(
+                dataset, self.split, {method_name: method}, applications
+            )[method_name]
+            self._scores[method_name] = {**self._scores.get(method_name, {}), **fresh}
+            return fresh[application], False
+
+
+@dataclass(frozen=True)
+class ColdPass:
+    """A :meth:`PredictionService.rank_many` slot that needs a training pass.
+
+    It carries what the lookup already resolved — the query, its split's
+    cached state and the methods to try, in order — so
+    :meth:`PredictionService.train_cold` trains and answers it without
+    resolving the split or touching the cache again.
+    """
+
+    query: RankingQuery
+    state: _SplitState = field(repr=False)
+    candidates: tuple[str, ...]
 
 
 class PredictionService:
@@ -264,7 +288,7 @@ class PredictionService:
         methods work too, they just fill the split state more slowly.
     cache:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
-        split state (default: 64 entries, 4 shards, no TTL).
+        split state (default: 64 entries).
     fallbacks:
         ``{method: fallback_method}`` degradation map, walked when a
         query's deadline cannot be met by its requested method or a cold
@@ -287,12 +311,17 @@ class PredictionService:
         >>> from repro.data import build_default_dataset
         >>> dataset = build_default_dataset()
         >>> service = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
-        >>> replies = service.rank_many([
+        >>> queries = [
         ...     RankingQuery(app, tuple(dataset.machine_ids[:4]), top_n=1)
         ...     for app in ("gcc", "mcf", "lbm")
-        ... ])
+        ... ]
+        >>> [type(slot).__name__ for slot in service.rank_many(queries)]
+        ['ColdPass', 'ColdPass', 'ColdPass']
+        >>> replies = service.train_cold(service.rank_many(queries))
         >>> [reply.cache_hit for reply in replies]   # one pass answers all three
         [False, True, True]
+        >>> [reply.cache_hit for reply in service.rank_many(queries)]   # now warm
+        [True, True, True]
     """
 
     def __init__(
@@ -437,7 +466,7 @@ class PredictionService:
         for index, candidate in enumerate(chain):
             cost = self._cold_cost.get(candidate)
             if (
-                state.has(candidate, query.application)
+                state.lookup(candidate, query.application) is not None
                 or cost is None
                 or cost <= max(deadline.remaining(), 0.0)
             ):
@@ -446,87 +475,137 @@ class PredictionService:
 
     def rank_many(
         self, queries: Sequence[RankingQuery]
-    ) -> "list[RankingReply | Exception]":
-        """Answer a batch of queries, one slot per query, in order.
+    ) -> "list[RankingReply | ColdPass | Exception]":
+        """Answer what is already trained; mark the rest for :meth:`train_cold`.
 
-        Each slot holds the query's reply, or the exception answering it
-        failed with (as :func:`asyncio.gather` does with
-        ``return_exceptions=True``), so one failing query never fails its
-        batchmates.  :meth:`rank` raises its query's exception.
+        Returns one slot per query, in order: its reply when the method its
+        fallback chain (deadline logic included) settles on is already
+        trained for its split, a :class:`ColdPass` when answering needs a
+        training pass, or the exception it failed with (as
+        :func:`asyncio.gather` does with ``return_exceptions=True``), so one
+        failing query never fails its batchmates.
 
-        Queries sharing a (split, method) pair are answered from one
-        trained score table: the first of them triggers the batched tensor
-        pass (or a cache hit from an earlier batch), the rest are lookups.
+        This never trains, so the micro-batcher runs it on the event loop:
+        a warm query costs a split lookup, one cache access and a sort.
+        :meth:`train_cold` answers the marked slots, and :meth:`rank` does
+        both for one query.
 
         A query with an expired (or tight) deadline is still answered —
         degraded to its fallback method when one is configured and the
         requested method's cold cost cannot fit the remaining budget.
-        Deadline *errors* are the front ends' business.  A failed cold pass
-        likewise degrades the query to the next method of the chain, and
-        past the chain's end its slot holds a
-        :class:`~repro.service.errors.BackendFailureError`.
+        Deadline *errors* are the front ends' business.
         """
-        outcomes: "list[RankingReply | Exception]" = []
+        outcomes: "list[RankingReply | ColdPass | Exception]" = []
         for query in queries:
+            trace = query.trace
+            if trace is not None:
+                trace.begin("engine")
             try:
-                outcomes.append(self.rank(query))
+                outcome = self._lookup(query)
             except Exception as exc:  # noqa: BLE001 - the failure is this query's alone
-                outcomes.append(exc)
+                outcome = exc
+            if trace is not None and not isinstance(outcome, ColdPass):
+                trace.end("engine")
+            outcomes.append(outcome)
         return outcomes
 
-    def rank(self, query: RankingQuery) -> RankingReply:
-        """Answer one query; raises when it cannot be answered.
+    def train_cold(
+        self, outcomes: "Sequence[RankingReply | ColdPass | Exception]"
+    ) -> "list[RankingReply | Exception]":
+        """Train and answer every :class:`ColdPass` slot of *outcomes*.
 
-        :meth:`rank_many` is the batch form the micro-batcher calls.
+        Other slots pass through unchanged, so
+        ``train_cold(rank_many(queries))`` answers a whole batch.  Slots
+        sharing a (split, method) pair are answered from one trained score
+        table: the first triggers the batched tensor pass, the rest find it
+        trained.  A failed cold pass degrades the query to the next method
+        of its chain, and past the chain's end its slot holds a
+        :class:`~repro.service.errors.BackendFailureError`.
         """
-        engine_span = (
-            query.trace.span("engine")
-            if query.trace is not None
-            else contextlib.nullcontext()
-        )
-        with engine_span:
-            split = self.split_for(query)
-            state = self._state_for(split)
-            for served in self._candidates(state, query):
-                started = time.monotonic()
+        answered: "list[RankingReply | Exception]" = []
+        for outcome in outcomes:
+            if isinstance(outcome, ColdPass):
+                trace = outcome.query.trace
                 try:
-                    scores, warm = state.scores_for(
-                        self.dataset,
-                        served,
-                        self.methods[served],
-                        query.application,
-                        self.fault_injector,
-                    )
-                    break
-                except InjectedFault as exc:
-                    fault = exc  # degrade to the next method of the chain
-            else:
-                raise BackendFailureError(
-                    f"{fault}, and no fallback method is left to answer"
-                ) from fault
-        degraded = served != query.method
+                    with trace.span("engine") if trace is not None else contextlib.nullcontext():
+                        outcome = self._train(outcome)
+                except Exception as exc:  # noqa: BLE001 - the failure is this query's alone
+                    outcome = exc
+            answered.append(outcome)
+        return answered
+
+    def rank(self, query: RankingQuery) -> RankingReply:
+        """Answer one query, training when needed; raises when it cannot be answered."""
+        outcome = self.train_cold(self.rank_many([query]))[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _lookup(self, query: RankingQuery) -> "RankingReply | ColdPass":
+        """The reply to *query* when it is warm, else its :class:`ColdPass`."""
+        state = self._state_for(self.split_for(query))
+        candidates = self._candidates(state, query)
+        scores = state.lookup(candidates[0], query.application)
+        if scores is None:
+            return ColdPass(query, state, tuple(candidates))
+        return self._reply(query, state, candidates[0], scores, warm=True)
+
+    def _train(self, cold: ColdPass) -> RankingReply:
+        """Walk *cold*'s candidates until one trains (or finds its table trained)."""
+        query, state = cold.query, cold.state
+        for served in cold.candidates:
+            started = time.monotonic()
+            try:
+                scores, warm = state.train(
+                    self.dataset,
+                    served,
+                    self.methods[served],
+                    query.application,
+                    self.fault_injector,
+                )
+                break
+            except InjectedFault as exc:
+                fault = exc  # degrade to the next method of the chain
+        else:
+            raise BackendFailureError(
+                f"{fault}, and no fallback method is left to answer"
+            ) from fault
         if not warm:
             elapsed = time.monotonic() - started
             if elapsed > self._cold_cost.get(served, 0.0):
                 self._cold_cost[served] = elapsed
             self.metrics.histogram("service.cold_train_ms").observe(elapsed * 1000.0)
+        return self._reply(query, state, served, scores, warm)
+
+    def _reply(
+        self,
+        query: RankingQuery,
+        state: _SplitState,
+        served: str,
+        scores: np.ndarray,
+        warm: bool,
+    ) -> RankingReply:
+        """Count one answered query and build its (``top_n``-truncated) reply.
+
+        One stable descending argsort orders the targets exactly as
+        :meth:`~repro.core.ranking.MachineRanking.ordered_ids` does.
+        """
         self.metrics.counter("service.requests").inc()
         self.metrics.counter(
             "service.warm_hits" if warm else "service.cold_passes"
         ).inc()
+        degraded = served != query.method
         if degraded:
             self.degraded_served += 1
             self.metrics.counter("service.degraded").inc()
-        ranking = MachineRanking.from_scores(split.target_ids, scores)
-        ordered = ranking.ordered_ids()
-        if query.top_n is not None:
-            ordered = ordered[: query.top_n]
-        score_by_id = dict(zip(split.target_ids, (float(s) for s in scores)))
+        scores = np.asarray(scores, dtype=float)
+        order = np.argsort(-scores, kind="mergesort")[: query.top_n]
+        targets = state.split.target_ids
         return RankingReply(
             application=query.application,
             method=query.method,
-            machine_ids=tuple(ordered),
-            scores=tuple(score_by_id[mid] for mid in ordered),
+            machine_ids=tuple(targets[i] for i in order),
+            scores=tuple(float(scores[i]) for i in order),
             cache_hit=warm,
             split_fingerprint=state.fingerprint,
             degraded=degraded,

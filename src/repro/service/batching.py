@@ -10,10 +10,16 @@ provides that coalescing for every front end (stdio, TCP and
 requests submitted before the event loop next runs its callbacks (lines read
 in one chunk, ``gather``-ed submits, a burst of connections) are dispatched
 as one stacked batch call on the next loop turn, and each caller awaits only
-its own reply.  No timer holds a lone request back.  Requests for one split
-that land in different batches still train it once, because
-:meth:`~repro.service.cache.SplitContextCache.get_or_create` builds each
-split under its shard lock.
+its own reply.  No timer holds a lone request back.
+
+A batch is answered in two stages.  ``rank_many`` runs on the event loop
+and answers every query whose split is already trained — a lookup, not a
+thread-pool hop.  Only the queries it marks as needing a training pass
+(:class:`~repro.service.api.ColdPass`) go to the loop's default executor,
+in one :meth:`~repro.service.api.PredictionService.train_cold` call, so a
+cold pass never runs on the loop.  Requests for one split that land in
+different batches still train it once, because a split trains under its
+state's own lock.
 
 Replies are position-aligned with the submitted queries, so coalescing is
 invisible to callers: a batch of queries produces exactly the replies the
@@ -42,8 +48,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.service.api import PredictionService, RankingQuery, RankingReply
-from repro.service.errors import DeadlineExceededError, OverloadedError
+from repro.service.api import ColdPass, PredictionService, RankingQuery, RankingReply
+from repro.service.errors import DeadlineExceededError, OverloadedError, ServiceError
 
 __all__ = ["MicroBatcher"]
 
@@ -65,24 +71,25 @@ class MicroBatcher:
         :class:`~repro.service.errors.OverloadedError` instead of queueing
         unboundedly.
     max_inflight:
-        Admission bound on requests dispatched but not yet answered
-        (i.e. inside engine batch calls); sheds the same way.
+        Admission bound on requests sent to the executor for a cold pass
+        but not yet answered; sheds the same way.
 
     Notes
     -----
-    The batch is answered on the event loop's default thread-pool executor,
-    so a cold training pass (seconds under the ``full`` preset) never
-    freezes the loop — other connections keep being accepted and answered
-    while a batch trains.  Invalid or failing queries fail their own caller
-    (each resolves from its own slot of the batch's
-    :meth:`~repro.service.api.PredictionService.rank_many` call) — they
-    never poison the other requests in the batch, and a caller that
-    disappears (cancelled future) never prevents the rest of its batch from
-    being answered.  A query
-    whose deadline has already expired is rejected at admission (and again
-    at flush time, for deadlines that expire while queued) with
-    :class:`~repro.service.errors.DeadlineExceededError`; the rest of its
-    batch is unaffected.
+    Warm queries are answered on the event loop, inside the flush: their
+    replies need no training, only a lookup.  Queries that need a cold
+    pass go to the loop's default thread-pool executor, so a training pass
+    (seconds under the ``full`` preset) never freezes the loop — other
+    connections, and warm queries on other splits, keep being answered
+    while it trains.  Invalid or failing queries fail their own caller
+    (each resolves from its own slot of the batch) — they never poison the
+    other requests in the batch, and a caller that disappears (cancelled
+    future) never prevents the rest of its batch from being answered.  A
+    query whose deadline has already expired is rejected at admission (and
+    again at flush time, for deadlines that expire while queued) with
+    :class:`~repro.service.errors.DeadlineExceededError` — unless it is
+    invalid, which is the client's mistake and answered as such; the rest
+    of its batch is unaffected.
     """
 
     def __init__(
@@ -123,7 +130,8 @@ class MicroBatcher:
         requests submitted before it runs ride the same batch.  Reaching
         ``max_batch`` flushes immediately.  Admission control happens here:
         a draining batcher, a full queue, or an exhausted in-flight budget
-        sheds the request; an already-expired deadline rejects it.
+        sheds the request; an already-expired deadline rejects it, as
+        invalid when the query is invalid.
         """
         metrics = self.service.metrics
         if self._draining:
@@ -135,9 +143,7 @@ class MicroBatcher:
                 f"overloaded: {len(self._pending)} queued, {self._inflight} in flight"
             )
         if query.deadline is not None and query.deadline.expired:
-            self.deadline_rejections += 1
-            metrics.counter("batcher.deadline_rejected").inc()
-            raise DeadlineExceededError("deadline expired before admission")
+            raise self._expired(query, "deadline expired before admission")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         if query.trace is not None:
@@ -150,30 +156,41 @@ class MicroBatcher:
             self._flush_handle = loop.call_soon(self._flush)
         return await future
 
+    def _expired(self, query: RankingQuery, message: str) -> ServiceError:
+        """The error refusing *query*, whose deadline has run out.
+
+        An invalid query is refused as invalid — a client's mistake must not
+        come back as a retryable deadline error — so its split is resolved
+        first.  Only refused queries pay for this: admitted ones resolve
+        their split once, in ``rank_many``.
+        """
+        try:
+            self.service.split_for(query)
+        except ServiceError as exc:
+            return exc
+        self.deadline_rejections += 1
+        self.service.metrics.counter("batcher.deadline_rejected").inc()
+        return DeadlineExceededError(message)
+
     def _flush(self) -> None:
-        """Dispatch every pending request as one batch call."""
+        """Answer every pending request: warm ones here, cold ones on the executor."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
         batch, self._pending = self._pending, []
         if not batch:
             return
-        # Fail queries whose deadline expired while they queued: dispatching
-        # them would waste an engine pass on an unusable reply.  (Invalid
-        # queries fail in their own rank_many slot.)  Futures may already be
-        # done (caller gone) — never touch those.
+        # Fail queries whose deadline expired while they queued: answering
+        # them would waste an engine pass on an unusable reply.  Futures may
+        # already be done (caller gone) — never touch those.
         metrics = self.service.metrics
         live: list[tuple[RankingQuery, asyncio.Future]] = []
         for query, future in batch:
             if query.trace is not None:
                 query.trace.end("queue")
             if query.deadline is not None and query.deadline.expired:
-                self.deadline_rejections += 1
-                metrics.counter("batcher.deadline_rejected").inc()
                 if not future.done():
-                    future.set_exception(
-                        DeadlineExceededError("deadline expired while queued")
-                    )
+                    future.set_exception(self._expired(query, "deadline expired while queued"))
                 continue
             live.append((query, future))
         self.batches_dispatched += 1
@@ -188,38 +205,55 @@ class MicroBatcher:
         for query, _ in live:
             if query.trace is not None:
                 query.trace.begin("batch")
-        # Run the engine pass off the event loop: a cold split training can
-        # take seconds, and other connections must stay responsive.
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(
-            None, self.service.rank_many, [query for query, _ in live]
+        try:
+            outcomes = self.service.rank_many([query for query, _ in live])
+        except Exception as exc:  # noqa: BLE001 - fail the batch, never strand it
+            outcomes = [exc] * len(live)
+        cold: list[tuple[RankingQuery, asyncio.Future]] = []
+        passes: list[ColdPass] = []
+        for (query, future), outcome in zip(live, outcomes):
+            if isinstance(outcome, ColdPass):
+                cold.append((query, future))
+                passes.append(outcome)
+            else:
+                self._resolve(query, future, outcome)
+        if not cold:
+            return
+        # A cold pass can take seconds: run it off the event loop, so other
+        # connections and warm queries stay responsive.
+        task = asyncio.get_running_loop().run_in_executor(
+            None, self.service.train_cold, passes
         )
-        self._inflight += len(live)
+        self._inflight += len(cold)
         metrics.gauge("batcher.inflight").set(self._inflight)
         self._inflight_tasks.add(task)
-        task.add_done_callback(lambda done: self._deliver(live, done))
+        task.add_done_callback(lambda done: self._deliver(cold, done))
+
+    @staticmethod
+    def _resolve(query: RankingQuery, future: asyncio.Future, outcome: object) -> None:
+        """Answer one caller from its own slot (unless it has gone away)."""
+        if query.trace is not None:
+            query.trace.end("batch")
+        if future.done():
+            return
+        if isinstance(outcome, Exception):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
 
     def _deliver(
-        self, live: "list[tuple[RankingQuery, asyncio.Future]]", done: asyncio.Future
+        self, cold: "list[tuple[RankingQuery, asyncio.Future]]", done: asyncio.Future
     ) -> None:
-        """Resolve each caller's future from its own slot of the batch call."""
-        self._inflight -= len(live)
+        """Resolve each cold caller from its own slot of the executor call."""
+        self._inflight -= len(cold)
         self.service.metrics.gauge("batcher.inflight").set(self._inflight)
         self._inflight_tasks.discard(done)
-        for query, _ in live:
-            if query.trace is not None:
-                query.trace.end("batch")
         try:
             outcomes = done.result()
-        except Exception as exc:
-            outcomes = [exc] * len(live)
-        for (_, future), outcome in zip(live, outcomes):
-            if future.done():
-                continue
-            if isinstance(outcome, Exception):
-                future.set_exception(outcome)
-            else:
-                future.set_result(outcome)
+        except Exception as exc:  # noqa: BLE001 - fail the slots, never strand them
+            outcomes = [exc] * len(cold)
+        for (query, future), outcome in zip(cold, outcomes):
+            self._resolve(query, future, outcome)
 
     async def drain(self, timeout: float | None = None) -> None:
         """Stop admitting, flush the queue, and await in-flight batches.

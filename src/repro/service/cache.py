@@ -1,24 +1,16 @@
-"""LRU+TTL cache for trained split state.
+"""LRU cache for trained split state.
 
 The expensive object in the serving path is the trained state of one
 ``(dataset, split)`` pair — the stacked leave-one-out predictions a
 :class:`~repro.core.batch.BatchedRankingMethod` produces in one tensor
-pass.  :class:`SplitContextCache` keeps those objects warm between queries:
-
-* keys are the stable content addresses of
-  :func:`repro.core.batch.split_cache_key` (dataset fingerprint +
-  predictive/target machine ids), so two clients presenting the same
-  machine sets against byte-identical scores share one entry;
-* entries are held in **LRU** order with an optional **TTL**, so a serving
-  process neither grows without bound nor serves stale state after the
-  configured lifetime; and
-* entries are distributed over independently locked **shards** (routed by a
-  seed-independent CRC of the key), so concurrent queries against different
-  splits never contend on one lock.
-
-The cache is value-agnostic: the service stores its per-split state in it,
-but any hashable-key/opaque-value pair works, which keeps the eviction
-semantics directly testable.
+pass.  :class:`SplitContextCache` keeps those objects warm between queries
+in one LRU order under one lock.  Keys are the content addresses of
+:func:`repro.core.batch.split_cache_key` (dataset fingerprint +
+predictive/target machine ids), so entries never go stale and never
+expire.  The lock guards only the dictionary: a miss's factory must be
+cheap (the service's builds an empty state and trains it later, under that
+state's own lock), so a lookup never waits for a training pass.  The cache
+is value-agnostic, which keeps the eviction semantics directly testable.
 
 For resilience testing the cache accepts a
 :class:`~repro.service.faults.FaultInjector`: the ``cache_evict`` seam
@@ -29,7 +21,7 @@ detects the wrong type, invalidates, and rebuilds).
 
 Examples::
 
-    >>> cache = SplitContextCache(capacity=2, n_shards=1)
+    >>> cache = SplitContextCache(capacity=2)
     >>> cache.put("split-a", 1)
     >>> cache.put("split-b", 2)
     >>> cache.get("split-a")
@@ -44,8 +36,6 @@ Examples::
 from __future__ import annotations
 
 import threading
-import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
@@ -59,157 +49,28 @@ __all__ = ["CacheStats", "SplitContextCache"]
 class CacheStats:
     """Counters describing a cache's behaviour since construction.
 
-    Attributes
-    ----------
-    hits / misses:
-        Lookup outcomes (an expired entry counts as a miss).
-    evictions:
-        Entries dropped because a shard exceeded its capacity.
-    expirations:
-        Entries dropped because their TTL elapsed.
-    entries:
-        Entries currently resident across all shards.
+    ``hits`` / ``misses`` count lookups, ``evictions`` the entries dropped
+    at capacity, ``entries`` those resident now.
 
     Examples::
 
         >>> SplitContextCache(capacity=4).stats()
-        CacheStats(hits=0, misses=0, evictions=0, expirations=0, entries=0)
+        CacheStats(hits=0, misses=0, evictions=0, entries=0)
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     entries: int = 0
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Aggregate two counters (used to sum per-shard stats)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            expirations=self.expirations + other.expirations,
-            entries=self.entries + other.entries,
-        )
-
-
-class _Shard:
-    """One independently locked LRU+TTL segment of the cache."""
-
-    def __init__(self, capacity: int, ttl: float | None, clock: Callable[[], float]) -> None:
-        self.capacity = capacity
-        self.ttl = ttl
-        self.clock = clock
-        self.lock = threading.Lock()
-        #: key -> (value, expiry timestamp or None), most recently used last.
-        self.entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
-
-    def _expiry(self) -> float | None:
-        return None if self.ttl is None else self.clock() + self.ttl
-
-    def _drop_expired(self, key: Hashable, expiry: float | None) -> bool:
-        if expiry is not None and self.clock() >= expiry:
-            del self.entries[key]
-            self.expirations += 1
-            return True
-        return False
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                value, expiry = entry
-                if not self._drop_expired(key, expiry):
-                    self.entries.move_to_end(key)
-                    self.hits += 1
-                    return value
-            self.misses += 1
-            return default
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self.lock:
-            self._insert(key, value)
-
-    def _insert(self, key: Hashable, value: Any) -> None:
-        if key in self.entries:
-            del self.entries[key]
-        while len(self.entries) >= self.capacity:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-        self.entries[key] = (value, self._expiry())
-
-    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> tuple[Any, bool]:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                value, expiry = entry
-                if not self._drop_expired(key, expiry):
-                    self.entries.move_to_end(key)
-                    self.hits += 1
-                    return value, True
-            self.misses += 1
-            value = factory()
-            self._insert(key, value)
-            return value, False
-
-    def invalidate(self, key: Hashable) -> bool:
-        with self.lock:
-            if key in self.entries:
-                del self.entries[key]
-                return True
-            return False
-
-    def corrupt(self, key: Hashable, sentinel: Any) -> bool:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is None:
-                return False
-            # Preserve expiry and LRU position: corruption replaces the
-            # value in place, it is not a (re)insertion.
-            self.entries[key] = (sentinel, entry[1])
-            return True
-
-    def stats(self) -> CacheStats:
-        with self.lock:
-            return CacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                expirations=self.expirations,
-                entries=len(self.entries),
-            )
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
 
 
 class SplitContextCache:
-    """Sharded LRU+TTL cache keyed by split content address.
+    """LRU cache keyed by split content address, under one lock.
 
     Parameters
     ----------
     capacity:
-        Maximum number of resident entries across all shards.  The budget
-        is divided over the shards (the first ``capacity % n_shards``
-        shards hold one extra entry), so the total can never exceed
-        *capacity*; when ``capacity < n_shards`` the shard count is
-        reduced to match.
-    ttl:
-        Entry lifetime in seconds measured from insertion; ``None`` (the
-        default) disables expiry.  A lookup past the lifetime behaves as a
-        miss and drops the entry.
-    n_shards:
-        Number of independently locked segments.  Keys are routed with a
-        seed-independent CRC so placement is reproducible across processes;
-        use ``n_shards=1`` when deterministic *global* LRU order matters
-        (e.g. in eviction tests).
-    clock:
-        Monotonic time source, injectable for tests.
+        Maximum number of resident entries.
     fault_injector:
         Optional :class:`~repro.service.faults.FaultInjector`; when given,
         the ``cache_evict`` / ``cache_corrupt`` seams fire ahead of
@@ -217,86 +78,83 @@ class SplitContextCache:
 
     Examples::
 
-        >>> ticks = iter(range(100))
-        >>> cache = SplitContextCache(capacity=4, ttl=5.0, clock=lambda: next(ticks))
-        >>> cache.put("key", "value")          # inserted at t=0, expires at t=5
-        >>> cache.get("key")                   # t=1: still fresh
-        'value'
-        >>> [cache.get("key") for _ in range(4)][-1] is None   # t=5: expired
-        True
-        >>> cache.stats().expirations
-        1
+        >>> cache = SplitContextCache(capacity=4)
+        >>> cache.get_or_create("key", lambda: "built")
+        ('built', False)
+        >>> cache.get_or_create("key", lambda: "rebuilt")
+        ('built', True)
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        ttl: float | None = None,
-        n_shards: int = 4,
-        clock: Callable[[], float] = time.monotonic,
-        fault_injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 64, fault_injector: FaultInjector | None = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None to disable expiry)")
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
         self.capacity = int(capacity)
-        self.ttl = ttl
         self.fault_injector = fault_injector
         #: Faults actually applied to resident entries (chaos assertions).
         self.injected_evictions = 0
         self.injected_corruptions = 0
-        n_shards = min(n_shards, self.capacity)
-        base, extra = divmod(self.capacity, n_shards)
-        self._shards = tuple(
-            _Shard(base + (1 if index < extra else 0), ttl, clock)
-            for index in range(n_shards)
-        )
-
-    # ------------------------------------------------------------- routing
-    def shard_index(self, key: Hashable) -> int:
-        """Deterministic shard routing for *key* (stable across processes).
-
-        Uses CRC-32 of ``repr(key)`` rather than :func:`hash`, which varies
-        per process under ``PYTHONHASHSEED`` randomisation.
-        """
-        return zlib.crc32(repr(key).encode()) % len(self._shards)
-
-    def _shard(self, key: Hashable) -> _Shard:
-        return self._shards[self.shard_index(key)]
+        self._lock = threading.Lock()
+        #: key -> value, most recently used last.
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
 
     def _maybe_inject(self, key: Hashable) -> None:
         """Fire scheduled cache faults against *key* before a lookup."""
         injector = self.fault_injector
         if injector is None:
             return
-        shard = self._shard(key)
-        if injector.fires("cache_evict") and shard.invalidate(key):
+        if injector.fires("cache_evict") and self.invalidate(key):
             self.injected_evictions += 1
-        if injector.fires("cache_corrupt") and shard.corrupt(key, CorruptedEntry(key)):
-            self.injected_corruptions += 1
+        if injector.fires("cache_corrupt"):
+            with self._lock:
+                if key in self._entries:
+                    # In place: corruption is not a (re)insertion.
+                    self._entries[key] = CorruptedEntry(key)
+                    self.injected_corruptions += 1
+
+    def _insert(self, key: Hashable, value: Any) -> None:
+        """Store *value* as the most recent entry, evicting past capacity."""
+        self._entries.pop(key, None)
+        while len(self._entries) >= self.capacity:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+        self._entries[key] = value
 
     # ------------------------------------------------------------- operations
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Value stored under *key*, or *default* on a miss/expiry."""
+        """Value stored under *key*, or *default* on a miss."""
         self._maybe_inject(key)
-        return self._shard(key).get(key, default)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return self._entries[key]
+            self._misses += 1
+            return default
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert *value* under *key* (refreshing LRU position and TTL)."""
-        self._shard(key).put(key, value)
+        """Insert *value* under *key* (refreshing its LRU position)."""
+        with self._lock:
+            self._insert(key, value)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> tuple[Any, bool]:
-        """Return ``(value, hit)``, building the value on a miss.
+        """Return ``(value, hit)``, storing ``factory()`` on a miss.
 
-        The factory runs under the shard lock, so concurrent requests for
-        the same key trigger exactly one build; requests for keys on other
-        shards proceed unblocked in parallel.
+        The factory runs under the cache lock, so concurrent misses on one
+        key store exactly one value; it must therefore be cheap.
         """
         self._maybe_inject(key)
-        return self._shard(key).get_or_create(key, factory)
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return self._entries[key], True
+            self._misses += 1
+            value = factory()
+            self._insert(key, value)
+            return value, False
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop *key* if resident; True when an entry was removed.
@@ -312,82 +170,51 @@ class SplitContextCache:
             >>> cache.invalidate("key")
             False
         """
-        return self._shard(key).invalidate(key)
+        with self._lock:
+            if key in self._entries:
+                del self._entries[key]
+                return True
+            return False
 
     # ------------------------------------------------------------- inspection
     def stats(self) -> CacheStats:
-        """Aggregated counters across all shards."""
-        total = CacheStats()
-        for shard in self._shards:
-            total = total + shard.stats()
-        return total
+        """The cache's counters."""
+        with self._lock:
+            return CacheStats(self._hits, self._misses, self._evictions, len(self._entries))
 
     def snapshot(self) -> dict:
-        """The cache's full JSON accounting (the ``stats``/``metrics`` verbs).
+        """The cache's JSON accounting (the ``stats``/``metrics`` verbs).
 
-        Aggregate counters, the derived ``hit_rate`` (``None`` before any
-        lookup), the configured ``capacity``, and the per-shard breakdown —
-        exactly the dict served under ``{"op": "stats"}``.
+        The counters, the derived ``hit_rate`` (``None`` before any lookup)
+        and the configured ``capacity`` — exactly the dict served under
+        ``{"op": "stats"}``.
 
         Examples::
 
-            >>> cache = SplitContextCache(capacity=4, n_shards=2)
+            >>> cache = SplitContextCache(capacity=4)
             >>> cache.put("key", "value")
             >>> _ = cache.get("key"); _ = cache.get("absent")
             >>> snap = cache.snapshot()
-            >>> (snap["hits"], snap["misses"], snap["hit_rate"], len(snap["shards"]))
-            (1, 1, 0.5, 2)
+            >>> (snap["hits"], snap["misses"], snap["hit_rate"], snap["capacity"])
+            (1, 1, 0.5, 4)
         """
-        per_shard = self.shard_stats()
-        total = CacheStats()
-        for stats in per_shard:
-            total = total + stats
-        lookups = total.hits + total.misses
+        stats = self.stats()
+        lookups = stats.hits + stats.misses
         return {
-            "hits": total.hits,
-            "misses": total.misses,
-            "evictions": total.evictions,
-            "expirations": total.expirations,
-            "entries": total.entries,
-            "hit_rate": (total.hits / lookups) if lookups else None,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "evictions": stats.evictions,
+            "entries": stats.entries,
+            "hit_rate": (stats.hits / lookups) if lookups else None,
             "capacity": self.capacity,
-            "shards": [
-                {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "expirations": stats.expirations,
-                    "entries": stats.entries,
-                }
-                for stats in per_shard
-            ],
         }
-
-    def shard_stats(self) -> tuple[CacheStats, ...]:
-        """Per-shard counters, in shard-index order.
-
-        The aggregate :meth:`stats` hides routing skew; this exposes it
-        (``repro-serve`` reports both in its ``stats`` reply).
-
-        Examples::
-
-            >>> cache = SplitContextCache(capacity=4, n_shards=2)
-            >>> cache.put("key", "value")
-            >>> sum(stats.entries for stats in cache.shard_stats())
-            1
-        """
-        return tuple(shard.stats() for shard in self._shards)
 
     def clear(self) -> None:
         """Drop every resident entry (counters are preserved)."""
-        for shard in self._shards:
-            shard.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        """Number of resident entries across all shards."""
-        return self.stats().entries
-
-    @property
-    def n_shards(self) -> int:
-        """Number of independently locked shards."""
-        return len(self._shards)
+        """Number of resident entries."""
+        with self._lock:
+            return len(self._entries)

@@ -19,8 +19,9 @@ Two complementary views of a running server:
 Histogram percentiles are estimated by linear interpolation inside fixed
 buckets (:data:`DEFAULT_LATENCY_BUCKETS_MS`) and clamped to the observed
 min/max, so a reported p99 can never exceed the slowest request actually
-seen.  Everything is thread-safe (the engine answers batches on executor
-threads) and JSON-serialisable.
+seen.  Everything is thread-safe and JSON-serialisable: the event loop
+records warm answers, and worker threads record the cold training passes
+the micro-batcher sends them.
 
 Examples::
 
@@ -68,7 +69,7 @@ __all__ = [
 
 #: The per-request stages a :class:`Trace` can carry, in pipeline order.
 #: ``queue`` and ``batch`` only appear on requests that travelled through
-#: the :class:`~repro.service.batching.MicroBatcher` (the TCP front end).
+#: the :class:`~repro.service.batching.MicroBatcher` (every front end).
 TRACE_STAGES = ("admission", "queue", "batch", "engine", "reply")
 
 #: Default latency histogram bucket upper bounds, in milliseconds —
@@ -338,10 +339,11 @@ class MetricsRegistry:
 class Trace:
     """Per-request trace: an id plus begin/end timestamps per stage.
 
-    Stages may be recorded from different threads (the ``engine`` span runs
-    on an executor thread); begin/end are idempotent — a stage begins at
-    most once and ends at most once, extra calls are ignored — so the
-    pipeline layers never need to coordinate.  :meth:`to_payload` is the
+    Stages may be recorded from different threads: a cold query's
+    ``engine`` span begins on the event loop, at its lookup, and ends on
+    the worker thread that trains its split.  begin/end are idempotent — a
+    stage begins at most once and ends at most once, extra calls are
+    ignored — so the pipeline layers never need to coordinate.  :meth:`to_payload` is the
     wire form echoed on every reply.
 
     Examples::

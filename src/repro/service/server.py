@@ -222,8 +222,8 @@ def _handle_op(
 
     * ``stats`` (legacy alias ``{"stats": true}``): the full
       :class:`~repro.service.cache.SplitContextCache` accounting —
-      hit/miss/eviction/expiration counters, hit rate, capacity and the
-      per-shard breakdown, which reveals routing skew — plus the line-up;
+      hit/miss/eviction counters, resident entries, hit rate and
+      capacity — plus the line-up;
     * ``health``: ``status`` ``"ok"``, or ``"draining"`` once shutdown has
       begun; replies degraded along the fallback chain
       (``degraded_served``); cache and batcher state; and an active fault
@@ -625,8 +625,6 @@ async def serve_tcp(
 def build_service(
     preset: str = "fast",
     cache_capacity: int = 64,
-    cache_ttl: float | None = None,
-    cache_shards: int = 4,
     seed: int | None = None,
     fault_injector: FaultInjector | None = None,
 ) -> PredictionService:
@@ -644,7 +642,7 @@ def build_service(
 
     Examples::
 
-        >>> service = build_service(preset="smoke", cache_capacity=8, cache_shards=2)
+        >>> service = build_service(preset="smoke", cache_capacity=8)
         >>> sorted(service.methods)
         ['GA-kNN', 'MLP^T', 'NN^T']
         >>> service.cache.capacity
@@ -662,12 +660,7 @@ def build_service(
         config = dataclasses.replace(config, seed=seed)
     injector = fault_injector if fault_injector is not None else injector_from_env()
     dataset = build_default_dataset(noise_sigma=config.noise_sigma, seed=config.seed)
-    cache = SplitContextCache(
-        capacity=cache_capacity,
-        ttl=cache_ttl,
-        n_shards=cache_shards,
-        fault_injector=injector,
-    )
+    cache = SplitContextCache(capacity=cache_capacity, fault_injector=injector)
     return PredictionService(
         dataset,
         standard_methods(config),
@@ -695,8 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for flag, kind, default, help_text in (
         ("--cache-capacity", int, 64, "max cached splits (default 64)"),
-        ("--cache-ttl", float, None, "cached split lifetime in seconds (default: no expiry)"),
-        ("--cache-shards", int, 4, "cache lock shards (default 4)"),
         ("--seed", int, None, "override the dataset seed"),
         ("--max-line-bytes", int, DEFAULT_MAX_LINE_BYTES,
          "bound on one request line before PAYLOAD_TOO_LARGE (default 1 MiB)"),
@@ -733,8 +724,6 @@ def main(argv: list[str] | None = None) -> int:
     service = build_service(
         preset=args.preset,
         cache_capacity=args.cache_capacity,
-        cache_ttl=args.cache_ttl,
-        cache_shards=args.cache_shards,
         seed=args.seed,
     )
 

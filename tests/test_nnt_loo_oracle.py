@@ -215,6 +215,18 @@ def test_stacked_selection_matches_stable_argsort_under_heavy_ties():
             )
 
 
+def test_top1_selection_matches_stable_argsort_on_edge_values():
+    # k = 1 takes the argmax path unless a NaN is present: signed zeros,
+    # infinities and all-tied columns must still pick the first maximum.
+    rng = np.random.default_rng(5)
+    quality = rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], size=(7, 5, 11))
+    quality[:, :, 0] = 0.0
+    quality[:, 3, 1] = -0.0
+    for grid in (quality, quality[:, :1], np.where(quality == 1.0, np.nan, quality)):
+        expected = np.argsort(-grid, axis=1, kind="mergesort")[:, :1]
+        assert _stable_top_k(grid, 1).tobytes() == expected.tobytes()
+
+
 def test_each_row_is_independent_of_the_batch(family_contexts):
     # A row's bytes do not depend on which other rows (or in which order)
     # share its stacked pass: a 29-row service cold pass therefore equals a

@@ -90,16 +90,16 @@ def test_retry_policy_is_deterministic_and_bounded():
 
 def test_in_process_client_retries_retryable_codes(dataset, monkeypatch):
     service = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
-    real_rank = service.rank
+    real_rank_many = service.rank_many
     failures = {"remaining": 2}
 
-    def flaky_rank(query):
+    def flaky_rank_many(queries):
         if failures["remaining"]:
             failures["remaining"] -= 1
-            raise OverloadedError("synthetic overload")
-        return real_rank(query)
+            return [OverloadedError("synthetic overload") for _ in queries]
+        return real_rank_many(queries)
 
-    monkeypatch.setattr(service, "rank", flaky_rank)
+    monkeypatch.setattr(service, "rank_many", flaky_rank_many)
     sleeps = []
     client = InProcessClient(
         service, retry=RetryPolicy(max_attempts=4, seed=7), sleep=sleeps.append
@@ -292,7 +292,7 @@ DEFAULT_CHAOS_SPEC = (
 
 def _chaos_stack(dataset, spec):
     injector = FaultInjector(FaultPlan.parse(spec))
-    cache = SplitContextCache(capacity=8, n_shards=2, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset,
         {"NN^T": BatchedLinearTransposition()},

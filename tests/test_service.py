@@ -2,13 +2,14 @@
 
 Pins the serving contracts the docs promise:
 
-* cache semantics — hit/miss counters, LRU eviction order, TTL expiry,
-  deterministic shard routing;
+* cache semantics — hit/miss counters, one global LRU eviction order;
 * equivalence — service replies are bit-identical to the offline
   :func:`run_cross_validation` cells they correspond to;
 * micro-batching — coalesced batches answer exactly what one-at-a-time
   queries answer, concurrent requests keep their identities, and one bad
-  request never poisons its batch.
+  request never poisons its batch;
+* two-stage batches — warm queries are answered on the event loop and
+  only cold passes reach the executor.
 """
 
 import asyncio
@@ -26,6 +27,7 @@ from repro.core import (
 from repro.core.ranking import MachineRanking
 from repro.data import build_default_dataset, family_cross_validation_splits
 from repro.service import (
+    ColdPass,
     MicroBatcher,
     PredictionService,
     RankingQuery,
@@ -51,7 +53,7 @@ def _nnt_service(dataset, **cache_kwargs):
 
 # ------------------------------------------------------------- cache semantics
 def test_cache_hit_and_miss_counters():
-    cache = SplitContextCache(capacity=4, n_shards=1)
+    cache = SplitContextCache(capacity=4)
     assert cache.get("absent") is None
     cache.put("key", "value")
     assert cache.get("key") == "value"
@@ -60,7 +62,7 @@ def test_cache_hit_and_miss_counters():
 
 
 def test_cache_lru_eviction_order():
-    cache = SplitContextCache(capacity=2, n_shards=1)
+    cache = SplitContextCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refreshes a: b is now least recent
@@ -72,7 +74,7 @@ def test_cache_lru_eviction_order():
 
 
 def test_cache_put_refreshes_existing_key_without_eviction():
-    cache = SplitContextCache(capacity=2, n_shards=1)
+    cache = SplitContextCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.put("a", 10)                  # overwrite, not insert
@@ -81,21 +83,8 @@ def test_cache_put_refreshes_existing_key_without_eviction():
     assert cache.get("a") == 10
 
 
-def test_cache_ttl_expiry_with_injected_clock():
-    now = [0.0]
-    cache = SplitContextCache(capacity=4, ttl=10.0, n_shards=1, clock=lambda: now[0])
-    cache.put("key", "value")
-    now[0] = 9.9
-    assert cache.get("key") == "value"
-    now[0] = 10.0
-    assert cache.get("key") is None     # lifetime elapsed -> miss + expiration
-    stats = cache.stats()
-    assert stats.expirations == 1
-    assert stats.entries == 0
-
-
 def test_cache_get_or_create_builds_once():
-    cache = SplitContextCache(capacity=4, n_shards=1)
+    cache = SplitContextCache(capacity=4)
     builds = []
     value, hit = cache.get_or_create("key", lambda: builds.append(1) or "built")
     assert (value, hit) == ("built", False)
@@ -104,37 +93,19 @@ def test_cache_get_or_create_builds_once():
     assert len(builds) == 1
 
 
-def test_cache_shard_routing_is_deterministic_and_in_range():
-    cache = SplitContextCache(capacity=8, n_shards=4)
-    keys = [("fp", ("m1",), ("m2",)), ("fp", ("m3",), ("m4",)), "plain"]
-    for key in keys:
-        index = cache.shard_index(key)
-        assert 0 <= index < cache.n_shards
-        assert cache.shard_index(key) == index
-
-
 def test_cache_total_capacity_is_never_exceeded():
-    # 5 entries over 4 shards: the budget is split 2+1+1+1, so the resident
-    # total can never overshoot the configured capacity.
-    cache = SplitContextCache(capacity=5, n_shards=4)
+    # One LRU over the whole budget: the 5 most recent keys stay resident.
+    cache = SplitContextCache(capacity=5)
     for index in range(50):
         cache.put(f"key-{index}", index)
         assert len(cache) <= 5
-    # capacity < n_shards collapses to capacity shards of one entry each.
-    small = SplitContextCache(capacity=2, n_shards=4)
-    assert small.n_shards == 2
-    for index in range(20):
-        small.put(f"key-{index}", index)
-        assert len(small) <= 2
+    assert [cache.get(f"key-{index}") for index in range(45, 50)] == list(range(45, 50))
+    assert cache.stats().evictions == 45
 
 
 def test_cache_validates_parameters():
     with pytest.raises(ValueError):
         SplitContextCache(capacity=0)
-    with pytest.raises(ValueError):
-        SplitContextCache(ttl=0.0)
-    with pytest.raises(ValueError):
-        SplitContextCache(n_shards=0)
 
 
 # --------------------------------------------------------------- service facade
@@ -192,28 +163,13 @@ def test_service_rejects_bad_queries(dataset):
 
 
 def test_service_eviction_forces_retraining(dataset):
-    service = _nnt_service(dataset, capacity=1, n_shards=1)
+    service = _nnt_service(dataset, capacity=1)
     first = tuple(dataset.machine_ids[:5])
     second = tuple(dataset.machine_ids[5:10])
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False
     assert service.rank(RankingQuery("gcc", second)).cache_hit is False  # evicts first
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False   # retrained
     assert service.cache_stats().evictions == 2
-
-
-def test_service_ttl_expires_trained_state(dataset):
-    now = [0.0]
-    cache = SplitContextCache(capacity=8, ttl=60.0, n_shards=1, clock=lambda: now[0])
-    service = PredictionService(
-        dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
-    )
-    query = RankingQuery("gcc", tuple(dataset.machine_ids[:5]))
-    assert service.rank(query).cache_hit is False
-    now[0] = 59.0
-    assert service.rank(query).cache_hit is True
-    now[0] = 61.0
-    assert service.rank(query).cache_hit is False
-    assert service.cache_stats().expirations == 1
 
 
 def test_service_methods_fill_lazily_and_independently(dataset):
@@ -301,9 +257,10 @@ def test_service_matches_run_cross_validation_cell_by_cell(dataset, splits):
 def test_bulk_queries_share_one_tensor_pass(dataset):
     service = _nnt_service(dataset)
     machines = tuple(dataset.machine_ids[:6])
-    replies = service.rank_many(
-        [RankingQuery(app, machines) for app in dataset.benchmark_names]
-    )
+    queries = [RankingQuery(app, machines) for app in dataset.benchmark_names]
+    outcomes = service.rank_many(queries)
+    assert all(isinstance(outcome, ColdPass) for outcome in outcomes)
+    replies = service.train_cold(outcomes)
     assert [r.cache_hit for r in replies] == [False] + [True] * (len(replies) - 1)
     assert [r.application for r in replies] == dataset.benchmark_names
 
@@ -629,7 +586,7 @@ def test_cache_injected_eviction_forces_retrain_but_correct_answer(dataset):
     from repro.service import FaultInjector, FaultPlan
 
     injector = FaultInjector(FaultPlan(seed=5, cache_evict=1.0))
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -649,7 +606,7 @@ def test_cache_injected_corruption_is_detected_and_rebuilt(dataset):
     from repro.service import FaultInjector, FaultPlan
 
     injector = FaultInjector(FaultPlan(seed=5, cache_corrupt=1.0))
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -672,7 +629,7 @@ def test_cache_corruption_sentinel_never_reaches_clients(dataset):
     injector = FaultInjector(
         FaultPlan(seed=9, cache_evict=0.5, cache_corrupt=1.0)
     )
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -682,3 +639,242 @@ def test_cache_corruption_sentinel_never_reaches_clients(dataset):
         reply = service.rank(RankingQuery("gcc", machines, top_n=2))
         assert reply.machine_ids == baseline.machine_ids
         assert reply.scores == baseline.scores
+
+
+# ------------------------------------------------------ two-stage batches
+def _spy_executor(calls):
+    """Record the arguments of every ``run_in_executor`` on the running loop."""
+    loop = asyncio.get_running_loop()
+    original = loop.run_in_executor
+
+    def spy(executor, func, *args):
+        calls.append(args)
+        return original(executor, func, *args)
+
+    loop.run_in_executor = spy
+
+
+def test_warm_batch_makes_no_executor_call(dataset):
+    service = _nnt_service(dataset)
+    machines = tuple(dataset.machine_ids[:5])
+    service.rank(RankingQuery("gcc", machines))  # train the split
+    calls = []
+
+    async def run():
+        _spy_executor(calls)
+        batcher = MicroBatcher(service)
+        return await asyncio.gather(
+            *(batcher.submit(RankingQuery(app, machines, top_n=2))
+              for app in ("gcc", "mcf", "lbm"))
+        )
+
+    replies = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert calls == []
+    assert all(reply.cache_hit for reply in replies)
+
+
+def test_mixed_batch_sends_only_its_cold_slots_in_one_call(dataset):
+    warm_machines = tuple(dataset.machine_ids[:5])
+    cold_machines = tuple(dataset.machine_ids[5:10])
+    reference = _nnt_service(dataset)
+    service = _nnt_service(dataset)
+    service.rank(RankingQuery("gcc", warm_machines))  # train one split only
+    queries = [
+        RankingQuery("gcc", warm_machines, top_n=3),
+        RankingQuery("gcc", cold_machines, top_n=3),
+        RankingQuery("mcf", warm_machines, top_n=3),
+        RankingQuery("mcf", cold_machines, top_n=3),
+    ]
+    calls = []
+
+    async def run():
+        _spy_executor(calls)
+        batcher = MicroBatcher(service)
+        return await asyncio.gather(*(batcher.submit(query) for query in queries))
+
+    replies = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert len(calls) == 1
+    (passes,) = calls[0]
+    assert [cold.query for cold in passes] == [queries[1], queries[3]]
+    assert [reply.cache_hit for reply in replies] == [True, False, True, True]
+    for query, reply in zip(queries, replies):
+        expected = reference.rank(query)
+        assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
+
+
+def test_injected_eviction_trains_on_the_executor_never_the_loop(dataset, monkeypatch):
+    import threading
+
+    from repro.service import FaultInjector, FaultPlan, api
+
+    machines = tuple(dataset.machine_ids[:4])
+    query = RankingQuery("gcc", machines, top_n=2)
+    expected = _nnt_service(dataset).rank(query)
+    injector = FaultInjector(FaultPlan(seed=5, cache_evict=1.0))
+    service = PredictionService(
+        dataset,
+        {"NN^T": BatchedLinearTransposition()},
+        cache=SplitContextCache(capacity=8, fault_injector=injector),
+    )
+    service.rank(query)  # resident, and evicted again before the next lookup
+    training_threads = []
+    predict = api.predict_split_scores
+
+    def recording_predict(*args):
+        training_threads.append(threading.get_ident())
+        return predict(*args)
+
+    monkeypatch.setattr(api, "predict_split_scores", recording_predict)
+    calls = []
+
+    async def run():
+        _spy_executor(calls)
+        reply = await MicroBatcher(service).submit(query)
+        return reply, threading.get_ident()
+
+    reply, loop_thread = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert service.cache.injected_evictions == 1 and len(calls) == 1
+    assert reply.cache_hit is False
+    assert len(training_threads) == 1 and training_threads[0] != loop_thread
+    assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
+
+
+def test_warm_query_is_answered_while_a_cold_pass_is_held(dataset):
+    from repro.service import FaultInjector, FaultPlan
+
+    service = _nnt_service(dataset)
+    warm_machines = tuple(dataset.machine_ids[:5])
+    cold_machines = tuple(dataset.machine_ids[5:10])
+    service.rank(RankingQuery("gcc", warm_machines))  # split A is trained
+    # Every cold pass from now on sleeps a second before it trains.
+    service.fault_injector = FaultInjector(FaultPlan(seed=1, latency=1.0, latency_ms=1000))
+
+    async def run():
+        batcher = MicroBatcher(service)
+        cold = asyncio.ensure_future(batcher.submit(RankingQuery("gcc", cold_machines)))
+        await asyncio.sleep(0.05)  # the cold pass on split B is now held
+        warm = await asyncio.wait_for(
+            batcher.submit(RankingQuery("mcf", warm_machines)), timeout=0.5
+        )
+        held = not cold.done()
+        return warm, held, await cold
+
+    warm, held, cold = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert warm.cache_hit is True and held
+    assert cold.cache_hit is False
+
+
+def test_every_ranking_request_touches_the_cache_once(dataset):
+    service = _nnt_service(dataset)
+    splits = [tuple(dataset.machine_ids[i:i + 4]) for i in (0, 4, 8)]
+    queries = [
+        RankingQuery(app, machines, top_n=1)
+        for app in ("gcc", "mcf", "lbm", "namd")
+        for machines in splits
+    ]
+
+    async def run():
+        batcher = MicroBatcher(service, max_batch=5)
+        first = await asyncio.gather(*(batcher.submit(query) for query in queries))
+        second = await asyncio.gather(*(batcher.submit(query) for query in queries))
+        return first + second
+
+    replies = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    stats = service.cache_stats()
+    assert stats.hits + stats.misses == len(replies) == 2 * len(queries)
+    assert stats.misses == len(splits)
+    assert service.metrics.counter("service.requests").value == len(replies)
+    assert service.metrics.counter("service.cold_passes").value == len(splits)
+
+
+def test_two_cold_splits_train_at_the_same_time(dataset, monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.service import api
+
+    service = _nnt_service(dataset)
+    # Each training pass waits for the other one to start: serialised
+    # training would break the barrier instead of passing it.
+    barrier = threading.Barrier(2, timeout=10)
+    predict = api.predict_split_scores
+
+    def rendezvous(*args):
+        barrier.wait()
+        return predict(*args)
+
+    monkeypatch.setattr(api, "predict_split_scores", rendezvous)
+    queries = [
+        RankingQuery("gcc", tuple(dataset.machine_ids[:5])),
+        RankingQuery("gcc", tuple(dataset.machine_ids[5:10])),
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        replies = list(pool.map(service.rank, queries))
+    assert [reply.cache_hit for reply in replies] == [False, False]
+    assert not barrier.broken
+
+
+def test_invalid_query_with_spent_deadline_is_invalid_not_late(dataset):
+    """A client's mistake is never answered with a retryable deadline error."""
+    from repro.service import Deadline, DeadlineExceededError
+
+    service = _nnt_service(dataset)
+    machines = tuple(dataset.machine_ids[:4])
+    expired = Deadline(expires_at=0.0, clock=lambda: 1.0)
+    now = [0.0]
+    lapsing = Deadline(expires_at=0.5, clock=lambda: now[0])
+    overlapping = dict(target_machines=machines[:2])  # targets overlap predictive
+
+    async def run():
+        batcher = MicroBatcher(service)
+        with pytest.raises(ServiceError) as at_admission:
+            await batcher.submit(RankingQuery("gcc", machines, deadline=expired, **overlapping))
+        queued = asyncio.ensure_future(
+            batcher.submit(RankingQuery("gcc", machines, deadline=lapsing, **overlapping))
+        )
+        await asyncio.sleep(0)
+        now[0] = 1.0  # lapses while queued
+        batcher._flush()
+        with pytest.raises(ServiceError) as in_queue:
+            await queued
+        with pytest.raises(DeadlineExceededError):  # a valid query is simply late
+            await batcher.submit(RankingQuery("gcc", machines, deadline=expired))
+        return at_admission.value, in_queue.value, batcher.deadline_rejections
+
+    at_admission, in_queue, rejections = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    for error in (at_admission, in_queue):
+        assert not isinstance(error, DeadlineExceededError)
+        assert error.code == "INVALID_REQUEST"
+    assert rejections == 1
+
+
+def test_concurrent_lookups_and_training_keep_every_count(dataset):
+    """More threads than cores hammer three cold splits: no lost update."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    reference = _nnt_service(dataset)
+    service = _nnt_service(dataset)
+    splits = [tuple(dataset.machine_ids[i:i + 5]) for i in (0, 5, 10)]
+    queries = [
+        RankingQuery(app, machines, top_n=4)
+        for _ in range(5)
+        for app in ("gcc", "mcf", "lbm", "namd")
+        for machines in splits
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            pending = [pool.submit(service.rank, query) for query in queries]
+            replies = [future.result(timeout=60) for future in pending]
+    finally:
+        sys.setswitchinterval(interval)
+    for query, reply in zip(queries, replies):
+        expected = reference.rank(query)
+        assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
+    stats = service.cache_stats()
+    assert stats.hits + stats.misses == len(queries)
+    assert stats.misses == len(splits)
+    assert service.metrics.counter("service.cold_passes").value == len(splits)
+    assert service.metrics.counter("service.requests").value == len(queries)

@@ -117,7 +117,7 @@ def test_in_process_client_speaks_the_wire_protocol(service, dataset):
 
 
 def test_stats_reply_exposes_full_cache_accounting(service, dataset):
-    """The stats response carries the SplitContextCache counters + shards."""
+    """The stats response carries the SplitContextCache counters, and only them."""
     client = InProcessClient(service)
     client.request(
         {"application": "gcc", "predictive_machines": dataset.machine_ids[:4]}
@@ -130,15 +130,14 @@ def test_stats_reply_exposes_full_cache_accounting(service, dataset):
     lookups = stats["hits"] + stats["misses"]
     assert stats["hit_rate"] == pytest.approx(stats["hits"] / lookups)
     assert stats["capacity"] == service.cache.capacity
-    assert len(stats["shards"]) == service.cache.n_shards
-    # Per-shard counters sum to the aggregates.
-    for key in ("hits", "misses", "evictions", "expirations", "entries"):
-        assert sum(shard[key] for shard in stats["shards"]) == stats[key]
+    assert set(stats) == {
+        "hits", "misses", "evictions", "entries", "hit_rate", "capacity", "methods"
+    }
     assert json.loads(json.dumps(stats)) == stats
 
 
 def test_stats_hit_rate_is_null_before_any_lookup():
-    fresh = build_service(preset="smoke", cache_capacity=4, cache_shards=2)
+    fresh = build_service(preset="smoke", cache_capacity=4)
     stats = InProcessClient(fresh).request({"stats": True})["stats"]
     assert stats["hit_rate"] is None and stats["entries"] == 0
 
@@ -438,10 +437,9 @@ def test_internal_error_is_not_retried_over_tcp(dataset):
 
 # ------------------------------------------------------------------------ cli
 def test_build_service_applies_preset_and_rejects_unknown():
-    service = build_service(preset="smoke", cache_capacity=8, cache_shards=2)
+    service = build_service(preset="smoke", cache_capacity=8)
     assert set(service.methods) == {"NN^T", "MLP^T", "GA-kNN"}
     assert service.cache.capacity == 8
-    assert service.cache.n_shards == 2
     with pytest.raises(ValueError):
         build_service(preset="warp-speed")
 
@@ -641,23 +639,6 @@ def test_stats_op_and_legacy_alias_return_identical_payloads(service, dataset):
     via_alias = client.request({"stats": True})
     assert via_op == via_alias
     assert via_op["ok"] is True and via_op["stats"]["methods"]
-
-
-def test_stats_shard_counters_match_cache_shard_stats(service, dataset):
-    """The wire payload's shards block is exactly ``cache.shard_stats()``."""
-    client = InProcessClient(service)
-    client.request(
-        {"application": "mcf", "predictive_machines": dataset.machine_ids[:4]}
-    )
-    shards = client.request({"op": "stats"})["stats"]["shards"]
-    direct = service.cache.shard_stats()
-    assert len(shards) == len(direct)
-    for wire, stats in zip(shards, direct):
-        assert wire["hits"] == stats.hits
-        assert wire["misses"] == stats.misses
-        assert wire["evictions"] == stats.evictions
-        assert wire["expirations"] == stats.expirations
-        assert wire["entries"] == stats.entries
 
 
 def test_stats_hit_rate_arithmetic_from_a_fresh_service(dataset):
