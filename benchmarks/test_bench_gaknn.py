@@ -50,7 +50,7 @@ def _sequential_split(dataset, split, applications, ga_config, k=10, seed=0):
 
 def _batched_split(dataset, split, applications, ga_config, k=10, seed=0):
     method = BatchedGAKNN(k=k, ga_config=ga_config, seed=seed)
-    return method.predict_all_applications(dataset, split, applications)
+    return method.predict_all_applications(dataset, [split], applications)[0]
 
 
 def test_bench_gaknn_batched_split(benchmark, dataset, config):

@@ -23,10 +23,11 @@ the benchmark suite (Section 6.2).
 
 Batched split-level evaluation
 ------------------------------
-:class:`BatchedGAKNN` adds the engine's one-pass-per-split entry point
-(:meth:`~BatchedGAKNN.predict_all_applications`).  Every leave-one-out cell
-of a split historically ran its own identically-seeded GA over a
-28-benchmark working set that differs from its neighbours' by a single row.
+:class:`BatchedGAKNN` adds the engine's batched entry point
+(:meth:`~BatchedGAKNN.predict_all_applications`, one lockstep pass per
+split).  Every leave-one-out cell of a split historically ran its own
+identically-seeded GA over a 28-benchmark working set that differs from its
+neighbours' by a single row.
 The batched path exploits both redundancies:
 
 * the per-cell working sets (standardised features, pairwise squared
@@ -239,14 +240,16 @@ class BatchedGAKNN(GAKNNBaseline):
     """GA-kNN with a split-level batched entry point.
 
     Implements the engine's ``BatchedRankingMethod`` protocol on top of the
-    per-cell :class:`GAKNNBaseline`: one call covers every leave-one-out
-    application of a split, running all per-cell GAs in lockstep (see the
-    module docstring).  Per-cell results are bit-identical to
+    per-cell :class:`GAKNNBaseline`: one pass per split covers every
+    leave-one-out application of that split, running all per-cell GAs in
+    lockstep (see the module docstring); a same-shape group of splits is
+    handled one split at a time.  Per-cell results are bit-identical to
     :meth:`GAKNNBaseline.predict_application_scores`.
 
     After a batched call, :attr:`learned_weights_by_application_` maps each
-    application to its learned weight vector (:attr:`learned_weights_`
-    keeps the last cell's weights for drop-in compatibility).
+    application of the call's last split to its learned weight vector
+    (:attr:`learned_weights_` keeps the last cell's weights for drop-in
+    compatibility).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -393,15 +396,24 @@ class BatchedGAKNN(GAKNNBaseline):
     def predict_all_applications(
         self,
         dataset: SpecDataset,
-        split: MachineSplit,
+        splits: Sequence[MachineSplit],
         applications: Sequence[str],
-    ) -> Mapping[str, np.ndarray]:
-        """Predicted target scores for every application, in one GA pass.
+    ) -> list[Mapping[str, np.ndarray]]:
+        """Predicted target scores for every application, one GA pass per split.
 
         Each application is trained leave-one-out against every other
         dataset benchmark, exactly as the per-cell pipeline loop would hand
-        them over; results are bit-identical to per-cell calls.
+        them over; results are bit-identical to per-cell calls.  Returns
+        one ``{application: scores}`` mapping per split, in order.
         """
+        return [self._predict_split(dataset, split, applications) for split in splits]
+
+    def _predict_split(
+        self,
+        dataset: SpecDataset,
+        split: MachineSplit,
+        applications: Sequence[str],
+    ) -> Mapping[str, np.ndarray]:
         applications = list(applications)
         if not applications:
             return {}

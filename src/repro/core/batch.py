@@ -9,15 +9,19 @@ application axis:
 * :class:`SplitContext` — the per-split working set (predictive/target score
   blocks, benchmark row map), built once per split and cached, instead of
   once per cell;
+* :func:`group_splits_by_shape` — the one place that decides which splits
+  are evaluated together: splits with the same ``(n_predictive,
+  n_target)`` form one group;
 * :class:`BatchedRankingMethod` — the protocol batch-capable methods
   implement on top of the per-cell :class:`~repro.core.pipeline.
-  RankingMethod` protocol: one ``predict_all_applications`` call per split
-  covers every leave-one-out application;
+  RankingMethod` protocol: one ``predict_all_applications`` call per
+  same-shape group of splits covers every leave-one-out application of
+  every split in it (a lone split is a group of one);
 * :class:`BatchedLinearTransposition` (NNᵀ) — derives all leave-one-out fits
-  from full-set sufficient statistics by rank-one downdating; and
+  of a split from full-set sufficient statistics by rank-one downdating; and
 * :class:`BatchedMLPTransposition` (MLPᵀ) — trains all leave-one-out
-  networks of a split simultaneously with
-  :class:`~repro.ml.batched_mlp.BatchedMLPRegressor`.
+  networks of every split in a group simultaneously with one
+  :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` fit.
 
 GA-kNN's batched entry point lives with its baseline
 (:class:`repro.baselines.ga_knn.BatchedGAKNN`); methods without one keep
@@ -36,8 +40,9 @@ digested form as :attr:`SplitContext.fingerprint`.
 from __future__ import annotations
 
 import hashlib
+import threading
 import weakref
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -55,6 +60,7 @@ __all__ = [
     "BatchedRankingMethod",
     "SplitContext",
     "TranspositionMethod",
+    "group_splits_by_shape",
     "split_cache_key",
     "split_fingerprint",
     "supports_batched_prediction",
@@ -103,23 +109,65 @@ def split_fingerprint(dataset: SpecDataset, split: MachineSplit) -> str:
         ... ).fingerprint
         True
     """
-    return hashlib.sha256(repr(split_cache_key(dataset, split)).encode()).hexdigest()
+    return _digest(split_cache_key(dataset, split))
+
+
+def _digest(key: tuple) -> str:
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def group_splits_by_shape(splits: Sequence[MachineSplit]) -> list[list[int]]:
+    """Indices of *splits* grouped by ``(n_predictive, n_target)``.
+
+    Groups come in order of each shape's first appearance, and indices keep
+    their order inside a group.  Every leave-one-out fit of a group shares
+    its sample count and its feature count (all benchmarks but one), so a
+    method can stack the whole group into one tensor pass.  This is the
+    only place that decides what stacks.
+
+    Examples::
+
+        >>> from repro.data import build_default_dataset, family_cross_validation_splits
+        >>> splits = family_cross_validation_splits(build_default_dataset())
+        >>> [len(group) for group in group_splits_by_shape(splits)]
+        [1, 2, 12, 1, 1]
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, split in enumerate(splits):
+        groups.setdefault((split.n_predictive, split.n_target), []).append(index)
+    return list(groups.values())
+
+
+def group_shape(splits: Sequence[MachineSplit]) -> tuple[int, int]:
+    """The shared ``(n_predictive, n_target)`` of a same-shape split group.
+
+    Raises :class:`ValueError` for an empty group or one whose shapes differ.
+    """
+    shapes = {(split.n_predictive, split.n_target) for split in splits}
+    if len(shapes) != 1:
+        raise ValueError(
+            "a split group needs at least one split, all with the same "
+            f"(n_predictive, n_target); got {sorted(shapes)}"
+        )
+    return shapes.pop()
 
 
 class BatchedRankingMethod(Protocol):
-    """A method that predicts every application of a split in one pass."""
+    """A method that predicts every application of a split group in one pass."""
 
     def predict_all_applications(
         self,
         dataset: SpecDataset,
-        split: MachineSplit,
+        splits: Sequence[MachineSplit],
         applications: Sequence[str],
-    ) -> Mapping[str, np.ndarray]:
-        """Per-application predicted scores on ``split.target_ids``.
+    ) -> list[Mapping[str, np.ndarray]]:
+        """Per-application predicted scores on each split's ``target_ids``.
 
-        Each application is trained leave-one-out: its training benchmarks
-        are every dataset benchmark except itself, exactly as the per-cell
-        pipeline loop would hand them over.
+        *splits* is a same-shape group (see :func:`group_splits_by_shape`);
+        the result holds one ``{application: scores}`` mapping per split,
+        in order.  Each application is trained leave-one-out: its training
+        benchmarks are every dataset benchmark except itself, exactly as
+        the per-cell pipeline loop would hand them over.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -128,7 +176,7 @@ def supports_batched_prediction(method: object) -> bool:
     """True when *method* implements :class:`BatchedRankingMethod`.
 
     The pipeline and the prediction service use this predicate to dispatch
-    between the one-pass-per-split path and the per-cell fallback.
+    between the batched path and the per-cell fallback.
 
     Examples::
 
@@ -156,11 +204,6 @@ class SplitContext:
     ----------
     split:
         The :class:`~repro.data.splits.MachineSplit` this context serves.
-    fingerprint:
-        Hex SHA-256 digest of :func:`split_cache_key`, i.e. a stable
-        content address for this (dataset, split) pair, stable across
-        processes (``hash()`` would vary with ``PYTHONHASHSEED``).  The
-        prediction service echoes it on every reply.
     predictive_scores / target_scores:
         Contiguous ``(benchmarks x machines)`` score blocks for the
         predictive and target machine sets.
@@ -179,15 +222,18 @@ class SplitContext:
 
     _cache: dict[tuple[int, MachineSplit], tuple["weakref.ref[SpecDataset]", "SplitContext"]] = {}
     _CACHE_LIMIT = 64
+    # The service trains cold splits on several threads at once.
+    _cache_lock = threading.Lock()
 
     def __init__(self, dataset: SpecDataset, split: MachineSplit) -> None:
         matrix = dataset.matrix
         machine_index = matrix.machine_index_map
         # Deliberately no reference back to the dataset: the cache tracks
         # dataset lifetime with a weakref, which a strong reference here
-        # would keep alive forever.
+        # would keep alive forever.  The fingerprint key keeps only the
+        # dataset's fingerprint string.
         self.split = split
-        self.fingerprint = split_fingerprint(dataset, split)
+        self._key = split_cache_key(dataset, split)
         self.benchmark_row: Mapping[str, int] = matrix.benchmark_index_map
         predictive_cols = [machine_index[mid] for mid in split.predictive_ids]
         target_cols = [machine_index[mid] for mid in split.target_ids]
@@ -207,18 +253,29 @@ class SplitContext:
         the oldest entries are evicted.
         """
         key = (id(dataset), split)
-        entry = cls._cache.get(key)
-        if entry is not None:
-            dataset_ref, context = entry
-            if dataset_ref() is dataset:
-                return context
-        context = cls(dataset, split)
-        for stale in [k for k, (ref, _) in cls._cache.items() if ref() is None]:
-            del cls._cache[stale]
-        while len(cls._cache) >= cls._CACHE_LIMIT:
-            cls._cache.pop(next(iter(cls._cache)))
-        cls._cache[key] = (weakref.ref(dataset), context)
+        with cls._cache_lock:
+            entry = cls._cache.get(key)
+            if entry is not None:
+                dataset_ref, context = entry
+                if dataset_ref() is dataset:
+                    return context
+            context = cls(dataset, split)
+            for stale in [k for k, (ref, _) in cls._cache.items() if ref() is None]:
+                del cls._cache[stale]
+            while len(cls._cache) >= cls._CACHE_LIMIT:
+                cls._cache.pop(next(iter(cls._cache)))
+            cls._cache[key] = (weakref.ref(dataset), context)
         return context
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Hex SHA-256 digest of :func:`split_cache_key`, hashed on first use.
+
+        A stable content address for this (dataset, split) pair, stable
+        across processes (``hash()`` would vary with ``PYTHONHASHSEED``).
+        The prediction service echoes it on every reply.
+        """
+        return _digest(self._key)
 
     # ------------------------------------------------------------- accessors
     def rows_for(self, benchmarks: Sequence[str]) -> np.ndarray:
@@ -252,7 +309,7 @@ class TranspositionMethod:
 
     This per-cell form is the fallback the engine keeps for methods without
     a batched entry point and the baseline the engine benches measure
-    against; the batched subclasses below add the one-pass-per-split path.
+    against; the batched subclasses below add the split-group path.
 
     Examples::
 
@@ -304,19 +361,19 @@ class BatchedLinearTransposition(TranspositionMethod):
     """NNᵀ with a split-level batched entry point.
 
     The per-cell path refits the (predictive x target) regression grid for
-    every application; the batched path computes the sufficient statistics
-    once on the full benchmark set and derives each application's
-    leave-one-out fit by rank-one downdating
+    every application; the batched path computes each split's sufficient
+    statistics once on the full benchmark set and derives each
+    application's leave-one-out fit by rank-one downdating
     (:meth:`~repro.core.linear_predictor.LinearTranspositionPredictor.
-    predict_leave_one_out`).
+    predict_leave_one_out`), one stacked pass per split of the group.
 
     Examples::
 
         >>> from repro.data import build_default_dataset, family_cross_validation_splits
         >>> dataset = build_default_dataset()
         >>> split = family_cross_validation_splits(dataset)[0]
-        >>> scores = BatchedLinearTransposition().predict_all_applications(
-        ...     dataset, split, ["gcc", "mcf"]
+        >>> [scores] = BatchedLinearTransposition().predict_all_applications(
+        ...     dataset, [split], ["gcc", "mcf"]
         ... )
         >>> sorted(scores) == ["gcc", "mcf"]
         True
@@ -344,25 +401,29 @@ class BatchedLinearTransposition(TranspositionMethod):
     def predict_all_applications(
         self,
         dataset: SpecDataset,
-        split: MachineSplit,
+        splits: Sequence[MachineSplit],
         applications: Sequence[str],
-    ) -> dict[str, np.ndarray]:
-        context = SplitContext.for_split(dataset, split)
-        predictor: LinearTranspositionPredictor = self.predictor_factory()
-        leave_one_out = predictor.predict_leave_one_out(
-            context.predictive_scores,
-            context.target_scores,
-            rows=context.rows_for(applications),
-        )
-        return {app: leave_one_out[i] for i, app in enumerate(applications)}
+    ) -> list[dict[str, np.ndarray]]:
+        predictions = []
+        for split in splits:
+            context = SplitContext.for_split(dataset, split)
+            predictor: LinearTranspositionPredictor = self.predictor_factory()
+            leave_one_out = predictor.predict_leave_one_out(
+                context.predictive_scores,
+                context.target_scores,
+                rows=context.rows_for(applications),
+            )
+            predictions.append({app: leave_one_out[i] for i, app in enumerate(applications)})
+        return predictions
 
 
 class BatchedMLPTransposition(TranspositionMethod):
     """MLPᵀ with a split-level batched entry point.
 
-    Every leave-one-out cell of a split trains a network of identical shape,
-    hyper-parameters and seed, so all of them advance through SGD together
-    as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
+    Every leave-one-out cell of a same-shape split group trains a network of
+    identical shape (predictive machines as samples, all benchmarks but one
+    as features), hyper-parameters and seed, so all of them advance through
+    SGD together as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
     BatchedMLPRegressor`).  The per-cell path trains the same networks one
     at a time on the same kernel, so the two agree bit for bit.
 
@@ -372,7 +433,7 @@ class BatchedMLPTransposition(TranspositionMethod):
         >>> dataset = build_default_dataset()
         >>> split = family_cross_validation_splits(dataset)[0]
         >>> method = BatchedMLPTransposition(epochs=5, seed=0)
-        >>> scores = method.predict_all_applications(dataset, split, ["gcc"])
+        >>> [scores] = method.predict_all_applications(dataset, [split], ["gcc"])
         >>> scores["gcc"].shape == (split.n_target,)
         True
     """
@@ -409,18 +470,29 @@ class BatchedMLPTransposition(TranspositionMethod):
     def predict_all_applications(
         self,
         dataset: SpecDataset,
-        split: MachineSplit,
+        splits: Sequence[MachineSplit],
         applications: Sequence[str],
-    ) -> dict[str, np.ndarray]:
-        if split.n_predictive < self.min_predictive_machines:
+    ) -> list[dict[str, np.ndarray]]:
+        n_predictive, n_target = group_shape(splits)
+        if n_predictive < self.min_predictive_machines:
             raise ValueError("MLPᵀ needs at least two predictive machines to train on")
-        context = SplitContext.for_split(dataset, split)
-        training_rows = context.training_row_matrix(applications)      # (N, B-1)
-        app_rows = context.rows_for(applications)
-        # Machines are samples, training benchmarks are features.
-        features = context.predictive_scores[training_rows].transpose(0, 2, 1)
-        targets = context.predictive_scores[app_rows]                  # (N, P)
-        queries = context.target_scores[training_rows].transpose(0, 2, 1)
+        contexts = [SplitContext.for_split(dataset, split) for split in splits]
+        # Row indices come from the dataset's benchmark order, shared by
+        # every split of the group.
+        training_rows = contexts[0].training_row_matrix(applications)  # (A, B-1)
+        app_rows = contexts[0].rows_for(applications)
+        n_apps, n_features = training_rows.shape
+        # One preallocated stack for the whole group: network i * A + a is
+        # split i's application a.  Machines are samples, training
+        # benchmarks are features.
+        features = np.empty((len(splits) * n_apps, n_predictive, n_features))
+        targets = np.empty((len(splits) * n_apps, n_predictive))
+        queries = np.empty((len(splits) * n_apps, n_target, n_features))
+        for i, context in enumerate(contexts):
+            block = slice(i * n_apps, (i + 1) * n_apps)
+            features[block] = context.predictive_scores[training_rows].transpose(0, 2, 1)
+            targets[block] = context.predictive_scores[app_rows]
+            queries[block] = context.target_scores[training_rows].transpose(0, 2, 1)
         model = BatchedMLPRegressor(
             hidden_units=self.hidden_units,
             learning_rate=self.learning_rate,
@@ -429,5 +501,8 @@ class BatchedMLPTransposition(TranspositionMethod):
             seed=self.seed,
             gradient_clip=self.gradient_clip,
         )
-        predictions = model.fit(features, targets).predict(queries)    # (N, T)
-        return {app: predictions[i] for i, app in enumerate(applications)}
+        predictions = model.fit(features, targets).predict(queries)    # (ΣN, T)
+        return [
+            {app: predictions[i * n_apps + a] for a, app in enumerate(applications)}
+            for i in range(len(splits))
+        ]

@@ -444,8 +444,8 @@ register_method(
     "MLP^T",
     _make_mlpt,
     ["batched"],
-    description="data transposition via MLP regression; all leave-one-out "
-    "networks trained as one stacked SGD pass",
+    description="data transposition via MLP regression; the leave-one-out "
+    "networks of a same-shape split group trained as one stacked SGD pass",
     fallback="NN^T",
 )
 register_method(

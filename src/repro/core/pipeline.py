@@ -6,12 +6,16 @@ metrics per cell.  Both data-transposition flavours and the GA-kNN baseline
 are driven through the same :class:`RankingMethod` protocol so every table
 and figure of the evaluation is produced by this single driver.
 
-The driver is a *batched* engine: per split it builds the shared working
-set once (:class:`~repro.core.batch.SplitContext`) and, for methods that
-implement :class:`~repro.core.batch.BatchedRankingMethod` (the standard
-NNᵀ/MLPᵀ/GA-kNN line-up all does), evaluates all leave-one-out
-applications in a single vectorised pass.  Methods without a batched entry
-point fall back to the historical per-cell loop.
+Cross-validation runs on a *batched* engine.  It groups the splits by shape
+(:func:`~repro.core.batch.group_splits_by_shape`: same numbers of
+predictive and target machines) and makes one :func:`predict_split_scores`
+call per group.  Per split it builds the shared working set once
+(:class:`~repro.core.batch.SplitContext`); methods that implement
+:class:`~repro.core.batch.BatchedRankingMethod` (the standard
+NNᵀ/MLPᵀ/GA-kNN line-up all does) evaluate all leave-one-out applications
+of the group in one call — MLPᵀ trains every network of the group as one
+stacked fit.  Methods without a batched entry point fall back to the
+historical per-cell loop.  Cells come out in the callers' split order.
 
 Method resolution goes through the registry (:mod:`repro.core.engine`):
 callers may pass registered method *names* instead of instances, and this
@@ -33,7 +37,12 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.batch import TranspositionMethod, supports_batched_prediction
+from repro.core.batch import (
+    TranspositionMethod,
+    group_shape,
+    group_splits_by_shape,
+    supports_batched_prediction,
+)
 from repro.core.engine import resolve_methods
 from repro.core.ranking import MachineRanking, compare_rankings
 from repro.core.results import CellResult, MethodResults
@@ -83,26 +92,30 @@ def actual_ranking(dataset: SpecDataset, split: MachineSplit, application: str) 
 
 def predict_split_scores(
     dataset: SpecDataset,
-    split: MachineSplit,
+    split: "MachineSplit | Sequence[MachineSplit]",
     methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
     applications: Sequence[str],
-) -> dict[str, dict[str, np.ndarray]]:
-    """Predicted target-machine scores for every (method, application) of one split.
+) -> "dict[str, dict[str, np.ndarray]] | list[dict[str, dict[str, np.ndarray]]]":
+    """Predicted target-machine scores for every (method, application) of a split.
 
     This is the shared fit/predict entry point of the engine: the offline
     :func:`run_cross_validation` driver and the online
     :class:`~repro.service.PredictionService` both obtain their predictions
     here, so the two surfaces are bit-identical by construction.  Each
     application is trained leave-one-out against every other dataset
-    benchmark; batch-capable methods cover all applications in one
-    vectorised pass per split, the rest run the per-cell loop.
+    benchmark; batch-capable methods cover all applications of all given
+    splits in one call, the rest run the per-cell loop.
 
     Parameters
     ----------
     dataset:
         The study dataset.
     split:
-        The predictive/target machine division to predict for.
+        The predictive/target machine division to predict for, or a
+        same-shape group of them (equal ``n_predictive`` and ``n_target``;
+        see :func:`~repro.core.batch.group_splits_by_shape`), which MLPᵀ
+        trains as one stacked fit.  A group whose shapes differ raises
+        :class:`ValueError`.
     methods:
         Mapping from method name to :class:`RankingMethod`, or registered
         method name(s) resolved through :func:`repro.core.engine.
@@ -114,7 +127,8 @@ def predict_split_scores(
     Returns
     -------
     ``{method name: {application: scores}}`` where ``scores`` is one
-    predicted value per machine in ``split.target_ids``.
+    predicted value per machine in ``split.target_ids``; for a group, a
+    list of one such mapping per split, in order.
 
     Examples::
 
@@ -130,31 +144,40 @@ def predict_split_scores(
         >>> by_name = predict_split_scores(dataset, split, "NN^T", ["gcc"])
         >>> bool(np.array_equal(by_name["NN^T"]["gcc"], scores["NN^T"]["gcc"]))
         True
+        >>> group = family_cross_validation_splits(dataset)[1:3]  # 111 / 6 machines each
+        >>> first, second = predict_split_scores(dataset, group, "NN^T", ["gcc"])
+        >>> alone = predict_split_scores(dataset, group[1], "NN^T", ["gcc"])
+        >>> bool(np.array_equal(second["NN^T"]["gcc"], alone["NN^T"]["gcc"]))
+        True
     """
-    scores: dict[str, dict[str, np.ndarray]] = {}
+    group = [split] if isinstance(split, MachineSplit) else list(split)
+    group_shape(group)  # ValueError unless the group has exactly one shape
+    scores: list[dict[str, dict[str, np.ndarray]]] = [{} for _ in group]
     for name, method in resolve_methods(methods).items():
         if supports_batched_prediction(method):
-            batched = method.predict_all_applications(dataset, split, applications)
-            scores[name] = {app: np.asarray(batched[app]) for app in applications}
+            batched = method.predict_all_applications(dataset, group, applications)
+            for split_scores, predicted in zip(scores, batched):
+                split_scores[name] = {app: np.asarray(predicted[app]) for app in applications}
         else:
-            per_cell: dict[str, np.ndarray] = {}
-            for application in applications:
-                training = [b for b in dataset.benchmark_names if b != application]
-                per_cell[application] = np.asarray(
-                    method.predict_application_scores(dataset, split, application, training)
-                )
-            scores[name] = per_cell
-    return scores
+            for split_scores, member in zip(scores, group):
+                per_cell: dict[str, np.ndarray] = {}
+                for application in applications:
+                    training = [b for b in dataset.benchmark_names if b != application]
+                    per_cell[application] = np.asarray(
+                        method.predict_application_scores(dataset, member, application, training)
+                    )
+                split_scores[name] = per_cell
+    return scores[0] if isinstance(split, MachineSplit) else scores
 
 
-def _run_single_split(
+def _split_cells(
     dataset: SpecDataset,
     split: MachineSplit,
     methods: Mapping[str, "RankingMethod"],
     app_names: Sequence[str],
+    predicted_by_method: Mapping[str, Mapping[str, np.ndarray]],
 ) -> dict[str, list[CellResult]]:
-    """All cells of one split, with batch-capable methods run in one pass."""
-    predicted_by_method = predict_split_scores(dataset, split, methods, app_names)
+    """All cells of one split, scored from its predictions."""
     cells: dict[str, list[CellResult]] = {name: [] for name in methods}
     for application in app_names:
         reference = actual_ranking(dataset, split, application)
@@ -196,7 +219,8 @@ def run_cross_validation(
         through :func:`repro.core.engine.resolve_methods` with default
         hyper-parameters.  Methods that additionally implement
         :class:`~repro.core.batch.BatchedRankingMethod` are evaluated with
-        one batched pass per split instead of one call per cell.
+        one batched call per same-shape group of splits instead of one
+        call per cell.
     applications:
         Applications of interest; defaults to all benchmarks (the full
         leave-one-out loop).  Restricting this list is how tests and quick
@@ -204,7 +228,8 @@ def run_cross_validation(
 
     Returns
     -------
-    Mapping from method name to its collected :class:`MethodResults`.
+    Mapping from method name to its collected :class:`MethodResults`, with
+    cells in split order, then application order.
 
     Examples::
 
@@ -230,10 +255,15 @@ def run_cross_validation(
     if unknown:
         raise ValueError(f"unknown applications of interest: {sorted(unknown)}")
 
+    cells_by_split: list[dict[str, list[CellResult]]] = [{} for _ in splits]
+    for group in group_splits_by_shape(splits):
+        members = [splits[i] for i in group]
+        predicted = predict_split_scores(dataset, members, methods, app_names)
+        for i, split, split_scores in zip(group, members, predicted):
+            cells_by_split[i] = _split_cells(dataset, split, methods, app_names, split_scores)
+    # Summaries sum cells in order, so emit them in the callers' split order.
     results = {name: MethodResults(method=name) for name in methods}
-    for split in splits:
-        for name, method_cells in _run_single_split(
-            dataset, split, methods, app_names
-        ).items():
+    for split_cells in cells_by_split:
+        for name, method_cells in split_cells.items():
             results[name].extend(method_cells)
     return results

@@ -8,8 +8,9 @@ uses identical hyper-parameters and the registry stays the single source
 of truth for what the names mean.
 
 By default the line-up is the batch-capable registrations, which the
-pipeline evaluates with one vectorised pass per split (all leave-one-out
-applications at once — GA-kNN included, via the lockstep GA);
+pipeline evaluates with one batched call per same-shape split group (all
+leave-one-out applications at once — GA-kNN included, via the lockstep
+GA; MLPᵀ trains the whole group as one stacked fit);
 ``batched=False`` resolves the ``*/per-cell`` reference variants instead,
 which the engine benches and equivalence tests use as the speedup/accuracy
 baseline.

@@ -130,13 +130,18 @@ class MicroBatcher:
         requests submitted before it runs ride the same batch.  Reaching
         ``max_batch`` flushes immediately.  Admission control happens here:
         a draining batcher, a full queue, or an exhausted in-flight budget
-        sheds the request; an already-expired deadline rejects it, as
-        invalid when the query is invalid.
+        sheds the request; an already-expired deadline rejects it.  Either
+        refusal answers an invalid query as invalid.
         """
         metrics = self.service.metrics
         if self._draining:
-            raise OverloadedError("service is draining; not accepting new requests")
+            raise self._invalid(query) or OverloadedError(
+                "service is draining; not accepting new requests"
+            )
         if len(self._pending) >= self.max_queue or self._inflight >= self.max_inflight:
+            invalid = self._invalid(query)
+            if invalid is not None:
+                raise invalid
             self.requests_shed += 1
             metrics.counter("batcher.shed").inc()
             raise OverloadedError(
@@ -156,18 +161,25 @@ class MicroBatcher:
             self._flush_handle = loop.call_soon(self._flush)
         return await future
 
-    def _expired(self, query: RankingQuery, message: str) -> ServiceError:
-        """The error refusing *query*, whose deadline has run out.
+    def _invalid(self, query: RankingQuery) -> ServiceError | None:
+        """*query*'s own error when it is invalid, else ``None``.
 
-        An invalid query is refused as invalid — a client's mistake must not
-        come back as a retryable deadline error — so its split is resolved
-        first.  Only refused queries pay for this: admitted ones resolve
-        their split once, in ``rank_many``.
+        A client's mistake must not come back as a retryable refusal
+        (draining, overloaded, deadline exceeded), so a query is validated
+        before it is refused.  Only refused queries pay for this: admitted
+        ones resolve their split once, in ``rank_many``.
         """
         try:
             self.service.split_for(query)
         except ServiceError as exc:
             return exc
+        return None
+
+    def _expired(self, query: RankingQuery, message: str) -> ServiceError:
+        """The error refusing *query*, whose deadline has run out."""
+        invalid = self._invalid(query)
+        if invalid is not None:
+            return invalid
         self.deadline_rejections += 1
         self.service.metrics.counter("batcher.deadline_rejected").inc()
         return DeadlineExceededError(message)

@@ -22,6 +22,7 @@ from repro.core import (
     run_cross_validation,
     supports_batched_prediction,
 )
+from repro.core.batch import split_fingerprint
 from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.data import build_default_dataset, family_cross_validation_splits
 from repro.ml import BatchedMLPRegressor
@@ -226,6 +227,52 @@ def test_split_context_is_cached_and_consistent(dataset, splits):
         context.app_predictive_scores("gcc"),
         dataset.matrix.select_machines(split.predictive_ids).benchmark_scores("gcc"),
     )
+
+
+def test_split_context_fingerprint_is_hashed_once_and_unchanged(dataset, splits):
+    context = SplitContext(dataset, splits[0])
+    assert "fingerprint" not in vars(context)
+    assert context.fingerprint == split_fingerprint(dataset, splits[0])
+    assert vars(context)["fingerprint"] is context.fingerprint
+
+
+def test_split_context_cache_survives_concurrent_misses(dataset):
+    """The service trains cold splits on several threads at once; their
+    context lookups share one class-level cache, kept full here so every
+    miss also evicts."""
+    import sys
+    import threading
+
+    from repro.data.splits import MachineSplit
+
+    ids = dataset.machine_ids
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(300):
+                first = (offset * 300 + i) % (len(ids) - 2)
+                split = MachineSplit(
+                    name="stress", predictive_ids=(ids[first], ids[first + 1]),
+                    target_ids=(ids[first + 2],),
+                )
+                SplitContext.for_split(dataset, split)
+        except Exception as exc:  # recorded, then asserted on below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(SplitContext._cache) <= SplitContext._CACHE_LIMIT
 
 
 def test_transposition_method_validates_training_benchmarks(dataset, splits):

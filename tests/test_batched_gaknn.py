@@ -97,8 +97,8 @@ def test_batched_gaknn_bit_identical_on_one_split_all_applications(dataset, spli
         dataset, splits[0], applications, k=10, ga_config=SMALL_GA, seed=0
     )
     batched = BatchedGAKNN(k=10, ga_config=SMALL_GA, seed=0).predict_all_applications(
-        dataset, splits[0], applications
-    )
+        dataset, [splits[0]], applications
+    )[0]
     assert sorted(batched) == sorted(applications)
     for application in applications:
         np.testing.assert_array_equal(batched[application], expected[application])
@@ -114,7 +114,7 @@ def test_batched_gaknn_bit_identical_across_all_family_splits(dataset, splits):
         )
         batched = BatchedGAKNN(
             k=10, ga_config=SMALL_GA, seed=0
-        ).predict_all_applications(dataset, split, applications)
+        ).predict_all_applications(dataset, [split], applications)[0]
         for application in applications:
             np.testing.assert_array_equal(
                 batched[application], expected[application], err_msg=split.name
@@ -130,7 +130,7 @@ def test_batched_gaknn_seed_and_k_sensitivity_matches_sequential(dataset, splits
         )
         batched = BatchedGAKNN(
             k=k, ga_config=SMALL_GA, seed=seed
-        ).predict_all_applications(dataset, splits[1], applications)
+        ).predict_all_applications(dataset, [splits[1]], applications)[0]
         for application in applications:
             np.testing.assert_array_equal(batched[application], expected[application])
 
@@ -138,7 +138,7 @@ def test_batched_gaknn_seed_and_k_sensitivity_matches_sequential(dataset, splits
 def test_batched_gaknn_learned_weights_match_sequential(dataset, splits):
     applications = ["gcc", "leslie3d"]
     batched = BatchedGAKNN(k=10, ga_config=SMALL_GA, seed=0)
-    batched.predict_all_applications(dataset, splits[0], applications)
+    batched.predict_all_applications(dataset, [splits[0]], applications)
     for application in applications:
         sequential = GAKNNBaseline(k=10, ga_config=SMALL_GA, seed=0)
         training = [b for b in dataset.benchmark_names if b != application]
@@ -159,7 +159,7 @@ def test_batched_gaknn_uniform_weights_without_learning(dataset, splits):
     )
     batched = BatchedGAKNN(
         k=10, ga_config=SMALL_GA, seed=0, learn_weights=False
-    ).predict_all_applications(dataset, splits[0], applications)
+    ).predict_all_applications(dataset, [splits[0]], applications)[0]
     for application in applications:
         np.testing.assert_array_equal(batched[application], expected[application])
 
@@ -184,5 +184,5 @@ def test_batched_gaknn_is_dispatched_as_a_batched_method(dataset, splits):
 def test_batched_gaknn_rejects_unknown_applications(dataset, splits):
     method = BatchedGAKNN(k=10, ga_config=SMALL_GA, seed=0)
     with pytest.raises(ValueError, match="unknown applications"):
-        method.predict_all_applications(dataset, splits[0], ["not-a-benchmark"])
-    assert method.predict_all_applications(dataset, splits[0], []) == {}
+        method.predict_all_applications(dataset, [splits[0]], ["not-a-benchmark"])
+    assert method.predict_all_applications(dataset, [splits[0]], []) == [{}]

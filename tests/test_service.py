@@ -878,3 +878,50 @@ def test_concurrent_lookups_and_training_keep_every_count(dataset):
     assert stats.misses == len(splits)
     assert service.metrics.counter("service.cold_passes").value == len(splits)
     assert service.metrics.counter("service.requests").value == len(queries)
+
+
+def test_invalid_query_is_invalid_not_shed_on_a_full_queue(dataset):
+    """A full queue sheds valid queries only; an invalid one is a client error."""
+    from repro.service import OverloadedError
+
+    service = _nnt_service(dataset)
+    machines = tuple(dataset.machine_ids[:4])
+
+    async def run():
+        batcher = MicroBatcher(service, max_queue=1)
+        # Submitted but not yet flushed: it fills the one-slot queue.
+        pending = asyncio.ensure_future(batcher.submit(RankingQuery("gcc", machines, top_n=1)))
+        await asyncio.sleep(0)
+        with pytest.raises(ServiceError) as invalid:
+            await batcher.submit(RankingQuery("not-a-benchmark", machines))
+        with pytest.raises(OverloadedError):
+            await batcher.submit(RankingQuery("mcf", machines, top_n=1))
+        shed = batcher.requests_shed
+        reply = await pending
+        return invalid.value, shed, reply
+
+    invalid, shed, reply = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert not isinstance(invalid, OverloadedError)
+    assert invalid.code == "INVALID_REQUEST"
+    assert shed == 1
+    assert reply.application == "gcc"
+
+
+def test_invalid_query_is_invalid_not_shed_while_draining(dataset):
+    from repro.service import OverloadedError
+
+    service = _nnt_service(dataset)
+    machines = tuple(dataset.machine_ids[:4])
+
+    async def run():
+        batcher = MicroBatcher(service)
+        await batcher.drain()
+        with pytest.raises(ServiceError) as invalid:
+            await batcher.submit(RankingQuery("gcc", machines, target_machines=machines[:2]))
+        with pytest.raises(OverloadedError):
+            await batcher.submit(RankingQuery("gcc", machines, top_n=1))
+        return invalid.value
+
+    invalid = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    assert not isinstance(invalid, OverloadedError)
+    assert invalid.code == "INVALID_REQUEST"
