@@ -75,22 +75,24 @@ def test_bench_gaknn_sequential_split(benchmark, dataset, config):
     assert sorted(scores) == sorted(applications)
 
 
-def _median_of(repeats, func, *args):
-    """(median wall-clock over *repeats* runs, last result).
+def _paired_ratios(pairs, sequential, batched):
+    """Per-pair timing ratios (sequential / batched) and each side's last result.
 
-    One untimed warmup first (allocator/page-cache effects dominate the
-    first call), then the median — not best-of: a single anomalously fast
-    (cache-lucky) or slow (scheduler-preempted) run on a busy 1-core box
-    must not decide the contract in either direction.
+    The two sides run alternately, so a drift in host speed slows both
+    halves of a pair alike; the contract gates on the median of the
+    per-pair ratios, not on a ratio of medians taken seconds apart.  The
+    median also discards a first pair slowed by allocator and page-cache
+    warm-up, so no untimed warm-up run is needed.
     """
-    func(*args)
-    timings = []
-    result = None
-    for _ in range(repeats):
+    ratios = []
+    for _ in range(pairs):
         start = time.perf_counter()
-        result = func(*args)
-        timings.append(time.perf_counter() - start)
-    return float(np.median(timings)), result
+        sequential_result = sequential()
+        middle = time.perf_counter()
+        batched_result = batched()
+        end = time.perf_counter()
+        ratios.append((middle - start) / (end - middle))
+    return ratios, sequential_result, batched_result
 
 
 def test_gaknn_batched_split_meets_speedup_contract(dataset):
@@ -98,19 +100,19 @@ def test_gaknn_batched_split_meets_speedup_contract(dataset):
     split = family_cross_validation_splits(dataset)[0]
     applications = dataset.benchmark_names
 
-    sequential_elapsed, sequential = _median_of(
-        3, _sequential_split, dataset, split, applications, CONTRACT_GA
-    )
-    batched_elapsed, batched = _median_of(
-        3, _batched_split, dataset, split, applications, CONTRACT_GA
+    ratios, sequential, batched = _paired_ratios(
+        5,
+        lambda: _sequential_split(dataset, split, applications, CONTRACT_GA),
+        lambda: _batched_split(dataset, split, applications, CONTRACT_GA),
     )
 
     # Identical answers either way; only the cost differs.
     for application in applications:
         np.testing.assert_array_equal(batched[application], sequential[application])
-    speedup = sequential_elapsed / batched_elapsed
+    speedup = float(np.median(ratios))
     print(
-        f"\nGA-kNN full split: sequential {sequential_elapsed * 1e3:.0f} ms, "
-        f"batched {batched_elapsed * 1e3:.0f} ms, {speedup:.1f}x"
+        "\nGA-kNN full split: per-pair speedups "
+        + ", ".join(f"{ratio:.1f}x" for ratio in ratios)
+        + f"; median {speedup:.1f}x"
     )
     assert speedup >= MIN_BATCHED_GAKNN_SPEEDUP

@@ -316,9 +316,10 @@ class MetricsRegistry:
                 )
             return metric
 
-    def observe_trace(self, trace: "Trace") -> None:
-        """Record every completed span of *trace* into ``stage.<name>_ms``."""
-        for entry in trace.to_payload()["spans"]:
+    def observe_trace(self, payload: dict) -> None:
+        """Record every span of a serialised trace (:meth:`Trace.to_payload`)
+        into ``stage.<name>_ms``."""
+        for entry in payload["spans"]:
             self.histogram(f"stage.{entry['stage']}_ms").observe(entry["ms"])
 
     def snapshot(self) -> dict:

@@ -305,7 +305,7 @@ def _finish_reply(
         metrics.counter("server.errors").inc()
         metrics.counter(f"server.error.{payload.get('code', 'INTERNAL')}").inc()
     metrics.histogram("server.request_ms").observe((time.monotonic() - started) * 1000.0)
-    metrics.observe_trace(trace)
+    metrics.observe_trace(payload["trace"])
     return payload
 
 

@@ -16,6 +16,7 @@ seeded per (machine, benchmark) pair so the full dataset is reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -27,11 +28,23 @@ from repro.simulator.workload import WorkloadCharacteristics
 __all__ = ["spec_ratio", "MachineSimulator"]
 
 
+_REFERENCE_MODEL = IntervalModel(REFERENCE_MACHINE)
+
+
+@functools.lru_cache(maxsize=1024)
+def _reference_runtime(workload: WorkloadCharacteristics) -> float:
+    """Runtime of *workload* on the reference machine, computed once per workload.
+
+    Keyed by the whole (frozen, hashable) characteristics record, so two
+    workloads that share a name but differ in any characteristic never
+    share a cached runtime.
+    """
+    return _REFERENCE_MODEL.runtime_seconds(workload)
+
+
 def spec_ratio(machine: MicroarchConfig, workload: WorkloadCharacteristics) -> float:
     """Noise-free SPEC-style speed ratio of *machine* on *workload*."""
-    reference_runtime = IntervalModel(REFERENCE_MACHINE).runtime_seconds(workload)
-    machine_runtime = IntervalModel(machine).runtime_seconds(workload)
-    return reference_runtime / machine_runtime
+    return _reference_runtime(workload) / IntervalModel(machine).runtime_seconds(workload)
 
 
 class MachineSimulator:
@@ -57,14 +70,6 @@ class MachineSimulator:
         self.noise_sigma = float(noise_sigma)
         self.seed = int(seed)
         self._model = IntervalModel(machine)
-        self._reference_cache: dict[str, float] = {}
-
-    def _reference_runtime(self, workload: WorkloadCharacteristics) -> float:
-        if workload.name not in self._reference_cache:
-            self._reference_cache[workload.name] = IntervalModel(
-                REFERENCE_MACHINE
-            ).runtime_seconds(workload)
-        return self._reference_cache[workload.name]
 
     def _noise_factor(self, workload: WorkloadCharacteristics) -> float:
         if self.noise_sigma == 0.0:
@@ -77,7 +82,7 @@ class MachineSimulator:
 
     def score(self, workload: WorkloadCharacteristics) -> float:
         """SPEC-style speed ratio including measurement noise."""
-        clean = self._reference_runtime(workload) / self._model.runtime_seconds(workload)
+        clean = _reference_runtime(workload) / self._model.runtime_seconds(workload)
         return clean * self._noise_factor(workload)
 
     def score_suite(self, workloads: list[WorkloadCharacteristics]) -> np.ndarray:

@@ -12,11 +12,21 @@ single-network regressor — per-sample SGD loop, ``MinMaxScaler`` round trip
 and all — kept verbatim as a test-only oracle for the N=1 case of
 :class:`~repro.ml.batched_mlp.BatchedMLPRegressor`, which every per-cell
 MLPᵀ fit (Figure 8, the applications, the examples) now runs.
+
+The last block forces ``mlp_sgd``'s fork-join split (a patched core count
+and ``MIN_PART``) and checks it against the oracle and the in-process loop
+byte for byte, and that every child is reaped on every exit path.
 """
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import backends
 from repro.core.backends import NumpyBackend
 from repro.ml import BatchedMLPRegressor, MinMaxScaler
 from repro.ml.batched_mlp import GRADIENT_CLIP, _sigmoid
@@ -331,3 +341,133 @@ def test_single_network_matches_oracle_with_unbounded_clip():
         features, targets, queries, epochs=100, normalize=False, learning_rate=0.001,
         gradient_clip=1e9, seed=5,
     )
+
+
+# ------------------------------------------------------- forked fork-join path
+@pytest.fixture
+def forked(monkeypatch):
+    """Force ``mlp_sgd`` to split: two usable CPUs, ``MIN_PART`` = 1.
+
+    Returns a setter for the usable core count and the list of child pids
+    that ``os.fork`` (the real one, spied on) made.
+    """
+    assert threading.active_count() == 1, "a stray thread would disable the fork path"
+    pids = []
+    real_fork = os.fork
+
+    def spy_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(backends, "MIN_PART", 1)
+    monkeypatch.setattr(os, "fork", spy_fork)
+
+    def set_cores(cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+    set_cores(2)
+    return set_cores, pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def unsplit_mlp_sgd(x_samples, y_samples, weights, shuffle_orders, *hyper):
+    return backends._sgd_loop(x_samples, y_samples, *[np.array(w) for w in weights],
+                              shuffle_orders, *hyper)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("n_networks", [2, 3, 7, 120])
+def test_forked_split_is_bit_identical(forked, n_networks, cores):
+    set_cores, pids = forked
+    set_cores(cores)
+    x_samples, y_samples, weights, orders = make_inputs(
+        n_networks, 9, 6, 4, epochs=6, seed=30 + n_networks
+    )
+    hyper = (0.3, 0.2, GRADIENT_CLIP)
+    assert backends._fork_parts(n_networks) == min(cores, n_networks)
+    expected, got = run_both(x_samples, y_samples, weights, orders, *hyper)
+    assert len(pids) == min(cores, n_networks) - 1
+    assert_bit_identical(expected, got)
+    assert_bit_identical(unsplit_mlp_sgd(x_samples, y_samples, weights, orders, *hyper), got)
+    assert_reaped(pids)
+
+
+def test_table2_shapes_fork_only_the_large_groups(monkeypatch):
+    # Table 2's groups stack 10, 20 or 120 networks: the 10-network ones
+    # stay in process, the others split across two cores.
+    assert threading.active_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [backends._fork_parts(n) for n in (1, 10, 20, 120)] == [1, 1, 2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert backends._fork_parts(120) == 1
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert backends._fork_parts(120) == 1
+
+
+@pytest.mark.parametrize("failure, status", [("exit", 3), ("raise", 1)])
+def test_failed_child_raises_with_its_exit_status(forked, monkeypatch, failure, status):
+    _, pids = forked
+    parent = os.getpid()
+    real_loop = backends._sgd_loop
+
+    def loop(*args):
+        if os.getpid() != parent:
+            if failure == "exit":
+                os._exit(3)
+            raise ValueError("child failure")
+        return real_loop(*args)
+
+    monkeypatch.setattr(backends, "_sgd_loop", loop)
+    x_samples, y_samples, weights, orders = make_inputs(4, 5, 3, 2, epochs=2, seed=40)
+    with pytest.raises(RuntimeError, match=f"exited with status {status}$"):
+        NumpyBackend().mlp_sgd(x_samples, y_samples, *weights, orders, 0.3, 0.2, 2.0)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_parent_failure_kills_and_reaps_every_child(forked, monkeypatch):
+    set_cores, pids = forked
+    set_cores(3)
+    parent = os.getpid()
+
+    def loop(*args):
+        if os.getpid() != parent:
+            time.sleep(60)      # a child still training when the parent fails
+            os._exit(0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(backends, "_sgd_loop", loop)
+    x_samples, y_samples, weights, orders = make_inputs(6, 5, 3, 2, epochs=2, seed=41)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        NumpyBackend().mlp_sgd(x_samples, y_samples, *weights, orders, 0.3, 0.2, 2.0)
+    assert time.monotonic() - started < 30
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_second_thread_keeps_the_fit_in_process(forked, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called while another thread is alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    bystander = threading.Thread(target=release.wait)
+    bystander.start()
+    try:
+        assert backends._fork_parts(120) == 1
+        x_samples, y_samples, weights, orders = make_inputs(8, 7, 4, 3, epochs=5, seed=42)
+        expected, got = run_both(x_samples, y_samples, weights, orders)
+    finally:
+        release.set()
+        bystander.join(timeout=10)
+    assert not bystander.is_alive()
+    assert_bit_identical(expected, got)

@@ -142,7 +142,7 @@ def test_registry_observe_trace_records_stage_histograms():
         pass
     with trace.span("engine"):
         pass
-    registry.observe_trace(trace)
+    registry.observe_trace(trace.to_payload())
     snap = registry.snapshot()["histograms"]
     assert snap["stage.admission_ms"]["max"] == pytest.approx(2.0)
     assert snap["stage.engine_ms"]["max"] == pytest.approx(3.0)

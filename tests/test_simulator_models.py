@@ -271,6 +271,31 @@ def test_machine_simulator_score_suite_order():
     assert scores[0] == pytest.approx(simulator.score(workloads[0]))
 
 
+def test_machine_simulator_reference_runtime_is_keyed_by_characteristics():
+    # Two workloads that share a name but not their characteristics must
+    # each be scored against their own reference runtime.
+    machine = _machine()
+    small = _workload(name="renamed", working_set_mb=0.5)
+    large = dataclasses.replace(small, working_set_mb=400.0)
+    simulator = MachineSimulator(machine, noise_sigma=0.0)
+    assert simulator.score(small) == spec_ratio(machine, small)
+    assert simulator.score(large) == spec_ratio(machine, large)
+    assert simulator.score(large) != simulator.score(small)
+
+
+def test_reference_runtime_is_computed_once_per_workload():
+    from repro.simulator import spec_score
+
+    workload = _workload(name="counted", working_set_mb=3.25)
+    before = spec_score._reference_runtime.cache_info()
+    for seed in range(3):
+        MachineSimulator(_machine(), noise_sigma=0.0, seed=seed).score(workload)
+    spec_ratio(_machine(frequency_ghz=3.0), workload)
+    after = spec_score._reference_runtime.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 3
+
+
 def test_machine_simulator_rejects_negative_noise():
     with pytest.raises(ValueError):
         MachineSimulator(_machine(), noise_sigma=-0.1)
