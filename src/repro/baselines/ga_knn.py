@@ -249,7 +249,9 @@ class BatchedGAKNN(GAKNNBaseline):
     After a batched call, :attr:`learned_weights_by_application_` maps each
     application of the call's last split to its learned weight vector
     (:attr:`learned_weights_` keeps the last cell's weights for drop-in
-    compatibility).
+    compatibility).  :func:`~repro.core.pipeline.run_cross_validation` may
+    run a job in a forked worker process; such a job does not update these
+    attributes on the caller's instance.
     """
 
     def __init__(self, *args, **kwargs) -> None:

@@ -11,23 +11,10 @@ still goes through the original per-tensor loop's operation sequence, so
 results are bit-identical to it (``tests/test_mlp_sgd_oracle.py`` pins
 this byte for byte).
 
-The networks of a stack are independent, so ``mlp_sgd`` fork-joins a large
-stack across the host's cores: it splits the network axis into contiguous
-parts, forks one child per extra part and trains part 0 itself.  A child
-reads the inputs copy-on-write (nothing is pickled), runs the same loop on
-its slice, writes the trained weights into an anonymous shared mapping and
-leaves through ``os._exit``; the parent reaps every child on every exit
-path and concatenates the parts.  Each network's element operations and
-BLAS calls are the loop's own, so the result is byte-identical to one
-process.  It forks only on Linux, only while the caller is the process's one Python
-thread (the service, whose event loop and executor are threads, never
-forks), and only when each of ``min(usable cores, N // MIN_PART)`` parts
-gets at least :data:`MIN_PART` networks (Table 2's 10-network groups stay
-in process; a single fit never forks).  Threads cannot share this loop:
-each step is ~23 small ufunc calls that hand the GIL back and forth, and
-two threads measured no faster than one.  A spawned process pool pickles
-its inputs, needs a ``__main__`` guard in every calling script and raised
-the parent's resident memory; a fork needs neither.
+Every kernel runs in the calling process.  Cross-validation spreads its
+work across cores one level up, one (shape group, method) job per worker
+process (:func:`~repro.core.pipeline.run_cross_validation`), so a kernel
+call never forks.
 
 Callers reach a kernel through an instance's attribute lookup
 (``NumpyBackend().mlp_sgd(...)``), so wrapping the class attribute — as a
@@ -45,25 +32,9 @@ Examples::
 
 from __future__ import annotations
 
-import mmap
-import os
-import signal
-import sys
-import threading
-import traceback
-from typing import Callable
-
 import numpy as np
 
 __all__ = ["NumpyBackend"]
-
-#: Fewest networks a forked part of :meth:`NumpyBackend.mlp_sgd` trains.
-#: Each SGD step costs a fixed 23 small ufunc calls plus a per-network
-#: share, and every part pays the fixed cost again.  In a two-core sweep
-#: at Table 2 shapes (108 samples, 28 features, 14 hidden, 150 epochs) a
-#: 2-way split of N <= 10 networks was no faster than one process and
-#: N >= 12 was 10-17% faster, so a part needs at least 6.
-MIN_PART = 6
 
 
 class NumpyBackend:
@@ -94,16 +65,80 @@ class NumpyBackend:
         training data, ``y_samples`` is ``(samples, networks)``;
         ``shuffle_orders`` is ``(epochs, samples)`` — one precomputed
         visiting order per epoch (the RNG draws stay in the caller).  The
-        initial weight tensors are not modified.  A large enough stack is
-        trained in forked parts (see the module docstring); the result is
-        the same either way, byte for byte.
+        initial weight tensors are not modified.
         """
+        n_networks, _, n_hidden = w_hidden.shape
+
+        # Packed state: parameters, velocities and gradients each live in one
+        # flat buffer laid out [w_hidden | b_hidden | w_output | b_output],
+        # so the momentum/scale/velocity/weight updates of all four tensors
+        # are four whole-buffer calls.  Every block is a C-contiguous view
+        # and every element still sees the same IEEE operation sequence as
+        # the original per-tensor loop, so results are bit-identical.
         weights = (w_hidden, b_hidden, w_output, b_output)
-        hyper = (shuffle_orders, learning_rate, momentum, gradient_clip)
-        parts = _fork_parts(w_hidden.shape[0])
-        if parts == 1:
-            return _sgd_loop(x_samples, y_samples, *weights, *hyper)
-        return _fork_join(parts, x_samples, y_samples, weights, hyper)
+        cuts = np.cumsum([w.size for w in weights[:-1]])
+
+        def unpack(buf: np.ndarray) -> list[np.ndarray]:
+            return [part.reshape(w.shape) for part, w in zip(np.split(buf, cuts), weights)]
+
+        params = np.concatenate([w.ravel() for w in weights])
+        vel = np.zeros_like(params)
+        grad = np.empty_like(params)
+        p_w_hidden, p_b_hidden, p_w_output, p_b_output = unpack(params)
+        # Scalar operands as 0-d arrays of the state's dtype: the same
+        # values, but cheaper for a ufunc to take than Python floats.
+        lr, mom, lo_clip, hi_clip, one, lo_act, hi_act = (
+            np.array(value, dtype=params.dtype)
+            for value in (learning_rate, momentum, -gradient_clip, gradient_clip,
+                          1.0, -60.0, 60.0)
+        )
+        # The error vector is the b_output gradient slot; delta_hidden is
+        # the b_hidden slot.
+        grad_w_hidden, delta_hidden, grad_w_output, error = unpack(grad)
+
+        hidden_act = np.empty((n_networks, n_hidden))
+        one_minus_act = np.empty_like(hidden_act)
+        output = np.empty((n_networks, 1, 1))
+
+        # Every per-step view is built once, before the loop.
+        hidden_act_row = hidden_act[:, None, :]
+        output_flat = output[:, 0, 0]
+        error_col = error[:, None]
+        delta_row = delta_hidden[:, None, :]
+        w_output_col = p_w_output[:, :, None]
+        x_rows = list(x_samples[:, :, None, :])                     # (N, 1, F)
+        x_cols = list(x_samples[:, :, :, None])                     # (N, F, 1)
+        y_rows = list(y_samples)                                    # (N,)
+
+        for idx in shuffle_orders.ravel().tolist():
+            np.matmul(x_rows[idx], p_w_hidden, out=hidden_act_row)
+            np.add(hidden_act, p_b_hidden, out=hidden_act)
+            np.maximum(hidden_act, lo_act, out=hidden_act)
+            np.minimum(hidden_act, hi_act, out=hidden_act)
+            np.negative(hidden_act, out=hidden_act)
+            np.exp(hidden_act, out=hidden_act)
+            hidden_act += one
+            np.reciprocal(hidden_act, out=hidden_act)
+
+            np.matmul(hidden_act_row, w_output_col, out=output)
+            np.add(output_flat, p_b_output, out=error)
+            error -= y_rows[idx]
+            np.maximum(error, lo_clip, out=error)
+            np.minimum(error, hi_clip, out=error)
+
+            np.multiply(error_col, hidden_act, out=grad_w_output)
+            np.multiply(error_col, p_w_output, out=delta_hidden)
+            delta_hidden *= hidden_act
+            np.subtract(one, hidden_act, out=one_minus_act)
+            delta_hidden *= one_minus_act
+            np.multiply(x_cols[idx], delta_row, out=grad_w_hidden)
+
+            vel *= mom
+            grad *= lr
+            vel -= grad
+            params += vel
+
+        return p_w_hidden, p_b_hidden, p_w_output, p_b_output
 
     def nnt_downdated_statistics(
         self,
@@ -143,178 +178,3 @@ class NumpyBackend:
         loo_mean_x = (n_benchmarks * mean_x[None, :] - pred[rows]) / (n_benchmarks - 1)
         loo_mean_y = (n_benchmarks * mean_y[None, :] - target[rows]) / (n_benchmarks - 1)
         return sxx, syy, sxy, loo_mean_x, loo_mean_y
-
-
-def _fork_parts(n_networks: int) -> int:
-    """How many processes should train an *n_networks* stack (1: no fork).
-
-    Forking is safe only while this is the process's one Python thread: a
-    child forked beside another thread may inherit a lock that thread
-    held.  The service (event loop plus executor) and threaded callers
-    therefore always train in process.
-    """
-    if (n_networks < 2 * MIN_PART or not sys.platform.startswith("linux")
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_networks // MIN_PART)
-
-
-def _fork_join(
-    parts: int,
-    x_samples: np.ndarray,
-    y_samples: np.ndarray,
-    weights: tuple[np.ndarray, ...],
-    hyper: tuple,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Train contiguous network slices in *parts* processes and join them.
-
-    Part 0 trains here; each other part trains in a forked child that
-    reads the inputs copy-on-write and writes its trained weights, packed,
-    into an anonymous shared mapping.  Every child is reaped before this
-    returns or raises; a child that fails is an error, never a fallback.
-    """
-    n_networks = weights[0].shape[0]
-    bounds = [n_networks * part // parts for part in range(parts + 1)]
-    per_network = sum(w[:1].size for w in weights)
-    dtype = np.result_type(*weights)
-
-    def part_args(lo: int, hi: int) -> tuple:
-        return (x_samples[:, lo:hi], y_samples[:, lo:hi],
-                *(w[lo:hi] for w in weights), *hyper)
-
-    spans = list(zip(bounds[1:-1], bounds[2:]))
-    buffers = [mmap.mmap(-1, (hi - lo) * per_network * dtype.itemsize) for lo, hi in spans]
-    children: list[int] = []
-    try:
-        for (lo, hi), buffer in zip(spans, buffers):
-            pid = os.fork()
-            if pid == 0:
-                _train_child(buffer, part_args, lo, hi)
-            children.append(pid)
-        trained = [_sgd_loop(*part_args(0, bounds[1]))]
-        while children:
-            _, status = os.waitpid(children[0], 0)
-            pid = children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                raise RuntimeError(f"mlp_sgd child {pid} exited with status {code}")
-        for (lo, hi), buffer in zip(spans, buffers):
-            packed = np.frombuffer(buffer[:], dtype=dtype)
-            cuts = np.cumsum([w[lo:hi].size for w in weights[:-1]])
-            trained.append([part.reshape(w[lo:hi].shape)
-                            for part, w in zip(np.split(packed, cuts), weights)])
-        return tuple(np.concatenate(tensors) for tensors in zip(*trained))
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for buffer in buffers:
-            buffer.close()
-
-
-def _train_child(buffer: mmap.mmap, part_args: Callable[[int, int], tuple],
-                 lo: int, hi: int) -> None:
-    """Body of a forked child: train networks ``lo:hi`` into *buffer*, exit.
-
-    ``os._exit`` skips the parent's ``atexit`` handlers and buffered
-    output, so the child leaves nothing behind but its exit status.
-    """
-    # No re-raise: the child must never unwind into the caller's frames, so
-    # it reports every failure, an interrupt included, by its exit status.
-    status = 1
-    try:
-        trained = _sgd_loop(*part_args(lo, hi))
-        np.frombuffer(buffer, dtype=trained[0].dtype)[:] = np.concatenate(
-            [w.ravel() for w in trained])
-        status = 0
-    except BaseException:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _sgd_loop(
-    x_samples: np.ndarray,
-    y_samples: np.ndarray,
-    w_hidden: np.ndarray,
-    b_hidden: np.ndarray,
-    w_output: np.ndarray,
-    b_output: np.ndarray,
-    shuffle_orders: np.ndarray,
-    learning_rate: float,
-    momentum: float,
-    gradient_clip: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The SGD loop of :meth:`NumpyBackend.mlp_sgd`, in process."""
-    n_networks, _, n_hidden = w_hidden.shape
-
-    # Packed state: parameters, velocities and gradients each live in one
-    # flat buffer laid out [w_hidden | b_hidden | w_output | b_output],
-    # so the momentum/scale/velocity/weight updates of all four tensors
-    # are four whole-buffer calls.  Every block is a C-contiguous view
-    # and every element still sees the same IEEE operation sequence as
-    # the original per-tensor loop, so results are bit-identical.
-    weights = (w_hidden, b_hidden, w_output, b_output)
-    cuts = np.cumsum([w.size for w in weights[:-1]])
-
-    def unpack(buf: np.ndarray) -> list[np.ndarray]:
-        return [part.reshape(w.shape) for part, w in zip(np.split(buf, cuts), weights)]
-
-    params = np.concatenate([w.ravel() for w in weights])
-    vel = np.zeros_like(params)
-    grad = np.empty_like(params)
-    p_w_hidden, p_b_hidden, p_w_output, p_b_output = unpack(params)
-    # Scalar operands as 0-d arrays of the state's dtype: the same
-    # values, but cheaper for a ufunc to take than Python floats.
-    lr, mom, lo_clip, hi_clip, one, lo_act, hi_act = (
-        np.array(value, dtype=params.dtype)
-        for value in (learning_rate, momentum, -gradient_clip, gradient_clip,
-                      1.0, -60.0, 60.0)
-    )
-    # The error vector is the b_output gradient slot; delta_hidden is
-    # the b_hidden slot.
-    grad_w_hidden, delta_hidden, grad_w_output, error = unpack(grad)
-
-    hidden_act = np.empty((n_networks, n_hidden))
-    one_minus_act = np.empty_like(hidden_act)
-    output = np.empty((n_networks, 1, 1))
-
-    # Every per-step view is built once, before the loop.
-    hidden_act_row = hidden_act[:, None, :]
-    output_flat = output[:, 0, 0]
-    error_col = error[:, None]
-    delta_row = delta_hidden[:, None, :]
-    w_output_col = p_w_output[:, :, None]
-    x_rows = list(x_samples[:, :, None, :])                     # (N, 1, F)
-    x_cols = list(x_samples[:, :, :, None])                     # (N, F, 1)
-    y_rows = list(y_samples)                                    # (N,)
-
-    for idx in shuffle_orders.ravel().tolist():
-        np.matmul(x_rows[idx], p_w_hidden, out=hidden_act_row)
-        np.add(hidden_act, p_b_hidden, out=hidden_act)
-        np.maximum(hidden_act, lo_act, out=hidden_act)
-        np.minimum(hidden_act, hi_act, out=hidden_act)
-        np.negative(hidden_act, out=hidden_act)
-        np.exp(hidden_act, out=hidden_act)
-        hidden_act += one
-        np.reciprocal(hidden_act, out=hidden_act)
-
-        np.matmul(hidden_act_row, w_output_col, out=output)
-        np.add(output_flat, p_b_output, out=error)
-        error -= y_rows[idx]
-        np.maximum(error, lo_clip, out=error)
-        np.minimum(error, hi_clip, out=error)
-
-        np.multiply(error_col, hidden_act, out=grad_w_output)
-        np.multiply(error_col, p_w_output, out=delta_hidden)
-        delta_hidden *= hidden_act
-        np.subtract(one, hidden_act, out=one_minus_act)
-        delta_hidden *= one_minus_act
-        np.multiply(x_cols[idx], delta_row, out=grad_w_hidden)
-
-        vel *= mom
-        grad *= lr
-        vel -= grad
-        params += vel
-
-    return p_w_hidden, p_b_hidden, p_w_output, p_b_output

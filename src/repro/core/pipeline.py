@@ -15,7 +15,16 @@ call per group.  Per split it builds the shared working set once
 NNᵀ/MLPᵀ/GA-kNN line-up all does) evaluate all leave-one-out applications
 of the group in one call — MLPᵀ trains every network of the group as one
 stacked fit.  Methods without a batched entry point fall back to the
-historical per-cell loop.  Cells come out in the callers' split order.
+historical per-cell loop.
+
+Each (shape group, method) pair is one job, and the jobs run on a
+fork-join pool (:func:`~repro.core.pool.run_jobs`) across the host's
+usable cores, longest first: forked workers take jobs from the front of
+the queue, the calling process from the back.  The pool runs in process
+on a single core, off Linux, or while another Python thread is alive (so
+the service never forks).  The caller scores the cells after the join,
+in the callers' split order, so the results are byte-identical however
+many processes ran the jobs.
 
 Method resolution goes through the registry (:mod:`repro.core.engine`):
 callers may pass registered method *names* instead of instances, and this
@@ -33,6 +42,7 @@ tables.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -44,6 +54,7 @@ from repro.core.batch import (
     supports_batched_prediction,
 )
 from repro.core.engine import resolve_methods
+from repro.core.pool import run_jobs
 from repro.core.ranking import MachineRanking, compare_rankings
 from repro.core.results import CellResult, MethodResults
 from repro.data.spec_dataset import SpecDataset
@@ -220,7 +231,11 @@ def run_cross_validation(
         hyper-parameters.  Methods that additionally implement
         :class:`~repro.core.batch.BatchedRankingMethod` are evaluated with
         one batched call per same-shape group of splits instead of one
-        call per cell.
+        call per cell.  Each (group, method) job may run in a forked
+        worker process, so attributes a method sets on itself while
+        predicting (such as :class:`~repro.baselines.ga_knn.BatchedGAKNN`'s
+        ``learned_weights_by_application_``) are not updated by jobs that
+        ran in a worker.
     applications:
         Applications of interest; defaults to all benchmarks (the full
         leave-one-out loop).  Restricting this list is how tests and quick
@@ -255,15 +270,26 @@ def run_cross_validation(
     if unknown:
         raise ValueError(f"unknown applications of interest: {sorted(unknown)}")
 
-    cells_by_split: list[dict[str, list[CellResult]]] = [{} for _ in splits]
-    for group in group_splits_by_shape(splits):
-        members = [splits[i] for i in group]
-        predicted = predict_split_scores(dataset, members, methods, app_names)
-        for i, split, split_scores in zip(group, members, predicted):
-            cells_by_split[i] = _split_cells(dataset, split, methods, app_names, split_scores)
-    # Summaries sum cells in order, so emit them in the callers' split order.
+    # One job per (shape group, method), longest first.  Every group has
+    # the same applications, so its split count orders its leave-one-out
+    # fits; the sort is stable, so ties keep group order and a group's
+    # methods keep line-up order.
+    groups = sorted(group_splits_by_shape(splits), key=len, reverse=True)
+    jobs = [(group, name) for group in groups for name in methods]
+    predicted = run_jobs([
+        functools.partial(predict_split_scores, dataset, [splits[i] for i in group],
+                          {name: methods[name]}, app_names)
+        for group, name in jobs
+    ])
+    scores_by_split: list[dict[str, Mapping[str, np.ndarray]]] = [{} for _ in splits]
+    for (group, name), group_scores in zip(jobs, predicted):
+        for i, split_scores in zip(group, group_scores):
+            scores_by_split[i][name] = split_scores[name]
+    # Summaries sum cells in order, so score them in the callers' split order.
     results = {name: MethodResults(method=name) for name in methods}
-    for split_cells in cells_by_split:
-        for name, method_cells in split_cells.items():
+    for split, split_scores in zip(splits, scores_by_split):
+        for name, method_cells in _split_cells(
+            dataset, split, methods, app_names, split_scores
+        ).items():
             results[name].extend(method_cells)
     return results

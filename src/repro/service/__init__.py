@@ -67,7 +67,6 @@ from repro.service.errors import (
     BackendFailureError,
     DeadlineExceededError,
     OverloadedError,
-    PayloadTooLargeError,
 )
 from repro.service.faults import (
     FAULTS_ENV_VAR,
@@ -107,7 +106,6 @@ __all__ = [
     "MetricsRegistry",
     "MicroBatcher",
     "OverloadedError",
-    "PayloadTooLargeError",
     "PeriodicSnapshot",
     "PredictionService",
     "RETRYABLE_CODES",

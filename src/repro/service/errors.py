@@ -18,8 +18,9 @@ retrying can never double-apply anything).
 | ``BACKEND_FAILURE`` | the engine failed even on the degraded path | yes, with backoff |
 | ``INTERNAL`` | unexpected server-side error | no |
 
-Exception classes mirror the codes: raising one anywhere in the stack
-makes every front end answer ``{"ok": false, "code": ..., "error": ...}``
+Exception classes mirror the codes raised inside the stack (the front
+ends emit ``INVALID_JSON``, ``PAYLOAD_TOO_LARGE`` and ``INTERNAL``
+themselves): raising one anywhere in the stack makes every front end answer ``{"ok": false, "code": ..., "error": ...}``
 (see ``repro.service.server``).  ``tools/check_docs.py`` keeps the table
 in ``docs/api.md`` honest.
 
@@ -42,7 +43,6 @@ __all__ = [
     "DeadlineExceededError",
     "ERROR_CODES",
     "OverloadedError",
-    "PayloadTooLargeError",
     "RETRYABLE_CODES",
     "ServiceError",
 ]
@@ -71,12 +71,6 @@ class OverloadedError(ServiceError):
     """Admission control shed the request (queue or in-flight budget full)."""
 
     code = "OVERLOADED"
-
-
-class PayloadTooLargeError(ServiceError):
-    """A request line exceeded the configured line-length bound."""
-
-    code = "PAYLOAD_TOO_LARGE"
 
 
 class BackendFailureError(ServiceError):

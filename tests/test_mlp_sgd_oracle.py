@@ -13,11 +13,14 @@ and all — kept verbatim as a test-only oracle for the N=1 case of
 :class:`~repro.ml.batched_mlp.BatchedMLPRegressor`, which every per-cell
 MLPᵀ fit (Figure 8, the applications, the examples) now runs.
 
-The last block forces ``mlp_sgd``'s fork-join split (a patched core count
-and ``MIN_PART``) and checks it against the oracle and the in-process loop
-byte for byte, and that every child is reaped on every exit path.
+The last block tests the fork-join job pool that ``run_cross_validation``
+runs its (shape group, method) jobs on: with a patched core count, its
+results are byte-identical to one process, a job's exception keeps its
+type, and every child is reaped on every exit path.
 """
 
+import functools
+import mmap
 import os
 import sys
 import threading
@@ -26,10 +29,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import backends
+from repro.core import (
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
+    pool,
+    run_cross_validation,
+)
 from repro.core.backends import NumpyBackend
+from repro.data import build_default_dataset, family_cross_validation_splits
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.methods import MLPT, standard_methods
 from repro.ml import BatchedMLPRegressor, MinMaxScaler
 from repro.ml.batched_mlp import GRADIENT_CLIP, _sigmoid
+
+SMOKE = ExperimentConfig.smoke()
 
 
 def reference_mlp_sgd(
@@ -343,15 +356,18 @@ def test_single_network_matches_oracle_with_unbounded_clip():
     )
 
 
-# ------------------------------------------------------- forked fork-join path
+# ------------------------------------------------------------- job pool
+# ``run_cross_validation`` runs one job per (shape group, method) on the
+# fork-join pool of ``repro.core.pool``; these tests force its forked side
+# with a patched core count.
 @pytest.fixture
-def forked(monkeypatch):
-    """Force ``mlp_sgd`` to split: two usable CPUs, ``MIN_PART`` = 1.
+def forks(monkeypatch):
+    """Spy on ``os.fork`` (the real one) and set the usable core count.
 
-    Returns a setter for the usable core count and the list of child pids
-    that ``os.fork`` (the real one, spied on) made.
+    Returns a setter for the core count (two until set) and the list of
+    child pids the pool forked.
     """
-    assert threading.active_count() == 1, "a stray thread would disable the fork path"
+    assert threading.active_count() == 1, "a stray thread would keep the pool in process"
     pids = []
     real_fork = os.fork
 
@@ -361,7 +377,6 @@ def forked(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(backends, "MIN_PART", 1)
     monkeypatch.setattr(os, "fork", spy_fork)
 
     def set_cores(cores):
@@ -377,84 +392,169 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def unsplit_mlp_sgd(x_samples, y_samples, weights, shuffle_orders, *hyper):
-    return backends._sgd_loop(x_samples, y_samples, *[np.array(w) for w in weights],
-                              shuffle_orders, *hyper)
+@pytest.fixture(scope="module")
+def dataset():
+    return build_default_dataset()
+
+
+@pytest.fixture(scope="module")
+def splits(dataset):
+    return family_cross_validation_splits(dataset)
+
+
+def cells_bytes(results):
+    """Every cell of every method, keys and metric bytes, in result order."""
+    return {
+        name: (
+            [(c.split_name, c.application) for c in method_results.cells],
+            np.array([[c.rank_correlation, c.top1_error_percent, c.mean_error_percent]
+                      for c in method_results.cells]).tobytes(),
+        )
+        for name, method_results in results.items()
+    }
 
 
 @pytest.mark.parametrize("cores", [2, 3])
 @pytest.mark.parametrize("n_networks", [2, 3, 7, 120])
-def test_forked_split_is_bit_identical(forked, n_networks, cores):
-    set_cores, pids = forked
+def test_forked_split_is_bit_identical(forks, n_networks, cores):
+    # A stack cut into one pool job per network trains to the oracle's bytes.
+    set_cores, pids = forks
     set_cores(cores)
     x_samples, y_samples, weights, orders = make_inputs(
         n_networks, 9, 6, 4, epochs=6, seed=30 + n_networks
     )
     hyper = (0.3, 0.2, GRADIENT_CLIP)
-    assert backends._fork_parts(n_networks) == min(cores, n_networks)
-    expected, got = run_both(x_samples, y_samples, weights, orders, *hyper)
+    expected = reference_mlp_sgd(
+        x_samples, y_samples, *[np.array(w) for w in weights], orders, *hyper
+    )
+    jobs = [
+        functools.partial(NumpyBackend().mlp_sgd, x_samples[:, n:n + 1], y_samples[:, n:n + 1],
+                          *(w[n:n + 1] for w in weights), orders, *hyper)
+        for n in range(n_networks)
+    ]
+    assert pool.pool_workers(n_networks) == min(cores, n_networks)
+    got = [np.concatenate(tensors) for tensors in zip(*pool.run_jobs(jobs))]
     assert len(pids) == min(cores, n_networks) - 1
     assert_bit_identical(expected, got)
-    assert_bit_identical(unsplit_mlp_sgd(x_samples, y_samples, weights, orders, *hyper), got)
     assert_reaped(pids)
 
 
-def test_table2_shapes_fork_only_the_large_groups(monkeypatch):
-    # Table 2's groups stack 10, 20 or 120 networks: the 10-network ones
-    # stay in process, the others split across two cores.
+def test_pool_worker_count_follows_cores_platform_and_threads(monkeypatch):
     assert threading.active_count() == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert [backends._fork_parts(n) for n in (1, 10, 20, 120)] == [1, 1, 2, 2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [pool.pool_workers(n) for n in (0, 1, 2, 15)] == [1, 1, 2, 3]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert backends._fork_parts(120) == 1
+    assert pool.pool_workers(15) == 1
     monkeypatch.setattr(sys, "platform", "darwin")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert backends._fork_parts(120) == 1
+    assert pool.pool_workers(15) == 1
 
 
-@pytest.mark.parametrize("failure, status", [("exit", 3), ("raise", 1)])
-def test_failed_child_raises_with_its_exit_status(forked, monkeypatch, failure, status):
-    _, pids = forked
-    parent = os.getpid()
-    real_loop = backends._sgd_loop
+def test_cross_validation_cells_are_identical_at_any_core_count(forks, dataset, splits):
+    set_cores, pids = forks
+    subset = splits[:5]                  # shape groups of 1, 2 and 2 splits
+    methods = standard_methods(SMOKE)
+    by_cores = {}
+    for cores in (1, 2, 3):
+        set_cores(cores)
+        before = len(pids)
+        by_cores[cores] = cells_bytes(
+            run_cross_validation(dataset, subset, methods, SMOKE.applications)
+        )
+        # 3 groups x 3 methods = 9 jobs; the caller is one of the workers.
+        assert len(pids) - before == cores - 1
+    assert by_cores[2] == by_cores[1]
+    assert by_cores[3] == by_cores[1]
+    assert_reaped(pids)
 
-    def loop(*args):
-        if os.getpid() != parent:
-            if failure == "exit":
-                os._exit(3)
-            raise ValueError("child failure")
-        return real_loop(*args)
 
-    monkeypatch.setattr(backends, "_sgd_loop", loop)
-    x_samples, y_samples, weights, orders = make_inputs(4, 5, 3, 2, epochs=2, seed=40)
-    with pytest.raises(RuntimeError, match=f"exited with status {status}$"):
-        NumpyBackend().mlp_sgd(x_samples, y_samples, *weights, orders, 0.3, 0.2, 2.0)
+def test_first_job_runs_in_a_child_and_the_last_in_the_parent(forks):
+    set_cores, pids = forks
+    set_cores(3)
+    ran_in = pool.run_jobs([os.getpid] * 6)
+    assert ran_in[-1] == os.getpid()
+    # Children 1 and 2 start on jobs 0 and 1, whatever the timing.
+    assert ran_in[:2] == pids
+    assert set(ran_in) <= {os.getpid(), *pids}
+    assert_reaped(pids)
+
+
+def test_every_job_runs_once_with_more_workers_than_cores(forks):
+    # Four processes race for 400 claims on this host's cores: a lost
+    # update to the shared queue would run a job twice or never.
+    set_cores, pids = forks
+    set_cores(4)
+    runs = mmap.mmap(-1, 400)
+
+    def job(index):
+        runs[index] += 1
+        return index
+
+    assert pool.run_jobs([functools.partial(job, i) for i in range(400)]) == list(range(400))
+    assert runs[:] == bytes([1]) * 400
+    assert len(pids) == 3
+    assert_reaped(pids)
+
+
+class FailsInAWorker:
+    """A per-cell method that raises only when it runs in a forked worker."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def predict_application_scores(self, dataset, split, application, training):
+        if os.getpid() != self.parent:
+            raise ValueError("method failed in a worker")
+        return np.zeros(split.n_target)
+
+
+def test_method_error_in_a_worker_keeps_its_type(forks, dataset, splits):
+    _, pids = forks
+    # The first queued job, (first group, failing method), runs in the child.
+    methods = {"fails": FailsInAWorker(os.getpid()), "NN^T": BatchedLinearTransposition()}
+    with pytest.raises(ValueError, match="^method failed in a worker$") as caught:
+        run_cross_validation(dataset, splits[:2], methods, ["gcc"])
+    assert "failed in worker" in str(caught.value.__cause__)
     assert len(pids) == 1
     assert_reaped(pids)
 
 
-def test_parent_failure_kills_and_reaps_every_child(forked, monkeypatch):
-    set_cores, pids = forked
-    set_cores(3)
-    parent = os.getpid()
+def returns_a_lock():
+    return threading.Lock()             # no pickle: the worker cannot send it back
 
-    def loop(*args):
-        if os.getpid() != parent:
-            time.sleep(60)      # a child still training when the parent fails
-            os._exit(0)
+
+@pytest.mark.parametrize("failure, status", [("exit", 3), ("raise", 1)])
+def test_failed_child_raises_with_its_exit_status(forks, failure, status):
+    # "exit" dies inside a job; "raise" fails outside one, sending results.
+    _, pids = forks
+    first = functools.partial(os._exit, 3) if failure == "exit" else returns_a_lock
+    with pytest.raises(RuntimeError, match=f"exited with status {status}$"):
+        pool.run_jobs([first, os.getpid])
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_parent_failure_kills_and_reaps_every_child(forks):
+    set_cores, pids = forks
+    set_cores(3)
+
+    def interrupt():
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(backends, "_sgd_loop", loop)
-    x_samples, y_samples, weights, orders = make_inputs(6, 5, 3, 2, epochs=2, seed=41)
+    # Jobs 0 and 1 start the two children, still running when the parent
+    # fails on the last job.
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        NumpyBackend().mlp_sgd(x_samples, y_samples, *weights, orders, 0.3, 0.2, 2.0)
+        pool.run_jobs([functools.partial(time.sleep, 60)] * 2 + [interrupt])
     assert time.monotonic() - started < 30
     assert len(pids) == 2
     assert_reaped(pids)
 
 
-def test_second_thread_keeps_the_fit_in_process(forked, monkeypatch):
+def test_second_thread_keeps_the_fit_in_process(forks, monkeypatch, dataset, splits):
+    methods = {"NN^T": BatchedLinearTransposition(), MLPT: BatchedMLPTransposition(epochs=2)}
+    forked = cells_bytes(run_cross_validation(dataset, splits[:3], methods, ["gcc", "mcf"]))
+
     def no_fork():
         raise AssertionError("os.fork called while another thread is alive")
 
@@ -463,11 +563,23 @@ def test_second_thread_keeps_the_fit_in_process(forked, monkeypatch):
     bystander = threading.Thread(target=release.wait)
     bystander.start()
     try:
-        assert backends._fork_parts(120) == 1
-        x_samples, y_samples, weights, orders = make_inputs(8, 7, 4, 3, epochs=5, seed=42)
-        expected, got = run_both(x_samples, y_samples, weights, orders)
+        assert pool.pool_workers(15) == 1
+        in_process = cells_bytes(
+            run_cross_validation(dataset, splits[:3], methods, ["gcc", "mcf"])
+        )
     finally:
         release.set()
         bystander.join(timeout=10)
     assert not bystander.is_alive()
-    assert_bit_identical(expected, got)
+    assert in_process == forked
+
+
+def test_output_printed_in_a_worker_is_flushed_once(forks, monkeypatch, tmp_path):
+    path = tmp_path / "stdout.txt"
+    with open(path, "w") as stream:     # block-buffered, like a redirected stdout
+        monkeypatch.setattr(sys, "stdout", stream)
+        print("before the fork", end="")    # pending in the parent's buffer
+        pool.run_jobs([functools.partial(print, "from a worker", end=""), int])
+    out = path.read_text()
+    assert out.count("before the fork") == 1
+    assert out.count("from a worker") == 1

@@ -6,6 +6,8 @@ into one :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` fit.  These
 tests pin that the stacking changes nothing but the number of kernel calls.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,9 @@ def test_cross_validation_keeps_the_per_split_cell_order(dataset, splits):
 
 
 def test_one_sgd_kernel_call_per_shape_group(dataset, splits, monkeypatch):
+    # One usable core keeps every (group, method) job in this process, so
+    # the spy sees every kernel call, not only the calling process's share.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     kernel = NumpyBackend.mlp_sgd
 
