@@ -14,7 +14,7 @@ The package is organised as a small stack:
 * :mod:`repro.core` — the paper's contribution: data transposition with the
   NNᵀ (linear-regression) and MLPᵀ (multi-layer perceptron) predictors plus
   predictive-machine selection.
-* :mod:`repro.baselines` — the GA-kNN prior art and naive baselines.
+* :mod:`repro.baselines` — the GA-kNN prior art.
 * :mod:`repro.experiments` — one module per paper table/figure.
 * :mod:`repro.applications` — the use cases sketched in Section 4.
 * :mod:`repro.service` — the online prediction service over the batched

@@ -1,13 +1,8 @@
-"""Baselines: the GA-kNN prior art and naive purchasing heuristics."""
+"""Baselines: the GA-kNN prior art (Hoste et al.)."""
 
 from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
-from repro.baselines.naive import DomainMeanBaseline, SuiteMeanBaseline
-from repro.baselines.proxy import MostSimilarBenchmarkBaseline
 
 __all__ = [
     "BatchedGAKNN",
-    "DomainMeanBaseline",
     "GAKNNBaseline",
-    "MostSimilarBenchmarkBaseline",
-    "SuiteMeanBaseline",
 ]

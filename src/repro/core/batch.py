@@ -77,8 +77,10 @@ def split_cache_key(
     it can address shared caches the way ``id()``-based keys (used by the
     in-process :meth:`SplitContext.for_split` fast path) cannot.  The
     prediction service keys its :class:`~repro.service.cache.
-    SplitContextCache` with it: any client presenting the same machine sets
-    against byte-identical scores hits the same trained state.
+    SplitContextCache` with it: clients presenting the same machine ids *in
+    the same order* against byte-identical scores hit the same trained
+    state.  The id tuples are kept in the order given, not sorted, so the
+    same machines listed in another order form a different key.
 
     Examples::
 

@@ -348,8 +348,8 @@ def resolve_methods(
 # --------------------------------------------------------------------------
 # Built-in registrations: the paper's three ranking methods (batched
 # first-class implementations plus their sequential per-cell reference
-# variants) and the naive baselines.  Factories import lazily where needed
-# to keep module import cheap; all hyper-parameters come from MethodParams.
+# variants).  Factories import lazily where needed to keep module import
+# cheap; all hyper-parameters come from MethodParams.
 # --------------------------------------------------------------------------
 
 
@@ -407,24 +407,6 @@ def _make_gaknn_per_cell(params: MethodParams) -> "RankingMethod":
     )
 
 
-def _make_suite_mean(params: MethodParams) -> "RankingMethod":
-    from repro.baselines.naive import SuiteMeanBaseline
-
-    return SuiteMeanBaseline()
-
-
-def _make_domain_mean(params: MethodParams) -> "RankingMethod":
-    from repro.baselines.naive import DomainMeanBaseline
-
-    return DomainMeanBaseline()
-
-
-def _make_most_similar(params: MethodParams) -> "RankingMethod":
-    from repro.baselines.proxy import MostSimilarBenchmarkBaseline
-
-    return MostSimilarBenchmarkBaseline()
-
-
 register_method(
     "NN^T",
     _make_nnt,
@@ -473,25 +455,4 @@ register_method(
     description="sequential GA-kNN reference (one GA per cell); "
     "equivalence baseline for the batched path",
     fallback="NN^T/per-cell",
-)
-register_method(
-    "SuiteMean",
-    _make_suite_mean,
-    ["per-cell"],
-    description="naive baseline: rank machines by their mean score over "
-    "the training suite",
-)
-register_method(
-    "DomainMean",
-    _make_domain_mean,
-    ["per-cell"],
-    description="naive baseline: rank machines by their mean score over "
-    "the application's domain (integer/floating-point)",
-)
-register_method(
-    "MostSimilarBenchmark",
-    _make_most_similar,
-    ["per-cell"],
-    description="proxy baseline: rank machines by the scores of the most "
-    "similar training benchmark",
 )

@@ -21,7 +21,6 @@ from repro.data.spec_dataset import SpecDataset, build_default_dataset
 from repro.data.splits import (
     MachineSplit,
     family_cross_validation_splits,
-    leave_one_benchmark_out,
     predictive_subset_split,
     temporal_split,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "build_machine_catalogue",
     "family_cross_validation_splits",
     "generate_performance_matrix",
-    "leave_one_benchmark_out",
     "machines_by_family",
     "machines_by_year",
     "predictive_subset_split",

@@ -19,7 +19,7 @@ are the "industry-standard benchmarks" (Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "family_cross_validation_splits",
     "temporal_split",
     "predictive_subset_split",
-    "leave_one_benchmark_out",
 ]
 
 
@@ -164,14 +163,3 @@ def predictive_subset_split(
         target_ids=target_ids,
     )
 
-
-def leave_one_benchmark_out(dataset: SpecDataset) -> Iterator[tuple[str, list[str]]]:
-    """Yield (application of interest, remaining benchmark names) pairs.
-
-    The benchmark-level leave-one-out loop of Figure 5: each benchmark in
-    turn is treated as the application of interest and removed from the
-    training suite.
-    """
-    names = dataset.benchmark_names
-    for name in names:
-        yield name, [other for other in names if other != name]

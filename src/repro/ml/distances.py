@@ -1,4 +1,4 @@
-"""Distance metrics shared by the k-NN and k-medoids components."""
+"""Pairwise Euclidean distances for k-medoids and predictive-machine selection."""
 
 from __future__ import annotations
 
@@ -6,90 +6,24 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "euclidean_distance",
-    "manhattan_distance",
-    "weighted_euclidean_distance",
-    "pairwise_distances",
-]
+__all__ = ["pairwise_distances"]
 
 
-def _as_vectors(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    return xa, ya
-
-
-def euclidean_distance(x: Sequence[float], y: Sequence[float]) -> float:
-    """Standard L2 distance between two feature vectors."""
-    xa, ya = _as_vectors(x, y)
-    return float(np.sqrt(((xa - ya) ** 2).sum()))
-
-
-def manhattan_distance(x: Sequence[float], y: Sequence[float]) -> float:
-    """L1 distance between two feature vectors."""
-    xa, ya = _as_vectors(x, y)
-    return float(np.abs(xa - ya).sum())
-
-
-def weighted_euclidean_distance(
-    x: Sequence[float], y: Sequence[float], weights: Sequence[float]
-) -> float:
-    """Euclidean distance with a non-negative weight per dimension.
-
-    This is the distance the GA-kNN baseline learns: the genetic algorithm
-    searches for the per-characteristic weights that make distances in the
-    workload-characteristic space predictive of performance differences.
-    """
-    xa, ya = _as_vectors(x, y)
-    wa = np.asarray(weights, dtype=float)
-    if wa.shape != xa.shape:
-        raise ValueError(f"weights shape {wa.shape} does not match vectors {xa.shape}")
-    if np.any(wa < 0):
-        raise ValueError("weights must be non-negative")
-    return float(np.sqrt((wa * (xa - ya) ** 2).sum()))
-
-
-def pairwise_distances(
-    points: Sequence[Sequence[float]],
-    metric: str = "euclidean",
-    weights: Sequence[float] | None = None,
-) -> np.ndarray:
-    """Symmetric pairwise distance matrix for a set of points.
+def pairwise_distances(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Symmetric pairwise Euclidean distance matrix for a set of points.
 
     Parameters
     ----------
     points:
         2-D array-like, one row per point.
-    metric:
-        "euclidean" or "manhattan".
-    weights:
-        Optional per-dimension weights (euclidean only).
     """
     matrix = np.asarray(points, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    n = matrix.shape[0]
-    if metric == "euclidean":
-        if weights is not None:
-            wa = np.asarray(weights, dtype=float)
-            if wa.shape != (matrix.shape[1],):
-                raise ValueError("weights length must match the number of features")
-            scaled = matrix * np.sqrt(wa)
-        else:
-            scaled = matrix
-        sq = (scaled**2).sum(axis=1)
-        gram = scaled @ scaled.T
-        dist_sq = sq[:, None] + sq[None, :] - 2.0 * gram
-        np.clip(dist_sq, 0.0, None, out=dist_sq)
-        distances = np.sqrt(dist_sq)
-    elif metric == "manhattan":
-        if weights is not None:
-            raise ValueError("weights are only supported for the euclidean metric")
-        distances = np.abs(matrix[:, None, :] - matrix[None, :, :]).sum(axis=2)
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
+    sq = (matrix**2).sum(axis=1)
+    gram = matrix @ matrix.T
+    dist_sq = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.clip(dist_sq, 0.0, None, out=dist_sq)
+    distances = np.sqrt(dist_sq)
     np.fill_diagonal(distances, 0.0)
     return distances

@@ -1,60 +1,34 @@
 """Statistics substrate.
 
 Self-contained implementations of the statistical machinery the paper's
-evaluation relies on: rank/linear correlation coefficients, ranking helpers,
-prediction-error metrics (top-1 deficiency, mean absolute percentage error,
-coefficient of determination) and bootstrap confidence intervals.
+evaluation relies on: rank/linear correlation coefficients, ranking helpers
+and prediction-error metrics (top-n deficiency, mean absolute percentage
+error, coefficient of determination).
 
 Everything here operates on plain sequences or NumPy arrays; SciPy is only
 used in the test-suite as an independent oracle.
 """
 
-from repro.stats.correlation import (
-    kendall_tau,
-    pearson_correlation,
-    spearman_correlation,
-)
-from repro.stats.ranking import (
-    average_ranks,
-    rank_agreement,
-    rankdata,
-    top_n_indices,
-)
+from repro.stats.correlation import pearson_correlation, spearman_correlation
+from repro.stats.ranking import rankdata, top_n_indices
 from repro.stats.metrics import (
     MetricSummary,
     coefficient_of_determination,
-    mean_absolute_error,
     mean_absolute_percentage_error,
     mean_error_percent,
-    root_mean_squared_error,
     summarize,
-    top1_deficiency,
     top_n_deficiency,
-)
-from repro.stats.bootstrap import (
-    BootstrapResult,
-    bootstrap_confidence_interval,
-    bootstrap_statistic,
 )
 
 __all__ = [
-    "BootstrapResult",
     "MetricSummary",
-    "average_ranks",
-    "bootstrap_confidence_interval",
-    "bootstrap_statistic",
     "coefficient_of_determination",
-    "kendall_tau",
-    "mean_absolute_error",
     "mean_absolute_percentage_error",
     "mean_error_percent",
     "pearson_correlation",
-    "rank_agreement",
     "rankdata",
-    "root_mean_squared_error",
     "spearman_correlation",
     "summarize",
-    "top1_deficiency",
     "top_n_deficiency",
     "top_n_indices",
 ]

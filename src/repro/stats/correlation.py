@@ -3,9 +3,8 @@
 The evaluation's primary ranking metric is the Spearman rank correlation
 between the machine ranking predicted for the application of interest and
 the ranking obtained from measured performance numbers (Section 6.1 of the
-paper).  Pearson and Kendall coefficients are provided as well because the
-selection experiments (Figure 8) report goodness of fit and several
-ablations compare rank metrics.
+paper).  The Pearson coefficient is provided as well because the Spearman
+coefficient is the Pearson correlation of the fractional ranks.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from repro.stats.ranking import rankdata
 
-__all__ = ["pearson_correlation", "spearman_correlation", "kendall_tau"]
+__all__ = ["pearson_correlation", "spearman_correlation"]
 
 
 def _validate_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -57,31 +56,3 @@ def spearman_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     xa, ya = _validate_pair(x, y)
     return pearson_correlation(rankdata(xa), rankdata(ya))
 
-
-def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Kendall's tau-b rank correlation coefficient.
-
-    O(n^2) pair counting; the machine sets in this study are around one
-    hundred entries so the quadratic cost is irrelevant.  Tau-b corrects the
-    denominator for ties in either ranking.
-    """
-    xa, ya = _validate_pair(x, y)
-    n = xa.size
-    concordant = 0
-    discordant = 0
-    ties_x = 0
-    ties_y = 0
-    for i in range(n - 1):
-        dx = xa[i + 1 :] - xa[i]
-        dy = ya[i + 1 :] - ya[i]
-        sign = np.sign(dx) * np.sign(dy)
-        concordant += int((sign > 0).sum())
-        discordant += int((sign < 0).sum())
-        ties_x += int(((dx == 0) & (dy != 0)).sum())
-        ties_y += int(((dy == 0) & (dx != 0)).sum())
-    denom = np.sqrt(
-        (concordant + discordant + ties_x) * (concordant + discordant + ties_y)
-    )
-    if denom == 0.0:
-        return 0.0
-    return float((concordant - discordant) / denom)

@@ -9,9 +9,8 @@ Section 6.1 of the paper defines three metrics:
 * **average prediction error** — the mean absolute percentage error of the
   predicted scores across all target machines.
 
-This module implements the latter two plus the standard regression-quality
-metrics (R², MAE, RMSE) used by the selection experiment of Figure 8 and by
-the ablation benches.
+This module implements the latter two plus the coefficient of determination
+(R²) used by the selection experiment of Figure 8.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from repro.stats.ranking import top_n_indices
 __all__ = [
     "MetricSummary",
     "coefficient_of_determination",
-    "mean_absolute_error",
     "mean_absolute_percentage_error",
     "mean_error_percent",
-    "root_mean_squared_error",
     "summarize",
-    "top1_deficiency",
     "top_n_deficiency",
 ]
 
@@ -44,18 +40,6 @@ def _pair(predicted: Sequence[float], actual: Sequence[float]) -> tuple[np.ndarr
     if pred.size == 0:
         raise ValueError("metrics require at least one observation")
     return pred, act
-
-
-def mean_absolute_error(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Mean absolute error in the units of the performance score."""
-    pred, act = _pair(predicted, actual)
-    return float(np.abs(pred - act).mean())
-
-
-def root_mean_squared_error(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Root mean squared error in the units of the performance score."""
-    pred, act = _pair(predicted, actual)
-    return float(np.sqrt(((pred - act) ** 2).mean()))
 
 
 def mean_absolute_percentage_error(
@@ -117,11 +101,6 @@ def top_n_deficiency(
     chosen_actual = float(act[shortlist].max())
     best_actual = float(act.max())
     return (best_actual - chosen_actual) / chosen_actual * 100.0
-
-
-def top1_deficiency(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Top-1 prediction error (%), the paper's purchasing-loss metric."""
-    return top_n_deficiency(predicted, actual, n=1)
 
 
 @dataclass(frozen=True)

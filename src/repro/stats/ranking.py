@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["rankdata", "average_ranks", "top_n_indices", "rank_agreement"]
+__all__ = ["rankdata", "top_n_indices"]
 
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
@@ -45,21 +45,6 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
-def average_ranks(rank_lists: Sequence[Sequence[float]]) -> np.ndarray:
-    """Average several rank vectors element-wise.
-
-    Used to aggregate per-benchmark machine rankings into a consensus
-    ranking, e.g. when reporting the "suite average" ordering a purchaser
-    would obtain from published results alone.
-    """
-    if not rank_lists:
-        raise ValueError("average_ranks requires at least one rank vector")
-    matrix = np.asarray(rank_lists, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("rank vectors must all have the same length")
-    return matrix.mean(axis=0)
-
-
 def top_n_indices(values: Sequence[float], n: int = 1) -> np.ndarray:
     """Indices of the *n* largest values, best first.
 
@@ -74,16 +59,3 @@ def top_n_indices(values: Sequence[float], n: int = 1) -> np.ndarray:
     order = np.argsort(-arr, kind="mergesort")
     return order[:n]
 
-
-def rank_agreement(predicted: Sequence[float], actual: Sequence[float], n: int = 1) -> float:
-    """Fraction of the predicted top-*n* set that appears in the actual top-*n*.
-
-    A convenience metric complementary to the Spearman coefficient: a value
-    of 1.0 means the predicted shortlist of machines is exactly the true
-    shortlist (ignoring order within the shortlist).
-    """
-    pred_top = set(top_n_indices(predicted, n).tolist())
-    act_top = set(top_n_indices(actual, n).tolist())
-    if not act_top:
-        return 1.0
-    return len(pred_top & act_top) / len(act_top)

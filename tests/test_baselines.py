@@ -1,14 +1,9 @@
-"""Tests for the GA-kNN, naive and proxy baselines."""
+"""Tests for the GA-kNN baseline."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DomainMeanBaseline,
-    GAKNNBaseline,
-    MostSimilarBenchmarkBaseline,
-    SuiteMeanBaseline,
-)
+from repro.baselines import GAKNNBaseline
 from repro.core import MachineRanking, actual_ranking, compare_rankings
 from repro.data import build_default_dataset, family_cross_validation_splits, temporal_split
 from repro.ml import GAConfig
@@ -117,67 +112,3 @@ def test_ga_knn_seed_reproducibility(dataset, split):
     )
     assert np.array_equal(a, b)
 
-
-# ------------------------------------------------------------ naive baselines
-def test_suite_mean_baseline_ignores_application(dataset, split):
-    baseline = SuiteMeanBaseline()
-    a = baseline.predict_application_scores(dataset, split, "gcc", _training(dataset, "gcc"))
-    b = baseline.predict_application_scores(dataset, split, "lbm", _training(dataset, "lbm"))
-    # only the left-out benchmark differs between the two training sets
-    assert spearman_correlation(a, b) > 0.95
-
-
-def test_suite_mean_matches_matrix_mean(dataset, split):
-    baseline = SuiteMeanBaseline()
-    predicted = baseline.predict_application_scores(dataset, split, "gcc", _training(dataset, "gcc"))
-    expected = (
-        dataset.matrix.select_benchmarks(_training(dataset, "gcc"))
-        .select_machines(split.target_ids)
-        .scores.mean(axis=0)
-    )
-    assert np.allclose(predicted, expected)
-
-
-def test_domain_mean_baseline_uses_same_domain_benchmarks(dataset, split):
-    baseline = DomainMeanBaseline()
-    predicted_fp = baseline.predict_application_scores(dataset, split, "lbm", _training(dataset, "lbm"))
-    fp_names = [
-        name
-        for name in _training(dataset, "lbm")
-        if dataset.benchmark(name).domain == "fp"
-    ]
-    expected = (
-        dataset.matrix.select_benchmarks(fp_names).select_machines(split.target_ids).scores.mean(axis=0)
-    )
-    assert np.allclose(predicted_fp, expected)
-
-
-def test_domain_mean_falls_back_to_suite_when_domain_empty(dataset, split):
-    baseline = DomainMeanBaseline()
-    int_only = [name for name in dataset.benchmark_names if dataset.benchmark(name).domain == "int"]
-    # application is fp but the training suite has no fp benchmarks
-    predicted = baseline.predict_application_scores(dataset, split, "lbm", int_only)
-    suite = SuiteMeanBaseline().predict_application_scores(dataset, split, "lbm", int_only)
-    assert np.allclose(predicted, suite)
-
-
-# ---------------------------------------------------------------- proxy
-def test_proxy_baseline_picks_similar_benchmark(dataset, split):
-    baseline = MostSimilarBenchmarkBaseline()
-    predicted = baseline.predict_application_scores(
-        dataset, split, "leslie3d", _training(dataset, "leslie3d")
-    )
-    assert baseline.chosen_proxy_ in dataset.benchmark_names
-    assert baseline.chosen_proxy_ != "leslie3d"
-    # leslie3d's nearest neighbours are the other streaming fp codes
-    assert dataset.benchmark(baseline.chosen_proxy_).is_memory_bound()
-    proxy_scores = [
-        dataset.matrix.score(baseline.chosen_proxy_, mid) for mid in split.target_ids
-    ]
-    assert np.allclose(predicted, proxy_scores)
-
-
-def test_proxy_baseline_requires_training_benchmarks(dataset, split):
-    baseline = MostSimilarBenchmarkBaseline()
-    with pytest.raises(ValueError):
-        baseline.predict_application_scores(dataset, split, "gcc", ["gcc"])

@@ -75,3 +75,19 @@ def test_broken_snippets_and_links_are_reported(check_docs, tmp_path):
 
 def test_repository_docs_are_clean(check_docs):
     assert check_docs.main() == 0
+
+
+def test_dotted_names_must_resolve(check_docs):
+    problems = []
+    check_docs.check_names(
+        Path("doc.md"),
+        "Keys come from `repro.core.batch.split_cache_key(dataset, split)`.\n"
+        "The `repro.service` package and `repro.ml.pairwise_distances`.",
+        problems,
+    )
+    assert problems == []
+
+    check_docs.check_names(
+        Path("doc.md"), "intro\nsee `repro.ml.knn.KNNRegressor` for details", problems
+    )
+    assert problems == ["doc.md:2: `repro.ml.knn.KNNRegressor` does not resolve"]

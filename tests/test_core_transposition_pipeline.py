@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import GAKNNBaseline, SuiteMeanBaseline
+from repro.baselines import GAKNNBaseline
 from repro.core import (
     CellResult,
     DataTransposition,
@@ -13,6 +13,7 @@ from repro.core import (
     TranspositionMethod,
     actual_ranking,
     compare_rankings,
+    create_method,
     machine_feature_matrix,
     run_cross_validation,
     select_farthest_point,
@@ -216,21 +217,26 @@ def test_method_results_validation():
 # ------------------------------------------------------------------- pipeline
 def test_run_cross_validation_small_slice(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
+    # One batched and one per-cell method in the same run: both dispatch
+    # paths of run_cross_validation, which must agree cell for cell.
     methods = {
-        "NN^T": TranspositionMethod(lambda: LinearTranspositionPredictor(), "NN^T"),
-        "suite-mean": SuiteMeanBaseline(),
+        "NN^T": create_method("NN^T"),
+        "NN^T/per-cell": create_method("NN^T/per-cell"),
     }
     results = run_cross_validation(dataset, [split], methods, applications=["libquantum", "leslie3d"])
-    assert set(results) == {"NN^T", "suite-mean"}
+    assert set(results) == {"NN^T", "NN^T/per-cell"}
     for method_results in results.values():
         assert len(method_results.cells) == 2
+    for batched, per_cell in zip(results["NN^T"].cells, results["NN^T/per-cell"].cells):
+        assert batched.application == per_cell.application
+        assert batched.rank_correlation == pytest.approx(per_cell.rank_correlation, abs=1e-9)
     nnt = results["NN^T"].summary()
     assert nnt.rank_correlation.mean > 0.6
 
 
 def test_run_cross_validation_validation_errors(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
-    methods = {"suite-mean": SuiteMeanBaseline()}
+    methods = {"NN^T/per-cell": create_method("NN^T/per-cell")}
     with pytest.raises(ValueError):
         run_cross_validation(dataset, [], methods)
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from repro.data import (
     MachineSplit,
     build_default_dataset,
     family_cross_validation_splits,
-    leave_one_benchmark_out,
     predictive_subset_split,
     temporal_split,
 )
@@ -95,11 +94,3 @@ def test_predictive_subset_split_validation(dataset):
     with pytest.raises(ValueError):
         predictive_subset_split(dataset, subset_size=10_000)
 
-
-def test_leave_one_benchmark_out_covers_suite(dataset):
-    pairs = list(leave_one_benchmark_out(dataset))
-    assert len(pairs) == 29
-    for application, training in pairs:
-        assert application not in training
-        assert len(training) == 28
-    assert sorted(app for app, _ in pairs) == sorted(dataset.benchmark_names)

@@ -1,4 +1,4 @@
-"""Tests for repro.ml.kmedoids, preprocessing and model_selection."""
+"""Tests for repro.ml.kmedoids and repro.ml.preprocessing."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import (
-    GridSearch,
-    KFold,
-    KMedoids,
-    MinMaxScaler,
-    StandardScaler,
-    train_test_split,
-)
+from repro.ml import KMedoids, MinMaxScaler, StandardScaler
 
 
 # ------------------------------------------------------------------ kmedoids
@@ -132,65 +125,3 @@ def test_scalers_reject_unfit_usage_and_bad_input():
     with pytest.raises(ValueError):
         MinMaxScaler((1.0, 1.0))
 
-
-# --------------------------------------------------------- model selection
-def test_train_test_split_disjoint_and_complete():
-    train, test = train_test_split(20, test_fraction=0.25, seed=0)
-    assert len(set(train.tolist()) & set(test.tolist())) == 0
-    assert sorted(train.tolist() + test.tolist()) == list(range(20))
-    assert len(test) == 5
-
-
-def test_train_test_split_invalid_args():
-    with pytest.raises(ValueError):
-        train_test_split(1)
-    with pytest.raises(ValueError):
-        train_test_split(10, test_fraction=0.0)
-
-
-def test_kfold_covers_all_indices_once():
-    folds = list(KFold(n_splits=4, seed=0).split(17))
-    assert len(folds) == 4
-    all_test = np.concatenate([test for _, test in folds])
-    assert sorted(all_test.tolist()) == list(range(17))
-    for train, test in folds:
-        assert len(set(train.tolist()) & set(test.tolist())) == 0
-
-
-def test_kfold_invalid_configuration():
-    with pytest.raises(ValueError):
-        KFold(n_splits=1)
-    with pytest.raises(ValueError):
-        list(KFold(n_splits=10).split(5))
-
-
-def test_grid_search_finds_best_parameters():
-    def evaluate(params):
-        return -((params["x"] - 3) ** 2) - ((params["y"] - 1) ** 2)
-
-    search = GridSearch(evaluate, {"x": [1, 2, 3, 4], "y": [0, 1, 2]}, maximize=True)
-    result = search.run()
-    assert result.best_params == {"x": 3, "y": 1}
-    assert result.best_score == pytest.approx(0.0)
-    assert len(result.all_scores) == 12
-
-
-def test_grid_search_minimize_mode():
-    search = GridSearch(lambda p: abs(p["x"] - 2), {"x": [0, 1, 2, 3]}, maximize=False)
-    assert search.run().best_params == {"x": 2}
-
-
-def test_grid_search_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        GridSearch(lambda p: 0.0, {})
-    with pytest.raises(ValueError):
-        GridSearch(lambda p: 0.0, {"x": []})
-
-
-@given(st.integers(min_value=2, max_value=200), st.floats(min_value=0.05, max_value=0.95))
-@settings(max_examples=50, deadline=None)
-def test_train_test_split_property(n, fraction):
-    train, test = train_test_split(n, test_fraction=fraction, seed=1)
-    assert len(train) + len(test) == n
-    assert len(train) >= 1
-    assert len(test) >= 1

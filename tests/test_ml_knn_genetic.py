@@ -1,4 +1,4 @@
-"""Tests for repro.ml.knn, repro.ml.genetic and repro.ml.distances."""
+"""Tests for repro.ml.genetic and repro.ml.distances."""
 
 import numpy as np
 import pytest
@@ -6,102 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import (
-    GAConfig,
-    GeneticAlgorithm,
-    KNNRegressor,
-    euclidean_distance,
-    manhattan_distance,
-    pairwise_distances,
-    weighted_euclidean_distance,
-)
-
-
-# --------------------------------------------------------------------- knn
-def test_knn_exact_match_returns_training_target():
-    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    y = np.array([10.0, 20.0, 30.0])
-    model = KNNRegressor(k=2).fit(x, y)
-    assert model.predict_one([1.0, 1.0]) == pytest.approx(20.0)
-
-
-def test_knn_uniform_average():
-    x = np.array([[0.0], [1.0], [10.0]])
-    y = np.array([0.0, 2.0, 100.0])
-    model = KNNRegressor(k=2, weighting="uniform").fit(x, y)
-    assert model.predict_one([0.4]) == pytest.approx(1.0)
-
-
-def test_knn_distance_weighting_prefers_closer_points():
-    x = np.array([[0.0], [1.0]])
-    y = np.array([0.0, 10.0])
-    model = KNNRegressor(k=2, weighting="distance").fit(x, y)
-    prediction = model.predict_one([0.1])
-    assert prediction < 5.0
-
-
-def test_knn_k_larger_than_training_set_is_clamped():
-    x = np.array([[0.0], [1.0]])
-    y = np.array([0.0, 10.0])
-    model = KNNRegressor(k=10, weighting="uniform").fit(x, y)
-    assert model.predict_one([0.5]) == pytest.approx(5.0)
-
-
-def test_knn_feature_weights_change_neighbours():
-    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    y = np.array([0.0, 1.0, 2.0])
-    # zero weight on second feature makes [0, 1] identical to [0, 0]
-    model = KNNRegressor(k=1, feature_weights=[1.0, 0.0]).fit(x, y)
-    idx, _ = model.kneighbors([0.0, 0.9], k=1)
-    assert idx[0] in (0, 2)
-
-
-def test_knn_predict_matrix_shape():
-    x = np.array([[0.0], [1.0], [2.0]])
-    y = np.array([0.0, 1.0, 2.0])
-    model = KNNRegressor(k=1).fit(x, y)
-    predictions = model.predict([[0.1], [1.9]])
-    assert predictions.shape == (2,)
-    assert predictions[0] == pytest.approx(0.0)
-    assert predictions[1] == pytest.approx(2.0)
-
-
-def test_knn_rejects_invalid_configuration():
-    with pytest.raises(ValueError):
-        KNNRegressor(k=0)
-    with pytest.raises(ValueError):
-        KNNRegressor(weighting="nope")
-    with pytest.raises(ValueError):
-        KNNRegressor(feature_weights=[-1.0])
-
-
-def test_knn_predict_before_fit_raises():
-    with pytest.raises(RuntimeError):
-        KNNRegressor().predict_one([1.0])
-
-
-def test_knn_query_dimension_mismatch_raises():
-    model = KNNRegressor(k=1).fit([[1.0, 2.0]], [1.0])
-    with pytest.raises(ValueError):
-        model.predict_one([1.0])
+from repro.ml import GAConfig, GeneticAlgorithm, pairwise_distances
 
 
 # --------------------------------------------------------------- distances
-def test_euclidean_and_manhattan_basics():
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-    assert manhattan_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(7.0)
-
-
-def test_weighted_euclidean_ignores_zero_weight_dimensions():
-    distance = weighted_euclidean_distance([0.0, 0.0], [3.0, 100.0], [1.0, 0.0])
-    assert distance == pytest.approx(3.0)
-
-
-def test_weighted_euclidean_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        weighted_euclidean_distance([0.0], [1.0], [-1.0])
-
-
 def test_pairwise_distances_symmetric_zero_diagonal():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(10, 4))
@@ -115,13 +23,6 @@ def test_pairwise_distances_match_explicit_computation():
     distances = pairwise_distances(points)
     assert distances[0, 1] == pytest.approx(5.0)
     assert distances[0, 2] == pytest.approx(10.0)
-    manhattan = pairwise_distances(points, metric="manhattan")
-    assert manhattan[0, 1] == pytest.approx(7.0)
-
-
-def test_pairwise_distances_rejects_unknown_metric():
-    with pytest.raises(ValueError):
-        pairwise_distances([[0.0]], metric="cosine")
 
 
 @given(

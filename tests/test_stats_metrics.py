@@ -1,4 +1,4 @@
-"""Tests for repro.stats.metrics and repro.stats.bootstrap."""
+"""Tests for repro.stats.metrics."""
 
 import numpy as np
 import pytest
@@ -7,33 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import (
-    bootstrap_confidence_interval,
-    bootstrap_statistic,
     coefficient_of_determination,
-    mean_absolute_error,
     mean_absolute_percentage_error,
     mean_error_percent,
-    root_mean_squared_error,
     summarize,
-    top1_deficiency,
     top_n_deficiency,
 )
-
-
-def test_mae_and_rmse_on_exact_predictions():
-    actual = [1.0, 2.0, 3.0]
-    assert mean_absolute_error(actual, actual) == 0.0
-    assert root_mean_squared_error(actual, actual) == 0.0
-
-
-def test_mae_simple_case():
-    assert mean_absolute_error([1.0, 3.0], [2.0, 2.0]) == pytest.approx(1.0)
-
-
-def test_rmse_penalises_large_errors_more_than_mae():
-    predicted = [0.0, 0.0]
-    actual = [0.0, 4.0]
-    assert root_mean_squared_error(predicted, actual) > mean_absolute_error(predicted, actual)
 
 
 def test_mape_is_percentage():
@@ -51,12 +30,12 @@ def test_mape_rejects_zero_actuals():
 
 def test_metrics_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        mean_absolute_error([1.0, 2.0], [1.0])
+        mean_absolute_percentage_error([1.0, 2.0], [1.0])
 
 
 def test_metrics_empty_raises():
     with pytest.raises(ValueError):
-        mean_absolute_error([], [])
+        mean_absolute_percentage_error([], [])
 
 
 def test_r_squared_perfect():
@@ -79,14 +58,14 @@ def test_r_squared_can_be_negative():
 def test_top1_deficiency_zero_when_best_machine_predicted():
     predicted = [10.0, 50.0, 20.0]
     actual = [15.0, 60.0, 25.0]
-    assert top1_deficiency(predicted, actual) == 0.0
+    assert top_n_deficiency(predicted, actual, n=1) == 0.0
 
 
 def test_top1_deficiency_when_wrong_machine_predicted():
     predicted = [50.0, 10.0, 20.0]  # model thinks machine 0 is best
     actual = [40.0, 60.0, 25.0]  # machine 1 is actually best
     expected = (60.0 - 40.0) / 40.0 * 100.0
-    assert top1_deficiency(predicted, actual) == pytest.approx(expected)
+    assert top_n_deficiency(predicted, actual, n=1) == pytest.approx(expected)
 
 
 def test_top_n_deficiency_shrinks_with_larger_shortlist():
@@ -126,39 +105,6 @@ def test_summarize_empty_raises():
         summarize([], higher_is_better=True)
 
 
-def test_bootstrap_statistic_reproducible():
-    values = [1.0, 2.0, 3.0, 4.0, 5.0]
-    a = bootstrap_statistic(values, resamples=200, seed=7)
-    b = bootstrap_statistic(values, resamples=200, seed=7)
-    assert np.array_equal(a, b)
-
-
-def test_bootstrap_interval_contains_point_estimate():
-    rng = np.random.default_rng(0)
-    values = rng.normal(10.0, 2.0, size=100)
-    result = bootstrap_confidence_interval(values, resamples=500, seed=1)
-    assert result.lower <= result.estimate <= result.upper
-    assert result.contains(result.estimate)
-    assert result.width() > 0.0
-
-
-def test_bootstrap_interval_narrows_with_more_data():
-    rng = np.random.default_rng(0)
-    small = bootstrap_confidence_interval(rng.normal(size=20), resamples=300, seed=2)
-    large = bootstrap_confidence_interval(rng.normal(size=2000), resamples=300, seed=2)
-    assert large.width() < small.width()
-
-
-def test_bootstrap_invalid_confidence():
-    with pytest.raises(ValueError):
-        bootstrap_confidence_interval([1.0, 2.0], confidence=1.5)
-
-
-def test_bootstrap_empty_raises():
-    with pytest.raises(ValueError):
-        bootstrap_statistic([])
-
-
 @given(
     st.lists(st.floats(min_value=1.0, max_value=1e4), min_size=2, max_size=30),
     st.lists(st.floats(min_value=1.0, max_value=1e4), min_size=2, max_size=30),
@@ -166,7 +112,7 @@ def test_bootstrap_empty_raises():
 @settings(max_examples=60, deadline=None)
 def test_top1_deficiency_is_nonnegative(predicted, actual):
     n = min(len(predicted), len(actual))
-    value = top1_deficiency(predicted[:n], actual[:n])
+    value = top_n_deficiency(predicted[:n], actual[:n], n=1)
     assert value >= 0.0
 
 
@@ -174,5 +120,5 @@ def test_top1_deficiency_is_nonnegative(predicted, actual):
 @settings(max_examples=60, deadline=None)
 def test_perfect_prediction_has_zero_errors(actual):
     assert mean_absolute_percentage_error(actual, actual) == 0.0
-    assert top1_deficiency(actual, actual) == 0.0
+    assert top_n_deficiency(actual, actual, n=1) == 0.0
     assert coefficient_of_determination(actual, actual) == pytest.approx(1.0)

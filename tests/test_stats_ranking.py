@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import average_ranks, rank_agreement, rankdata, top_n_indices
+from repro.stats import rankdata, top_n_indices
 
 
 def test_rankdata_simple():
@@ -52,30 +52,6 @@ def test_top_n_indices_clamps_to_length():
 def test_top_n_indices_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         top_n_indices([1.0], 0)
-
-
-def test_average_ranks():
-    averaged = average_ranks([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    assert averaged.tolist() == [2.0, 2.0, 2.0]
-
-
-def test_average_ranks_requires_input():
-    with pytest.raises(ValueError):
-        average_ranks([])
-
-
-def test_rank_agreement_perfect():
-    assert rank_agreement([1.0, 5.0, 3.0], [2.0, 9.0, 4.0], n=1) == 1.0
-
-
-def test_rank_agreement_zero():
-    assert rank_agreement([9.0, 1.0, 1.0], [1.0, 1.0, 9.0], n=1) == 0.0
-
-
-def test_rank_agreement_partial():
-    predicted = [4.0, 3.0, 2.0, 1.0]
-    actual = [4.0, 1.0, 3.0, 2.0]
-    assert rank_agreement(predicted, actual, n=2) == pytest.approx(0.5)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))

@@ -13,6 +13,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
 * **python snippets** — every fenced ```` ```python ```` block must
   compile (syntax only, nothing is executed);
 * **json snippets** — every fenced ```` ```json ```` block must parse.
+* **dotted names** — every inline-code span that starts with a dotted
+  ``repro.…`` name (`` `repro.core.batch.split_cache_key(...)` `` checks
+  ``repro.core.batch.split_cache_key``) must import as a module or resolve
+  as an attribute of one, so no document names a deleted symbol.
 
 Exit status is the number of problems found, capped at 1, so the script
 slots directly into a CI step.
@@ -20,6 +24,7 @@ slots directly into a CI step.
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import sys
@@ -32,6 +37,8 @@ LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 #: Opening fence: the language is the first word of the info string
 #: (` ```python title="x" ` still opens a python block).
 FENCE = re.compile(r"^```(\S*)")
+#: The dotted ``repro.…`` name an inline-code span starts with.
+DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def _display(path: Path) -> str:
@@ -97,13 +104,39 @@ def check_snippets(path: Path, text: str, problems: list[str]) -> None:
                 )
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted *name* is an importable module or an attribute of one."""
+    parts = name.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:end]))
+        except ImportError:
+            continue
+        for attribute in parts[end:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_names(path: Path, text: str, problems: list[str]) -> None:
+    for match in DOTTED_NAME.finditer(text):
+        name = match.group(1)
+        if not resolves(name):
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(f"{_display(path)}:{line}: `{name}` does not resolve")
+
+
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
     problems: list[str] = []
     documents = iter_documents()
     for path in documents:
         text = path.read_text()
         check_links(path, text, problems)
         check_snippets(path, text, problems)
+        check_names(path, text, problems)
     for problem in problems:
         print(problem)
     print(f"checked {len(documents)} document(s): {len(problems)} problem(s)")
