@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    LinearTranspositionPredictor,
-    MLPTranspositionPredictor,
-    TranspositionMethod,
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
     run_cross_validation,
     select_farthest_point,
     select_k_medoids,
     select_random,
 )
-from repro.baselines import GAKNNBaseline
+from repro.baselines import BatchedGAKNN
 from repro.data import family_cross_validation_splits, temporal_split
 from repro.ml import GAConfig
 
@@ -40,11 +39,9 @@ def _mean_rank(results):
 def test_ablation_nnt_selection_criterion_and_topk(benchmark, dataset, xeon_split):
     """NNᵀ variants: RSS vs correlation fit selection, single vs top-3 machines."""
     methods = {
-        "rss-top1": TranspositionMethod(lambda: LinearTranspositionPredictor("rss", 1), "rss-top1"),
-        "corr-top1": TranspositionMethod(
-            lambda: LinearTranspositionPredictor("correlation", 1), "corr-top1"
-        ),
-        "rss-top3": TranspositionMethod(lambda: LinearTranspositionPredictor("rss", 3), "rss-top3"),
+        "rss-top1": BatchedLinearTransposition("rss", 1),
+        "corr-top1": BatchedLinearTransposition("correlation", 1),
+        "rss-top3": BatchedLinearTransposition("rss", 3),
     }
     results = run_once(
         benchmark, run_cross_validation, dataset, xeon_split, methods, ABLATION_APPS
@@ -58,11 +55,8 @@ def test_ablation_nnt_selection_criterion_and_topk(benchmark, dataset, xeon_spli
 def test_ablation_mlp_hidden_units(benchmark, dataset, xeon_split, config):
     """MLPᵀ hidden-layer size: WEKA's automatic rule vs smaller/larger layers."""
     def method(units):
-        return TranspositionMethod(
-            lambda: MLPTranspositionPredictor(
-                hidden_units=units, epochs=config.mlp_epochs, seed=config.seed
-            ),
-            f"hidden-{units}",
+        return BatchedMLPTransposition(
+            hidden_units=units, epochs=config.mlp_epochs, seed=config.seed
         )
 
     methods = {"hidden-4": method(4), "hidden-14": method(14), "hidden-28": method(28)}
@@ -79,7 +73,7 @@ def test_ablation_ga_knn_neighbour_count(benchmark, dataset, xeon_split):
     """GA-kNN sensitivity to k (the paper fixes k = 10)."""
     fast_ga = GAConfig(population_size=12, generations=6)
     methods = {
-        f"k={k}": GAKNNBaseline(k=k, ga_config=fast_ga, seed=0) for k in (3, 10, 20)
+        f"k={k}": BatchedGAKNN(k=k, ga_config=fast_ga, seed=0) for k in (3, 10, 20)
     }
     results = run_once(
         benchmark, run_cross_validation, dataset, xeon_split, methods, ABLATION_APPS

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core import LinearTranspositionPredictor, MLPTranspositionPredictor
 from repro.data import benchmark_by_name, build_machine_catalogue
-from repro.ml import GAConfig, GeneticAlgorithm, KMedoids
+from repro.ml import GAConfig, KMedoids, LockstepGeneticAlgorithm
 from repro.simulator import MachineSimulator
 
 
@@ -56,12 +56,13 @@ def test_bench_mlp_predictor(benchmark, dataset):
 
 
 def test_bench_genetic_algorithm(benchmark):
-    """A GA run of the size the GA-kNN baseline uses per experiment cell."""
-    def fitness(genome):
-        return float(((genome - 0.5) ** 2).sum())
+    """A one-problem GA run of the size the GA-kNN baseline uses per cell."""
+    def fitness(block):
+        return ((block - 0.5) ** 2).sum(axis=-1)
 
     def run():
-        return GeneticAlgorithm(
+        return LockstepGeneticAlgorithm(
+            n_problems=1,
             genome_length=10,
             fitness=fitness,
             config=GAConfig(population_size=16, generations=8),
@@ -69,7 +70,7 @@ def test_bench_genetic_algorithm(benchmark):
         ).run()
 
     best = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert best.shape == (10,)
+    assert best.shape == (1, 10)
 
 
 def test_bench_kmedoids_selection(benchmark, dataset):

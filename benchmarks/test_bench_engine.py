@@ -3,11 +3,11 @@
 Each vectorised path is timed next to the per-cell path it replaces, so the
 pytest-benchmark trajectory records the speedup (and catches regressions):
 
-* stacked-network MLP training vs one N=1 fit per network,
-* rank-one leave-one-out NNᵀ vs one refit per application, and
-* ``run_cross_validation`` end-to-end with the batched method line-up vs
-  the historical per-cell adapters (transposition methods only — GA-kNN has
-  no batched entry point and would time identically in both engines).
+* stacked-network MLP training vs one N=1 fit per network, and
+* rank-one leave-one-out NNᵀ vs one refit per application;
+
+plus ``run_cross_validation`` end to end with the two transposition
+methods.
 
 The MLP micro benches cap the epoch budget so default runs stay quick; the
 end-to-end benches use the preset's configured budget (set
@@ -20,10 +20,8 @@ from repro.core import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
     LinearTranspositionPredictor,
-    TranspositionMethod,
     run_cross_validation,
 )
-from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.data import family_cross_validation_splits
 
 from conftest import run_once
@@ -117,19 +115,11 @@ def test_bench_nnt_per_cell_refit(benchmark, dataset):
     assert predictions.shape == (n_benchmarks, split.n_target)
 
 
-def _engine_methods(config, batched):
-    """The two transposition methods under either engine, same hyper-parameters."""
-    if batched:
-        return {
-            "NN^T": BatchedLinearTransposition(),
-            "MLP^T": BatchedMLPTransposition(epochs=config.mlp_epochs, seed=config.seed),
-        }
+def _engine_methods(config):
+    """The two transposition methods with the preset's hyper-parameters."""
     return {
-        "NN^T": TranspositionMethod(LinearTranspositionPredictor, "NN^T"),
-        "MLP^T": TranspositionMethod(
-            lambda: MLPTranspositionPredictor(epochs=config.mlp_epochs, seed=config.seed),
-            "MLP^T",
-        ),
+        "NN^T": BatchedLinearTransposition(),
+        "MLP^T": BatchedMLPTransposition(epochs=config.mlp_epochs, seed=config.seed),
     }
 
 
@@ -142,23 +132,7 @@ def test_bench_cross_validation_batched(benchmark, dataset, config):
         run_cross_validation,
         dataset,
         splits,
-        _engine_methods(config, batched=True),
-        applications,
-    )
-    expected = len(splits) * (len(applications) if applications else dataset.matrix.shape[0])
-    assert all(len(r.cells) == expected for r in results.values())
-
-
-def test_bench_cross_validation_per_cell(benchmark, dataset, config):
-    """The same end-to-end sweep through the historical per-cell loop."""
-    splits = family_cross_validation_splits(dataset)[:2]
-    applications = list(config.applications) if config.applications else None
-    results = run_once(
-        benchmark,
-        run_cross_validation,
-        dataset,
-        splits,
-        _engine_methods(config, batched=False),
+        _engine_methods(config),
         applications,
     )
     expected = len(splits) * (len(applications) if applications else dataset.matrix.shape[0])

@@ -3,8 +3,9 @@
 Times a full split's GA fitness work — every leave-one-out cell's GA —
 under both engines:
 
-* sequential (``GAKNNBaseline``): one identically-seeded GA per cell, each
-  rebuilding its standardised working set from scratch; and
+* sequential (the test oracle ``tests/gaknn_oracle.py``): one
+  identically-seeded GA per cell, each rebuilding its standardised working
+  set from scratch; and
 * batched (``BatchedGAKNN``): the per-cell working sets built once per
   split (the cells differ by a single benchmark row — structural dedup of
   the standardised feature statistics), all GAs evolved in lockstep with
@@ -13,18 +14,23 @@ under both engines:
 
 The contract test pins the acceptance criterion: on one core, the batched
 full-split evaluation must be ``>= 3x`` faster than the sequential loop it
-replaces, while returning bit-identical predictions.
+replaced, while returning bit-identical predictions.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
+from repro.baselines.ga_knn import BatchedGAKNN
 from repro.data import family_cross_validation_splits
 from repro.ml.genetic import GAConfig
 
 from conftest import run_once
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from gaknn_oracle import SequentialGAKNN  # noqa: E402
 
 #: Full-split speedup the batched GA-kNN path must deliver on one core
 #: (acceptance criterion: shared-statistics dedup + lockstep GA >= 3x).
@@ -38,7 +44,7 @@ CONTRACT_GA = GAConfig(population_size=30, generations=15)
 
 
 def _sequential_split(dataset, split, applications, ga_config, k=10, seed=0):
-    method = GAKNNBaseline(k=k, ga_config=ga_config, seed=seed)
+    method = SequentialGAKNN(k=k, ga_config=ga_config, seed=seed)
     scores = {}
     for application in applications:
         training = [b for b in dataset.benchmark_names if b != application]
@@ -65,7 +71,7 @@ def test_bench_gaknn_batched_split(benchmark, dataset, config):
 
 
 def test_bench_gaknn_sequential_split(benchmark, dataset, config):
-    """The same 29 cells through the historical one-GA-per-cell loop."""
+    """The same 29 cells through the sequential oracle, one GA per cell."""
     split = family_cross_validation_splits(dataset)[0]
     applications = dataset.benchmark_names
     scores = run_once(

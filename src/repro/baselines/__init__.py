@@ -1,8 +1,5 @@
 """Baselines: the GA-kNN prior art (Hoste et al.)."""
 
-from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
+from repro.baselines.ga_knn import BatchedGAKNN
 
-__all__ = [
-    "BatchedGAKNN",
-    "GAKNNBaseline",
-]
+__all__ = ["BatchedGAKNN"]

@@ -13,10 +13,9 @@ Installed as ``repro-experiments``.  Examples::
 :mod:`repro.service.server`) and forwards every following argument to it
 (see ``docs/serving.md``); ``loadgen`` does the same for the load
 generator (``repro-loadgen``, :mod:`repro.loadgen`); ``list-methods``
-prints the engine's method
-registry — every registered ranking method with its capabilities and
-fallback — so users can discover what ``--method`` / ``methods=`` names
-mean without reading source.
+prints the engine's method registry — every registered ranking method with
+its fallback — so users can discover what ``--method`` / ``methods=``
+names mean without reading source.
 """
 
 from __future__ import annotations
@@ -48,21 +47,19 @@ __all__ = ["format_method_registry", "main"]
 def format_method_registry() -> str:
     """The method registry as an aligned text table.
 
-    One row per registered method: name, canonical label, capabilities,
-    the fallback the serving layer may substitute when a deadline or a
-    failed engine pass rules the method out (``-`` when the method is
-    already the end of its chain), and the one-line description.
+    One row per registered method: name, the fallback the serving layer
+    may substitute when a deadline or a failed engine pass rules the method
+    out (``-`` when the method is already the end of its chain), and the
+    one-line description.
     """
     from repro.core.engine import registered_methods
 
-    header = ("name", "label", "capabilities", "fallback", "description")
+    header = ("name", "fallback", "description")
     rows = [header]
     for spec in registered_methods():
         rows.append(
             (
                 spec.name,
-                spec.label,
-                ", ".join(sorted(spec.capabilities)),
                 spec.fallback if spec.fallback is not None else "-",
                 spec.description,
             )

@@ -6,11 +6,9 @@ from repro.core.batch import (
     BatchedRankingMethod,
     SplitContext,
     split_cache_key,
-    supports_batched_prediction,
 )
 from repro.core.engine import (
     DEFAULT_METHOD,
-    CapabilityMismatchError,
     DuplicateMethodError,
     MethodParams,
     MethodRegistryError,
@@ -40,8 +38,6 @@ from repro.core.transposition import (
     TranspositionResult,
 )
 from repro.core.pipeline import (
-    RankingMethod,
-    TranspositionMethod,
     actual_ranking,
     predict_split_scores,
     run_cross_validation,
@@ -51,7 +47,6 @@ __all__ = [
     "BatchedLinearTransposition",
     "BatchedMLPTransposition",
     "BatchedRankingMethod",
-    "CapabilityMismatchError",
     "CellResult",
     "DEFAULT_METHOD",
     "DataTransposition",
@@ -66,9 +61,7 @@ __all__ = [
     "MethodSpec",
     "MethodSummary",
     "RankingComparison",
-    "RankingMethod",
     "SplitContext",
-    "TranspositionMethod",
     "TranspositionPredictor",
     "TranspositionResult",
     "UnknownMethodError",
@@ -84,7 +77,6 @@ __all__ = [
     "resolve_methods",
     "run_cross_validation",
     "split_cache_key",
-    "supports_batched_prediction",
     "select_farthest_point",
     "select_k_medoids",
     "select_random",

@@ -42,7 +42,7 @@ class NumpyBackend:
 
     Every kernel preserves the per-element operation order of the code it
     was extracted from, so results are bit-identical to the sequential
-    per-cell paths the batched engine is checked against.  Inputs and
+    test oracles the batched engine is checked against.  Inputs and
     outputs are NumPy arrays.
     """
 

@@ -1,34 +1,29 @@
 """Batched cross-validation engine.
 
 The evaluation grid of Figure 5 is (machine splits x applications of
-interest x methods).  Historically the pipeline walked that grid one cell at
-a time, re-extracting sub-matrices and retraining from scratch per cell.
-This module provides the split-level machinery that collapses the
-application axis:
+interest x methods).  This module provides the split-level machinery that
+collapses the application axis:
 
 * :class:`SplitContext` — the per-split working set (predictive/target score
-  blocks, benchmark row map), built once per split and cached, instead of
-  once per cell;
+  blocks, benchmark row map), built once per split instead of once per
+  cell;
 * :func:`group_splits_by_shape` — the one place that decides which splits
   are evaluated together: splits with the same ``(n_predictive,
   n_target)`` form one group;
-* :class:`BatchedRankingMethod` — the protocol batch-capable methods
-  implement on top of the per-cell :class:`~repro.core.pipeline.
-  RankingMethod` protocol: one ``predict_all_applications`` call per
-  same-shape group of splits covers every leave-one-out application of
-  every split in it (a lone split is a group of one);
+* :class:`BatchedRankingMethod` — the one protocol every ranking method
+  implements: one ``predict_all_applications`` call per same-shape group of
+  splits covers every leave-one-out application of every split in it (a
+  lone split is a group of one);
 * :class:`BatchedLinearTransposition` (NNᵀ) — derives all leave-one-out fits
   of a split from full-set sufficient statistics by rank-one downdating; and
 * :class:`BatchedMLPTransposition` (MLPᵀ) — trains all leave-one-out
   networks of every split in a group simultaneously with one
   :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` fit.
 
-GA-kNN's batched entry point lives with its baseline
-(:class:`repro.baselines.ga_knn.BatchedGAKNN`); methods without one keep
-using the per-cell path, and the pipeline dispatches per method via
-:func:`supports_batched_prediction`.  Method *construction* is the
-registry's job (:mod:`repro.core.engine`) — this module only defines the
-implementations and the batch protocol.
+GA-kNN's implementation lives with its baseline
+(:class:`repro.baselines.ga_knn.BatchedGAKNN`).  Method *construction* is
+the registry's job (:mod:`repro.core.engine`) — this module only defines
+the implementations and the protocol.
 
 The module also provides the cache hooks the online prediction service
 (:mod:`repro.service`) builds on: :func:`split_cache_key` derives a stable,
@@ -40,16 +35,12 @@ digested form as :attr:`SplitContext.fingerprint`.
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.linear_predictor import LinearTranspositionPredictor
-from repro.core.mlp_predictor import MLPTranspositionPredictor
-from repro.core.transposition import TranspositionPredictor
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
 from repro.ml.batched_mlp import GRADIENT_CLIP, BatchedMLPRegressor
@@ -59,11 +50,9 @@ __all__ = [
     "BatchedMLPTransposition",
     "BatchedRankingMethod",
     "SplitContext",
-    "TranspositionMethod",
     "group_splits_by_shape",
     "split_cache_key",
     "split_fingerprint",
-    "supports_batched_prediction",
 ]
 
 
@@ -74,8 +63,7 @@ def split_cache_key(
 
     The key is ``(dataset fingerprint, predictive machine ids, target
     machine ids)`` — hashable, picklable and identical across processes, so
-    it can address shared caches the way ``id()``-based keys (used by the
-    in-process :meth:`SplitContext.for_split` fast path) cannot.  The
+    it can address shared caches the way ``id()``-based keys cannot.  The
     prediction service keys its :class:`~repro.service.cache.
     SplitContextCache` with it: clients presenting the same machine ids *in
     the same order* against byte-identical scores hit the same trained
@@ -155,7 +143,7 @@ def group_shape(splits: Sequence[MachineSplit]) -> tuple[int, int]:
 
 
 class BatchedRankingMethod(Protocol):
-    """A method that predicts every application of a split group in one pass."""
+    """A ranking method: it predicts every application of a split group in one pass."""
 
     def predict_all_applications(
         self,
@@ -168,39 +156,17 @@ class BatchedRankingMethod(Protocol):
         *splits* is a same-shape group (see :func:`group_splits_by_shape`);
         the result holds one ``{application: scores}`` mapping per split,
         in order.  Each application is trained leave-one-out: its training
-        benchmarks are every dataset benchmark except itself, exactly as
-        the per-cell pipeline loop would hand them over.
+        benchmarks are every dataset benchmark except itself.
         """
         ...  # pragma: no cover - protocol definition
-
-
-def supports_batched_prediction(method: object) -> bool:
-    """True when *method* implements :class:`BatchedRankingMethod`.
-
-    The pipeline and the prediction service use this predicate to dispatch
-    between the batched path and the per-cell fallback.
-
-    Examples::
-
-        >>> from repro.core.linear_predictor import LinearTranspositionPredictor
-        >>> supports_batched_prediction(BatchedLinearTransposition())
-        True
-        >>> supports_batched_prediction(
-        ...     TranspositionMethod(LinearTranspositionPredictor, "NN^T")
-        ... )
-        False
-    """
-    return callable(getattr(method, "predict_all_applications", None))
 
 
 class SplitContext:
     """Per-split working set shared by every cell of that split.
 
     Extracting the predictive/target score blocks involves machine-index
-    lookups and column gathers that the per-cell path used to repeat for
-    every application; building them once per split removes that overhead
-    and gives the batched methods contiguous tensors to slice from.
-    Contexts are cached per ``(dataset, split)`` via :meth:`for_split`.
+    lookups and column gathers; building them once per split gives the
+    batched methods contiguous tensors to slice from.
 
     Attributes
     ----------
@@ -222,18 +188,9 @@ class SplitContext:
         64
     """
 
-    _cache: dict[tuple[int, MachineSplit], tuple["weakref.ref[SpecDataset]", "SplitContext"]] = {}
-    _CACHE_LIMIT = 64
-    # The service trains cold splits on several threads at once.
-    _cache_lock = threading.Lock()
-
     def __init__(self, dataset: SpecDataset, split: MachineSplit) -> None:
         matrix = dataset.matrix
         machine_index = matrix.machine_index_map
-        # Deliberately no reference back to the dataset: the cache tracks
-        # dataset lifetime with a weakref, which a strong reference here
-        # would keep alive forever.  The fingerprint key keeps only the
-        # dataset's fingerprint string.
         self.split = split
         self._key = split_cache_key(dataset, split)
         self.benchmark_row: Mapping[str, int] = matrix.benchmark_index_map
@@ -246,28 +203,8 @@ class SplitContext:
 
     @classmethod
     def for_split(cls, dataset: SpecDataset, split: MachineSplit) -> "SplitContext":
-        """Cached context for ``(dataset, split)`` (built on first use).
-
-        Entries are validated against a weak reference to the dataset, so a
-        recycled ``id()`` can never serve another dataset's scores.  Every
-        miss sweeps entries whose dataset has been garbage-collected (their
-        score blocks would otherwise outlive it); if the cache is still full
-        the oldest entries are evicted.
-        """
-        key = (id(dataset), split)
-        with cls._cache_lock:
-            entry = cls._cache.get(key)
-            if entry is not None:
-                dataset_ref, context = entry
-                if dataset_ref() is dataset:
-                    return context
-            context = cls(dataset, split)
-            for stale in [k for k, (ref, _) in cls._cache.items() if ref() is None]:
-                del cls._cache[stale]
-            while len(cls._cache) >= cls._CACHE_LIMIT:
-                cls._cache.pop(next(iter(cls._cache)))
-            cls._cache[key] = (weakref.ref(dataset), context)
-        return context
+        """The context of ``(dataset, split)``, built afresh (a few microseconds)."""
+        return cls(dataset, split)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -292,82 +229,15 @@ class SplitContext:
         all_rows = np.arange(n_benchmarks, dtype=np.intp)
         return np.stack([all_rows[all_rows != r] for r in app_rows])
 
-    def app_predictive_scores(self, application: str) -> np.ndarray:
-        """The application's measured scores on the predictive machines."""
-        return self.predictive_scores[self.benchmark_row[application]]
 
-    def actual_target_scores(self, application: str) -> np.ndarray:
-        """The application's measured scores on the target machines."""
-        return self.target_scores[self.benchmark_row[application]]
+class BatchedLinearTransposition:
+    """NNᵀ: every leave-one-out application of a split in one stacked pass.
 
-
-class TranspositionMethod:
-    """Adapter exposing a transposition predictor through the pipeline protocol.
-
-    A fresh predictor is constructed per cell via *predictor_factory* so no
-    state leaks between applications of interest.  Sub-matrix extraction
-    goes through the split-level :class:`SplitContext` cache rather than
-    re-slicing the performance matrix per cell.
-
-    This per-cell form is the fallback the engine keeps for methods without
-    a batched entry point and the baseline the engine benches measure
-    against; the batched subclasses below add the split-group path.
-
-    Examples::
-
-        >>> from repro.core.linear_predictor import LinearTranspositionPredictor
-        >>> from repro.data import build_default_dataset, family_cross_validation_splits
-        >>> dataset = build_default_dataset()
-        >>> split = family_cross_validation_splits(dataset)[0]
-        >>> method = TranspositionMethod(LinearTranspositionPredictor, "NN^T")
-        >>> training = [b for b in dataset.benchmark_names if b != "gcc"]
-        >>> scores = method.predict_application_scores(dataset, split, "gcc", training)
-        >>> scores.shape == (split.n_target,)
-        True
-    """
-
-    def __init__(self, predictor_factory, name: str) -> None:
-        self.predictor_factory = predictor_factory
-        self.name = name
-
-    @property
-    def min_predictive_machines(self) -> int:
-        """Fewest predictive machines a split needs, as the predictor declares."""
-        return getattr(self.predictor_factory(), "min_predictive_machines", 1)
-
-    def predict_application_scores(
-        self,
-        dataset: SpecDataset,
-        split: MachineSplit,
-        application: str,
-        training_benchmarks: Sequence[str],
-    ) -> np.ndarray:
-        if application in training_benchmarks:
-            raise ValueError(
-                "the application of interest must not be part of the training benchmarks"
-            )
-        if not training_benchmarks:
-            raise ValueError("at least one training benchmark is required")
-        context = SplitContext.for_split(dataset, split)
-        rows = context.rows_for(training_benchmarks)
-        predictor: TranspositionPredictor = self.predictor_factory()
-        predictions = predictor.predict(
-            context.predictive_scores[rows],
-            context.app_predictive_scores(application),
-            context.target_scores[rows],
-        )
-        return np.asarray(predictions)
-
-
-class BatchedLinearTransposition(TranspositionMethod):
-    """NNᵀ with a split-level batched entry point.
-
-    The per-cell path refits the (predictive x target) regression grid for
-    every application; the batched path computes each split's sufficient
-    statistics once on the full benchmark set and derives each
-    application's leave-one-out fit by rank-one downdating
-    (:meth:`~repro.core.linear_predictor.LinearTranspositionPredictor.
-    predict_leave_one_out`), one stacked pass per split of the group.
+    Each split's sufficient statistics are computed once on the full
+    benchmark set, and each application's leave-one-out fit is derived by
+    rank-one downdating (:meth:`~repro.core.linear_predictor.
+    LinearTranspositionPredictor.predict_leave_one_out`), one stacked pass
+    per split of the group.
 
     Examples::
 
@@ -383,20 +253,7 @@ class BatchedLinearTransposition(TranspositionMethod):
         True
     """
 
-    def __init__(
-        self,
-        selection_criterion: str = "rss",
-        top_k: int = 1,
-        name: str = "NN^T",
-    ) -> None:
-        super().__init__(
-            partial(
-                LinearTranspositionPredictor,
-                selection_criterion=selection_criterion,
-                top_k=top_k,
-            ),
-            name,
-        )
+    def __init__(self, selection_criterion: str = "rss", top_k: int = 1) -> None:
         self.selection_criterion = selection_criterion
         self.top_k = int(top_k)
 
@@ -409,7 +266,9 @@ class BatchedLinearTransposition(TranspositionMethod):
         predictions = []
         for split in splits:
             context = SplitContext.for_split(dataset, split)
-            predictor: LinearTranspositionPredictor = self.predictor_factory()
+            predictor = LinearTranspositionPredictor(
+                selection_criterion=self.selection_criterion, top_k=self.top_k
+            )
             leave_one_out = predictor.predict_leave_one_out(
                 context.predictive_scores,
                 context.target_scores,
@@ -419,15 +278,17 @@ class BatchedLinearTransposition(TranspositionMethod):
         return predictions
 
 
-class BatchedMLPTransposition(TranspositionMethod):
-    """MLPᵀ with a split-level batched entry point.
+class BatchedMLPTransposition:
+    """MLPᵀ: every leave-one-out network of a split group in one stacked fit.
 
     Every leave-one-out cell of a same-shape split group trains a network of
     identical shape (predictive machines as samples, all benchmarks but one
     as features), hyper-parameters and seed, so all of them advance through
     SGD together as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
-    BatchedMLPRegressor`).  The per-cell path trains the same networks one
-    at a time on the same kernel, so the two agree bit for bit.
+    BatchedMLPRegressor`).  The N=1 predictor
+    (:class:`~repro.core.mlp_predictor.MLPTranspositionPredictor`) trains
+    the same networks one at a time on the same kernel, so the two agree
+    bit for bit.
 
     Examples::
 
@@ -440,6 +301,9 @@ class BatchedMLPTransposition(TranspositionMethod):
         True
     """
 
+    #: Fewest predictive machines a split needs: they are the training samples.
+    min_predictive_machines = 2
+
     def __init__(
         self,
         hidden_units: int | None = None,
@@ -448,20 +312,7 @@ class BatchedMLPTransposition(TranspositionMethod):
         momentum: float = 0.2,
         seed: int = 0,
         gradient_clip: float = GRADIENT_CLIP,
-        name: str = "MLP^T",
     ) -> None:
-        super().__init__(
-            partial(
-                MLPTranspositionPredictor,
-                hidden_units=hidden_units,
-                epochs=epochs,
-                learning_rate=learning_rate,
-                momentum=momentum,
-                seed=seed,
-                gradient_clip=gradient_clip,
-            ),
-            name,
-        )
         self.hidden_units = hidden_units
         self.epochs = int(epochs)
         self.learning_rate = float(learning_rate)

@@ -1,14 +1,8 @@
 """Unified method registry — the engine's single source of truth for methods.
 
-Before this module existed the codebase had two parallel dispatch worlds:
-batch-capable methods were wired up by hand wherever they were used (the
-pipeline, the service, the experiments line-up, the CLI), and GA-kNN fell
-through to the per-cell loop.  :mod:`repro.core.engine` collapses that into
-one registry:
-
 * :func:`register_method` declares a ranking method once — a *factory*
-  building the instance from :class:`MethodParams`, plus the
-  *capabilities* it supports (``batched`` / ``per-cell``);
+  building the instance from :class:`MethodParams`, a description and an
+  optional serving fallback;
 * :func:`create_method` / :func:`create_methods` /
   :func:`resolve_methods` are the only places a method name is turned into
   an implementation — :func:`~repro.core.pipeline.run_cross_validation`,
@@ -19,19 +13,15 @@ one registry:
   (``repro-experiments list-methods``) and the docs completeness check
   (``tools/check_registry.py``).
 
-Adding a method is now a one-file change: implement it, register it, and
-every consumer — offline tables, online service, CLI — can name it.
-Variant registrations share a *label* (the canonical result-table name):
-``"NN^T/per-cell"`` is the sequential reference implementation of the
-method labelled ``NN^T``, which the equivalence tests and engine benches
-resolve explicitly.
+Adding a method is a one-file change: implement the
+:class:`~repro.core.batch.BatchedRankingMethod` protocol, register it, and
+every consumer — offline tables, online service, CLI — can name it.  Each
+registered name has exactly one implementation.
 
 Examples::
 
-    >>> sorted(spec.name for spec in registered_methods() if "batched" in spec.capabilities)
+    >>> [spec.name for spec in registered_methods()]
     ['GA-kNN', 'MLP^T', 'NN^T']
-    >>> method_spec("GA-kNN").label
-    'GA-kNN'
     >>> create_method("NN^T").__class__.__name__
     'BatchedLinearTransposition'
     >>> sorted(resolve_methods(["NN^T", "MLP^T"]))
@@ -41,18 +31,15 @@ Examples::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.ml.genetic import GAConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import RankingMethod
+    from repro.core.batch import BatchedRankingMethod
 
 __all__ = [
-    "CAPABILITIES",
     "DEFAULT_METHOD",
-    "CapabilityMismatchError",
     "DuplicateMethodError",
     "MethodParams",
     "MethodRegistryError",
@@ -70,12 +57,6 @@ __all__ = [
 #: Method used when a caller does not name one (the paper's headline method).
 DEFAULT_METHOD = "NN^T"
 
-#: The capability vocabulary.  ``batched``: implements
-#: :class:`~repro.core.batch.BatchedRankingMethod` (one tensor pass per
-#: split).  ``per-cell``: implements the per-application
-#: :class:`~repro.core.pipeline.RankingMethod` protocol only.
-CAPABILITIES = frozenset({"batched", "per-cell"})
-
 
 class MethodRegistryError(ValueError):
     """Base class for registry misuse (unknown names, duplicates, ...)."""
@@ -87,10 +68,6 @@ class UnknownMethodError(MethodRegistryError):
 
 class DuplicateMethodError(MethodRegistryError):
     """A second registration under an already-taken name."""
-
-
-class CapabilityMismatchError(MethodRegistryError):
-    """A method that lacks a capability the caller requires."""
 
 
 @dataclass(frozen=True)
@@ -132,14 +109,10 @@ class MethodSpec:
     Attributes
     ----------
     name:
-        Registry name, unique (``"NN^T"``, ``"GA-kNN/per-cell"``, ...).
+        Registry name, unique (``"NN^T"``, ``"GA-kNN"``, ...); also the
+        method's name in result tables.
     factory:
-        ``factory(params: MethodParams) -> RankingMethod``.
-    capabilities:
-        Subset of :data:`CAPABILITIES`.
-    label:
-        Canonical result-table name; variants of one method share it
-        (``"NN^T/per-cell"`` carries the label ``"NN^T"``).
+        ``factory(params: MethodParams) -> BatchedRankingMethod``.
     description:
         One line for ``repro-experiments list-methods``.
     fallback:
@@ -150,13 +123,11 @@ class MethodSpec:
     """
 
     name: str
-    factory: Callable[[MethodParams], "RankingMethod"]
-    capabilities: frozenset[str]
-    label: str
+    factory: Callable[[MethodParams], "BatchedRankingMethod"]
     description: str = ""
     fallback: str | None = None
 
-    def create(self, params: MethodParams | None = None) -> "RankingMethod":
+    def create(self, params: MethodParams | None = None) -> "BatchedRankingMethod":
         """Build a fresh method instance under *params* (default params if None)."""
         return self.factory(params if params is not None else MethodParams())
 
@@ -166,9 +137,7 @@ _REGISTRY: dict[str, MethodSpec] = {}
 
 def register_method(
     name: str,
-    factory: Callable[[MethodParams], "RankingMethod"],
-    capabilities: Iterable[str],
-    label: str | None = None,
+    factory: Callable[[MethodParams], "BatchedRankingMethod"],
     description: str = "",
     fallback: str | None = None,
     replace: bool = False,
@@ -180,43 +149,27 @@ def register_method(
     engine pass fails.
 
     Raises :class:`DuplicateMethodError` when *name* is taken (pass
-    ``replace=True`` to overwrite deliberately) and ``ValueError`` when a
-    capability is outside :data:`CAPABILITIES`.
+    ``replace=True`` to overwrite deliberately).
 
     Examples::
 
         >>> spec = register_method(
-        ...     "doctest-method", lambda params: None, ["per-cell"],
+        ...     "doctest-method", lambda params: None,
         ...     description="throwaway doctest entry",
         ... )
-        >>> (spec.label, sorted(spec.capabilities))
-        ('doctest-method', ['per-cell'])
+        >>> spec.description
+        'throwaway doctest entry'
         >>> unregister_method("doctest-method")
     """
     if not name:
         raise MethodRegistryError("method name must be non-empty")
-    capability_set = frozenset(capabilities)
-    unknown = capability_set - CAPABILITIES
-    if unknown:
-        raise MethodRegistryError(
-            f"unknown capabilities {sorted(unknown)} (known: {sorted(CAPABILITIES)})"
-        )
-    if not capability_set:
-        raise MethodRegistryError("a method must declare at least one capability")
     if name in _REGISTRY and not replace:
         raise DuplicateMethodError(
             f"method {name!r} is already registered (pass replace=True to overwrite)"
         )
     if fallback is not None and fallback == name:
         raise MethodRegistryError(f"method {name!r} cannot fall back to itself")
-    spec = MethodSpec(
-        name=name,
-        factory=factory,
-        capabilities=capability_set,
-        label=label if label is not None else name,
-        description=description,
-        fallback=fallback,
-    )
+    spec = MethodSpec(name=name, factory=factory, description=description, fallback=fallback)
     _REGISTRY[name] = spec
     return spec
 
@@ -233,8 +186,8 @@ def method_spec(name: str) -> MethodSpec:
 
     Examples::
 
-        >>> method_spec("MLP^T").capabilities == frozenset({"batched"})
-        True
+        >>> method_spec("MLP^T").fallback
+        'NN^T'
         >>> try:
         ...     method_spec("nope")
         ... except UnknownMethodError as exc:
@@ -254,76 +207,50 @@ def registered_methods() -> tuple[MethodSpec, ...]:
 
     Examples::
 
-        >>> names = [spec.name for spec in registered_methods()]
-        >>> "NN^T" in names and "GA-kNN/per-cell" in names
-        True
+        >>> [spec.name for spec in registered_methods()]
+        ['GA-kNN', 'MLP^T', 'NN^T']
     """
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
-def create_method(
-    name: str,
-    params: MethodParams | None = None,
-    require: Iterable[str] = (),
-) -> "RankingMethod":
+def create_method(name: str, params: MethodParams | None = None) -> "BatchedRankingMethod":
     """Build a fresh instance of the method registered under *name*.
-
-    *require* lists capabilities the caller depends on; a spec lacking one
-    raises :class:`CapabilityMismatchError` instead of silently degrading
-    (e.g. requiring ``batched`` from a per-cell-only method).
 
     Examples::
 
-        >>> create_method("GA-kNN", require=["batched"]).__class__.__name__
+        >>> create_method("GA-kNN").__class__.__name__
         'BatchedGAKNN'
     """
-    spec = method_spec(name)
-    required = frozenset(require)
-    unknown = required - CAPABILITIES
-    if unknown:
-        raise MethodRegistryError(
-            f"unknown capabilities {sorted(unknown)} (known: {sorted(CAPABILITIES)})"
-        )
-    missing = required - spec.capabilities
-    if missing:
-        raise CapabilityMismatchError(
-            f"method {name!r} lacks required capabilities {sorted(missing)} "
-            f"(has: {sorted(spec.capabilities)})"
-        )
-    return spec.create(params)
+    return method_spec(name).create(params)
 
 
 def create_methods(
     names: Sequence[str],
     params: MethodParams | None = None,
-    require: Iterable[str] = (),
-) -> dict[str, "RankingMethod"]:
-    """Build several methods at once, keyed by their canonical *label*.
+) -> dict[str, "BatchedRankingMethod"]:
+    """Build several methods at once, keyed by name.
 
-    Two names resolving to the same label (a method and its variant) in
-    one call is a mistake and raises :class:`MethodRegistryError`.
+    Naming one method twice in a line-up is a mistake and raises
+    :class:`MethodRegistryError`.
 
     Examples::
 
         >>> sorted(create_methods(["NN^T", "GA-kNN"]))
         ['GA-kNN', 'NN^T']
     """
-    methods: dict[str, "RankingMethod"] = {}
+    methods: dict[str, "BatchedRankingMethod"] = {}
     for name in names:
-        spec = method_spec(name)
-        if spec.label in methods:
-            raise MethodRegistryError(
-                f"two methods labelled {spec.label!r} in one line-up ({name!r} collides)"
-            )
-        methods[spec.label] = create_method(name, params, require)
+        if name in methods:
+            raise MethodRegistryError(f"method {name!r} named twice in one line-up")
+        methods[name] = create_method(name, params)
     return methods
 
 
 def resolve_methods(
-    methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
+    methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
     params: MethodParams | None = None,
-) -> dict[str, "RankingMethod"]:
-    """Normalise a caller's method specification to ``{label: instance}``.
+) -> dict[str, "BatchedRankingMethod"]:
+    """Normalise a caller's method specification to ``{name: instance}``.
 
     The one resolution point every engine consumer funnels through: a
     mapping of already-built instances passes through unchanged (the caller
@@ -346,27 +273,19 @@ def resolve_methods(
 
 
 # --------------------------------------------------------------------------
-# Built-in registrations: the paper's three ranking methods (batched
-# first-class implementations plus their sequential per-cell reference
-# variants).  Factories import lazily where needed to keep module import
-# cheap; all hyper-parameters come from MethodParams.
+# Built-in registrations: the paper's three ranking methods.  Factories
+# import lazily to keep module import cheap; all hyper-parameters come from
+# MethodParams.
 # --------------------------------------------------------------------------
 
 
-def _make_nnt(params: MethodParams) -> "RankingMethod":
+def _make_nnt(params: MethodParams) -> "BatchedRankingMethod":
     from repro.core.batch import BatchedLinearTransposition
 
     return BatchedLinearTransposition()
 
 
-def _make_nnt_per_cell(params: MethodParams) -> "RankingMethod":
-    from repro.core.batch import TranspositionMethod
-    from repro.core.linear_predictor import LinearTranspositionPredictor
-
-    return TranspositionMethod(LinearTranspositionPredictor, "NN^T")
-
-
-def _make_mlpt(params: MethodParams) -> "RankingMethod":
+def _make_mlpt(params: MethodParams) -> "BatchedRankingMethod":
     from repro.core.batch import BatchedMLPTransposition
 
     return BatchedMLPTransposition(
@@ -376,22 +295,7 @@ def _make_mlpt(params: MethodParams) -> "RankingMethod":
     )
 
 
-def _make_mlpt_per_cell(params: MethodParams) -> "RankingMethod":
-    from repro.core.batch import TranspositionMethod
-    from repro.core.mlp_predictor import MLPTranspositionPredictor
-
-    return TranspositionMethod(
-        partial(
-            MLPTranspositionPredictor,
-            hidden_units=params.mlp_hidden_units,
-            epochs=params.mlp_epochs,
-            seed=params.seed,
-        ),
-        "MLP^T",
-    )
-
-
-def _make_gaknn(params: MethodParams) -> "RankingMethod":
+def _make_gaknn(params: MethodParams) -> "BatchedRankingMethod":
     from repro.baselines.ga_knn import BatchedGAKNN
 
     return BatchedGAKNN(
@@ -399,60 +303,23 @@ def _make_gaknn(params: MethodParams) -> "RankingMethod":
     )
 
 
-def _make_gaknn_per_cell(params: MethodParams) -> "RankingMethod":
-    from repro.baselines.ga_knn import GAKNNBaseline
-
-    return GAKNNBaseline(
-        k=params.knn_neighbours, ga_config=params.ga_config(), seed=params.seed
-    )
-
-
 register_method(
     "NN^T",
     _make_nnt,
-    ["batched"],
     description="data transposition, per-(predictive,target) linear fits; "
     "rank-one leave-one-out downdating, one kernel call per split",
 )
 register_method(
-    "NN^T/per-cell",
-    _make_nnt_per_cell,
-    ["per-cell"],
-    label="NN^T",
-    description="sequential NN^T reference (one refit per cell); "
-    "equivalence baseline for the batched path",
-)
-register_method(
     "MLP^T",
     _make_mlpt,
-    ["batched"],
     description="data transposition via MLP regression; the leave-one-out "
     "networks of a same-shape split group trained as one stacked SGD pass",
     fallback="NN^T",
 )
 register_method(
-    "MLP^T/per-cell",
-    _make_mlpt_per_cell,
-    ["per-cell"],
-    label="MLP^T",
-    description="sequential MLP^T reference (one network per cell); "
-    "equivalence baseline for the batched path",
-    fallback="NN^T/per-cell",
-)
-register_method(
     "GA-kNN",
     _make_gaknn,
-    ["batched"],
-    description="Hoste et al. prior art; all per-cell GAs evolved in "
-    "lockstep with one stacked LOO-fitness tensor pass per generation",
+    description="Hoste et al. prior art; all leave-one-out GAs of a split evolved "
+    "in lockstep with one stacked LOO-fitness tensor pass per generation",
     fallback="NN^T",
-)
-register_method(
-    "GA-kNN/per-cell",
-    _make_gaknn_per_cell,
-    ["per-cell"],
-    label="GA-kNN",
-    description="sequential GA-kNN reference (one GA per cell); "
-    "equivalence baseline for the batched path",
-    fallback="NN^T/per-cell",
 )

@@ -3,19 +3,18 @@
 Runs one or more ranking methods over a set of machine splits with the
 benchmark-level leave-one-out loop of Figure 5, collecting the three paper
 metrics per cell.  Both data-transposition flavours and the GA-kNN baseline
-are driven through the same :class:`RankingMethod` protocol so every table
-and figure of the evaluation is produced by this single driver.
+are driven through the same :class:`~repro.core.batch.BatchedRankingMethod`
+protocol so every table and figure of the evaluation is produced by this
+single driver.
 
-Cross-validation runs on a *batched* engine.  It groups the splits by shape
+Cross-validation groups the splits by shape
 (:func:`~repro.core.batch.group_splits_by_shape`: same numbers of
 predictive and target machines) and makes one :func:`predict_split_scores`
 call per group.  Per split it builds the shared working set once
-(:class:`~repro.core.batch.SplitContext`); methods that implement
-:class:`~repro.core.batch.BatchedRankingMethod` (the standard
-NNᵀ/MLPᵀ/GA-kNN line-up all does) evaluate all leave-one-out applications
-of the group in one call — MLPᵀ trains every network of the group as one
-stacked fit.  Methods without a batched entry point fall back to the
-historical per-cell loop.
+(:class:`~repro.core.batch.SplitContext`), and each method evaluates all
+leave-one-out applications of the group in one
+``predict_all_applications`` call — MLPᵀ trains every network of the group
+as one stacked fit.
 
 Each (shape group, method) pair is one job, and the jobs run on a
 fork-join pool (:func:`~repro.core.pool.run_jobs`) across the host's
@@ -28,9 +27,7 @@ many processes ran the jobs.
 
 Method resolution goes through the registry (:mod:`repro.core.engine`):
 callers may pass registered method *names* instead of instances, and this
-module never branches on a method name itself — capability dispatch
-(:func:`~repro.core.batch.supports_batched_prediction`) is the only
-per-method decision it makes.
+module never branches on a method name or kind itself.
 
 :func:`predict_split_scores` is the shared fit/predict entry point beneath
 both consumers of the engine: this offline cross-validation driver and the
@@ -43,16 +40,11 @@ tables.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.batch import (
-    TranspositionMethod,
-    group_shape,
-    group_splits_by_shape,
-    supports_batched_prediction,
-)
+from repro.core.batch import BatchedRankingMethod, group_shape, group_splits_by_shape
 from repro.core.engine import resolve_methods
 from repro.core.pool import run_jobs
 from repro.core.ranking import MachineRanking, compare_rankings
@@ -61,26 +53,10 @@ from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
 
 __all__ = [
-    "RankingMethod",
-    "TranspositionMethod",
     "actual_ranking",
     "predict_split_scores",
     "run_cross_validation",
 ]
-
-
-class RankingMethod(Protocol):
-    """A method that predicts application scores on the target machines."""
-
-    def predict_application_scores(
-        self,
-        dataset: SpecDataset,
-        split: MachineSplit,
-        application: str,
-        training_benchmarks: Sequence[str],
-    ) -> np.ndarray:
-        """Return one predicted score per machine in ``split.target_ids``."""
-        ...  # pragma: no cover - protocol definition
 
 
 def actual_ranking(dataset: SpecDataset, split: MachineSplit, application: str) -> MachineRanking:
@@ -104,7 +80,7 @@ def actual_ranking(dataset: SpecDataset, split: MachineSplit, application: str) 
 def predict_split_scores(
     dataset: SpecDataset,
     split: "MachineSplit | Sequence[MachineSplit]",
-    methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
+    methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
     applications: Sequence[str],
 ) -> "dict[str, dict[str, np.ndarray]] | list[dict[str, dict[str, np.ndarray]]]":
     """Predicted target-machine scores for every (method, application) of a split.
@@ -114,8 +90,8 @@ def predict_split_scores(
     :class:`~repro.service.PredictionService` both obtain their predictions
     here, so the two surfaces are bit-identical by construction.  Each
     application is trained leave-one-out against every other dataset
-    benchmark; batch-capable methods cover all applications of all given
-    splits in one call, the rest run the per-cell loop.
+    benchmark; each method covers all applications of all given splits in
+    one call.
 
     Parameters
     ----------
@@ -128,10 +104,9 @@ def predict_split_scores(
         trains as one stacked fit.  A group whose shapes differ raises
         :class:`ValueError`.
     methods:
-        Mapping from method name to :class:`RankingMethod`, or registered
-        method name(s) resolved through :func:`repro.core.engine.
-        resolve_methods` (batch-capable methods are detected via
-        :func:`~repro.core.batch.supports_batched_prediction`).
+        Mapping from method name to a :class:`~repro.core.batch.
+        BatchedRankingMethod`, or registered method name(s) resolved
+        through :func:`repro.core.engine.resolve_methods`.
     applications:
         Applications of interest (dataset benchmark names).
 
@@ -165,26 +140,16 @@ def predict_split_scores(
     group_shape(group)  # ValueError unless the group has exactly one shape
     scores: list[dict[str, dict[str, np.ndarray]]] = [{} for _ in group]
     for name, method in resolve_methods(methods).items():
-        if supports_batched_prediction(method):
-            batched = method.predict_all_applications(dataset, group, applications)
-            for split_scores, predicted in zip(scores, batched):
-                split_scores[name] = {app: np.asarray(predicted[app]) for app in applications}
-        else:
-            for split_scores, member in zip(scores, group):
-                per_cell: dict[str, np.ndarray] = {}
-                for application in applications:
-                    training = [b for b in dataset.benchmark_names if b != application]
-                    per_cell[application] = np.asarray(
-                        method.predict_application_scores(dataset, member, application, training)
-                    )
-                split_scores[name] = per_cell
+        predicted = method.predict_all_applications(dataset, group, applications)
+        for split_scores, split_predicted in zip(scores, predicted):
+            split_scores[name] = {app: np.asarray(split_predicted[app]) for app in applications}
     return scores[0] if isinstance(split, MachineSplit) else scores
 
 
 def _split_cells(
     dataset: SpecDataset,
     split: MachineSplit,
-    methods: Mapping[str, "RankingMethod"],
+    methods: Mapping[str, BatchedRankingMethod],
     app_names: Sequence[str],
     predicted_by_method: Mapping[str, Mapping[str, np.ndarray]],
 ) -> dict[str, list[CellResult]]:
@@ -212,7 +177,7 @@ def _split_cells(
 def run_cross_validation(
     dataset: SpecDataset,
     splits: Sequence[MachineSplit],
-    methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
+    methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
     applications: Sequence[str] | None = None,
 ) -> dict[str, MethodResults]:
     """Run every method over every (split, application) cell.
@@ -225,17 +190,13 @@ def run_cross_validation(
         Machine splits to evaluate (e.g. the 17 family splits for Table 2,
         or a single temporal split for Table 3).
     methods:
-        Mapping from method name to a :class:`RankingMethod`, or registered
-        method name(s) (``["NN^T", "GA-kNN"]``, or a single name) resolved
-        through :func:`repro.core.engine.resolve_methods` with default
-        hyper-parameters.  Methods that additionally implement
-        :class:`~repro.core.batch.BatchedRankingMethod` are evaluated with
-        one batched call per same-shape group of splits instead of one
-        call per cell.  Each (group, method) job may run in a forked
-        worker process, so attributes a method sets on itself while
-        predicting (such as :class:`~repro.baselines.ga_knn.BatchedGAKNN`'s
-        ``learned_weights_by_application_``) are not updated by jobs that
-        ran in a worker.
+        Mapping from method name to a :class:`~repro.core.batch.
+        BatchedRankingMethod`, or registered method name(s) (``["NN^T",
+        "GA-kNN"]``, or a single name) resolved through
+        :func:`repro.core.engine.resolve_methods` with default
+        hyper-parameters.  Each method is evaluated with one call per
+        same-shape group of splits, and each (group, method) job may run
+        in a forked worker process.
     applications:
         Applications of interest; defaults to all benchmarks (the full
         leave-one-out loop).  Restricting this list is how tests and quick

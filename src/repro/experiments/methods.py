@@ -7,40 +7,26 @@ engine's method registry (:mod:`repro.core.engine`) from an
 uses identical hyper-parameters and the registry stays the single source
 of truth for what the names mean.
 
-By default the line-up is the batch-capable registrations, which the
-pipeline evaluates with one batched call per same-shape split group (all
-leave-one-out applications at once — GA-kNN included, via the lockstep
-GA; MLPᵀ trains the whole group as one stacked fit);
-``batched=False`` resolves the ``*/per-cell`` reference variants instead,
-which the engine benches and equivalence tests use as the speedup/accuracy
-baseline.
+The pipeline evaluates the line-up with one call per method and
+same-shape split group (all leave-one-out applications at once — GA-kNN
+via the lockstep GA; MLPᵀ trains the whole group as one stacked fit).
 """
 
 from __future__ import annotations
 
+from repro.core.batch import BatchedRankingMethod
 from repro.core.engine import create_methods
-from repro.core.pipeline import RankingMethod
 from repro.experiments.config import ExperimentConfig
 
 __all__ = ["NNT", "MLPT", "GAKNN", "standard_methods"]
 
-#: Canonical method names used in result tables (match the paper's labels
-#: and the registry's labels).
+#: Method names used in result tables (the paper's labels, which are also
+#: the registry's names).
 NNT = "NN^T"
 MLPT = "MLP^T"
 GAKNN = "GA-kNN"
 
 
-def standard_methods(
-    config: ExperimentConfig, batched: bool = True
-) -> dict[str, RankingMethod]:
-    """The NNᵀ / MLPᵀ / GA-kNN line-up with the configured hyper-parameters.
-
-    Resolves through the method registry: *batched* picks between the
-    first-class batched registrations and their ``*/per-cell`` reference
-    variants (same labels either way).
-    """
-    names = [NNT, MLPT, GAKNN]
-    if not batched:
-        names = [f"{name}/per-cell" for name in names]
-    return create_methods(names, config.method_params())
+def standard_methods(config: ExperimentConfig) -> dict[str, BatchedRankingMethod]:
+    """The NNᵀ / MLPᵀ / GA-kNN line-up with the configured hyper-parameters."""
+    return create_methods([NNT, MLPT, GAKNN], config.method_params())

@@ -8,28 +8,24 @@ module provides the GA machinery: tournament selection, blend crossover,
 Gaussian mutation and elitism, all on fixed-length real-valued genomes
 constrained to a box.
 
-Two drivers share that machinery:
-
-* :class:`GeneticAlgorithm` — one independent optimisation run; and
-* :class:`LockstepGeneticAlgorithm` — S independent optimisation problems
-  evolved simultaneously on **one shared random stream**.  The batched
-  GA-kNN path uses it for the 29 leave-one-out cells of a split: every cell
-  historically ran its own identically-seeded :class:`GeneticAlgorithm`, so
-  all cells consume the same random draws in the same order and only the
-  fitness values (hence parent selection) differ.  The lockstep driver
-  draws each random quantity once, applies it to all S populations with
-  vectorised arithmetic, and evaluates fitness as one stacked call —
-  bit-identical per problem to S sequential runs.
+:class:`LockstepGeneticAlgorithm` evolves S independent optimisation
+problems simultaneously on **one shared random stream** (S = 1 is a plain
+GA run).  GA-kNN uses it for the 29 leave-one-out cells of a split: S
+identically-seeded sequential GAs would consume the same random draws in
+the same order, and only the fitness values (hence parent selection)
+differ.  The lockstep driver draws each random quantity once, applies it to
+all S populations with vectorised arithmetic, and evaluates fitness as one
+stacked call — bit-identical per problem to S sequential runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["GAConfig", "GeneticAlgorithm", "LockstepGeneticAlgorithm"]
+__all__ = ["GAConfig", "LockstepGeneticAlgorithm"]
 
 
 @dataclass(frozen=True)
@@ -71,112 +67,16 @@ class GAConfig:
             raise ValueError("upper_bound must exceed lower_bound")
 
 
-class GeneticAlgorithm:
-    """Minimising GA over fixed-length real genomes in a box.
-
-    Parameters
-    ----------
-    genome_length:
-        Number of genes (one weight per workload characteristic in GA-kNN).
-    fitness:
-        Callable mapping a genome (1-D array) to a cost; lower is better.
-    config:
-        Hyper-parameters; defaults are suitable for GA-kNN.
-    seed:
-        Seed for the random generator so runs are reproducible.
-    """
-
-    def __init__(
-        self,
-        genome_length: int,
-        fitness: Callable[[np.ndarray], float],
-        config: GAConfig | None = None,
-        seed: int = 0,
-    ) -> None:
-        if genome_length < 1:
-            raise ValueError("genome_length must be >= 1")
-        self.genome_length = int(genome_length)
-        self.fitness = fitness
-        self.config = config or GAConfig()
-        self.config.validate()
-        self._rng = np.random.default_rng(seed)
-        self.best_genome_: np.ndarray | None = None
-        self.best_fitness_: float = float("inf")
-        self.history_: list[float] = []
-
-    # --------------------------------------------------------------- helpers
-    def _random_population(self) -> np.ndarray:
-        cfg = self.config
-        return self._rng.uniform(
-            cfg.lower_bound,
-            cfg.upper_bound,
-            size=(cfg.population_size, self.genome_length),
-        )
-
-    def _tournament(self, fitnesses: np.ndarray) -> int:
-        contenders = self._rng.integers(0, fitnesses.size, size=self.config.tournament_size)
-        return int(contenders[np.argmin(fitnesses[contenders])])
-
-    def _crossover(self, parent_a: np.ndarray, parent_b: np.ndarray) -> np.ndarray:
-        # Blend (BLX-style) crossover: child genes drawn uniformly between parents.
-        mix = self._rng.uniform(0.0, 1.0, size=self.genome_length)
-        return mix * parent_a + (1.0 - mix) * parent_b
-
-    def _mutate(self, genome: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        mask = self._rng.uniform(size=self.genome_length) < cfg.mutation_rate
-        noise = self._rng.normal(0.0, cfg.mutation_scale, size=self.genome_length)
-        mutated = genome + mask * noise * (cfg.upper_bound - cfg.lower_bound)
-        return np.clip(mutated, cfg.lower_bound, cfg.upper_bound)
-
-    # ------------------------------------------------------------------- run
-    def run(self) -> np.ndarray:
-        """Evolve the population and return the best genome found."""
-        cfg = self.config
-        population = self._random_population()
-        fitnesses = np.array([self.fitness(genome) for genome in population])
-        self.history_ = []
-
-        for _ in range(cfg.generations):
-            best_idx = int(np.argmin(fitnesses))
-            if fitnesses[best_idx] < self.best_fitness_:
-                self.best_fitness_ = float(fitnesses[best_idx])
-                self.best_genome_ = population[best_idx].copy()
-            self.history_.append(self.best_fitness_)
-
-            elite_order = np.argsort(fitnesses, kind="mergesort")[: cfg.elitism]
-            next_population = [population[i].copy() for i in elite_order]
-
-            while len(next_population) < cfg.population_size:
-                parent_a = population[self._tournament(fitnesses)]
-                parent_b = population[self._tournament(fitnesses)]
-                if self._rng.uniform() < cfg.crossover_rate:
-                    child = self._crossover(parent_a, parent_b)
-                else:
-                    child = parent_a.copy()
-                next_population.append(self._mutate(child))
-
-            population = np.asarray(next_population)
-            fitnesses = np.array([self.fitness(genome) for genome in population])
-
-        best_idx = int(np.argmin(fitnesses))
-        if fitnesses[best_idx] < self.best_fitness_:
-            self.best_fitness_ = float(fitnesses[best_idx])
-            self.best_genome_ = population[best_idx].copy()
-        self.history_.append(self.best_fitness_)
-        assert self.best_genome_ is not None
-        return self.best_genome_
-
-
 class LockstepGeneticAlgorithm:
     """Evolve S independent GA problems in lockstep on one random stream.
 
-    Equivalent to running :class:`GeneticAlgorithm` S times with the same
-    seed but a different fitness function each time: the sequential runs
-    all draw the identical random sequence (populations, tournaments,
-    crossover mixes, mutations — none of the draw *counts* depend on
-    fitness), so one shared stream reproduces every run bit for bit while
-    the per-problem arithmetic is vectorised over a leading problem axis.
+    A minimising GA over fixed-length real genomes in a box.  Equivalent to
+    running one sequential GA S times with the same seed but a different
+    fitness function each time: the sequential runs all draw the identical
+    random sequence (populations, tournaments, crossover mixes, mutations —
+    none of the draw *counts* depend on fitness), so one shared stream
+    reproduces every run bit for bit while the per-problem arithmetic is
+    vectorised over a leading problem axis.
 
     Elites are copied verbatim between generations, so their fitness is
     reused from the previous evaluation instead of recomputed — the values
@@ -188,13 +88,16 @@ class LockstepGeneticAlgorithm:
     n_problems:
         Number of independent problems S evolved together.
     genome_length:
-        Number of genes per genome (shared by all problems).
+        Number of genes per genome (one weight per workload characteristic
+        in GA-kNN), shared by all problems.
     fitness:
         Callable mapping a stacked ``(S, pop, genes)`` population block to
         ``(S, pop)`` costs; lower is better.  Each problem's column must
         equal what the sequential fitness would return for that genome.
-    config / seed:
-        As for :class:`GeneticAlgorithm`.
+    config:
+        Hyper-parameters; defaults are suitable for GA-kNN.
+    seed:
+        Seed for the random generator so runs are reproducible.
     """
 
     def __init__(

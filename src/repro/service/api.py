@@ -56,9 +56,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.batch import split_cache_key, split_fingerprint, supports_batched_prediction
+from repro.core.batch import BatchedRankingMethod, split_cache_key, split_fingerprint
 from repro.core.engine import DEFAULT_METHOD, UnknownMethodError, method_spec, resolve_methods
-from repro.core.pipeline import RankingMethod, predict_split_scores
+from repro.core.pipeline import predict_split_scores
 from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
@@ -200,12 +200,10 @@ class RankingReply:
 class _SplitState:
     """Trained state of one (dataset, split): per-method score tables.
 
-    Methods are filled lazily — a query for NNᵀ never trains MLPᵀ.  For
-    batch-capable methods one tensor pass covers *all* dataset applications
-    (the extra applications are nearly free), which is what makes every
-    later query on the split a lookup; per-cell methods (GA-kNN) are
-    expensive per application, so their table fills one application at a
-    time as queries ask for them.
+    Methods are filled lazily — a query for NNᵀ never trains MLPᵀ.  One
+    tensor pass covers *all* dataset applications (the extra applications
+    are nearly free), which is what makes every later query on the split a
+    lookup.
 
     Training runs under the state's own lock, so one split trains once
     however many threads ask for it, while other splits train in parallel.
@@ -227,7 +225,7 @@ class _SplitState:
         self,
         dataset: SpecDataset,
         method_name: str,
-        method: RankingMethod,
+        method: BatchedRankingMethod,
         application: str,
         injector: FaultInjector | None = None,
     ) -> tuple[np.ndarray, bool]:
@@ -245,15 +243,10 @@ class _SplitState:
                 injector.inject_latency()
                 if injector.fires("backend_error"):
                     raise InjectedFault(f"injected engine fault in a cold {method_name} pass")
-            applications = (
-                dataset.benchmark_names
-                if supports_batched_prediction(method)
-                else [application]
-            )
             fresh = predict_split_scores(
-                dataset, self.split, {method_name: method}, applications
+                dataset, self.split, {method_name: method}, dataset.benchmark_names
             )[method_name]
-            self._scores[method_name] = {**self._scores.get(method_name, {}), **fresh}
+            self._scores[method_name] = fresh
             return fresh[application], False
 
 
@@ -280,12 +273,11 @@ class PredictionService:
     dataset:
         The performance dataset to answer from.
     methods:
-        Mapping from method name to :class:`~repro.core.pipeline.
-        RankingMethod`, or registered method name(s) resolved through
-        :func:`repro.core.engine.resolve_methods` (e.g. ``["NN^T",
-        "GA-kNN"]``).  Batch-capable methods (the standard NNᵀ/MLPᵀ/GA-kNN
-        line-up) are trained with one tensor pass per split; per-cell
-        methods work too, they just fill the split state more slowly.
+        Mapping from method name to :class:`~repro.core.batch.
+        BatchedRankingMethod`, or registered method name(s) resolved
+        through :func:`repro.core.engine.resolve_methods` (e.g. ``["NN^T",
+        "GA-kNN"]``).  Each method is trained with one tensor pass per
+        split.
     cache:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
         split state (default: 64 entries).
@@ -327,7 +319,7 @@ class PredictionService:
     def __init__(
         self,
         dataset: SpecDataset,
-        methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
+        methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
         cache: SplitContextCache | None = None,
         fallbacks: "Mapping[str, str] | None" = None,
         fault_injector: FaultInjector | None = None,
@@ -361,11 +353,8 @@ class PredictionService:
                 fallback_name = method_spec(served).fallback
             except UnknownMethodError:
                 continue  # caller-named instance, not a registry method
-            if fallback_name is None:
-                continue
-            fallback_label = method_spec(fallback_name).label
-            if fallback_label in self.methods and fallback_label != served:
-                fallbacks[served] = fallback_label
+            if fallback_name is not None and fallback_name in self.methods:
+                fallbacks[served] = fallback_name
         return fallbacks
 
     # ------------------------------------------------------------ validation

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import GAKNNBaseline
+from repro.baselines import BatchedGAKNN
 from repro.core import MachineRanking, actual_ranking, compare_rankings
 from repro.data import build_default_dataset, family_cross_validation_splits, temporal_split
+from repro.data.spec_dataset import SpecDataset
 from repro.ml import GAConfig
 from repro.stats import spearman_correlation
 
@@ -24,13 +25,17 @@ def _training(dataset, application):
     return [name for name in dataset.benchmark_names if name != application]
 
 
+def _predict(method, dataset, split, application):
+    """One cell: *application*'s leave-one-out prediction on *split*."""
+    return method.predict_all_applications(dataset, [split], [application])[0][application]
+
+
 FAST_GA = GAConfig(population_size=10, generations=4)
 
 
 # ------------------------------------------------------------------- GA-kNN
 def test_ga_knn_predicts_reasonable_ranking_for_typical_benchmark(dataset, split):
-    baseline = GAKNNBaseline(ga_config=FAST_GA, seed=0)
-    predicted = baseline.predict_application_scores(dataset, split, "gcc", _training(dataset, "gcc"))
+    predicted = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=0), dataset, split, "gcc")
     assert predicted.shape == (split.n_target,)
     reference = actual_ranking(dataset, split, "gcc")
     comparison = compare_rankings(
@@ -40,25 +45,16 @@ def test_ga_knn_predicts_reasonable_ranking_for_typical_benchmark(dataset, split
 
 
 def test_ga_knn_learns_nonuniform_weights(dataset, split):
-    baseline = GAKNNBaseline(ga_config=FAST_GA, seed=1)
-    baseline.predict_application_scores(dataset, split, "milc", _training(dataset, "milc"))
-    weights = baseline.learned_weights_
-    assert weights is not None
+    [weights] = BatchedGAKNN(ga_config=FAST_GA, seed=1).learned_weights(
+        dataset, split, ["milc"]
+    )
     assert weights.shape == (7,)
     assert np.all(weights >= 0.0)
     assert np.ptp(weights) > 0.0
 
 
-def test_ga_knn_without_weight_learning_uses_uniform_weights(dataset, split):
-    baseline = GAKNNBaseline(learn_weights=False)
-    predicted = baseline.predict_application_scores(dataset, split, "gcc", _training(dataset, "gcc"))
-    assert np.all(baseline.learned_weights_ == 1.0)
-    assert predicted.shape == (split.n_target,)
-
-
 def test_ga_knn_prediction_is_weighted_average_of_benchmark_scores(dataset, split):
-    baseline = GAKNNBaseline(learn_weights=False)
-    predicted = baseline.predict_application_scores(dataset, split, "wrf", _training(dataset, "wrf"))
+    predicted = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=0), dataset, split, "wrf")
     training_matrix = dataset.matrix.select_benchmarks(_training(dataset, "wrf")).select_machines(
         split.target_ids
     )
@@ -76,12 +72,9 @@ def test_ga_knn_struggles_more_on_outlier_benchmark_than_transposition(dataset):
         s for s in family_cross_validation_splits(dataset) if "Intel Xeon" in s.name
     )
     application = "libquantum"  # streaming outlier whose MICA profile looks like pointer-chasing codes
-    training = _training(dataset, application)
     reference = actual_ranking(dataset, xeon_split, application)
 
-    ga_scores = GAKNNBaseline(ga_config=FAST_GA, seed=0).predict_application_scores(
-        dataset, xeon_split, application, training
-    )
+    ga_scores = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=0), dataset, xeon_split, application)
     nnt = DataTransposition.with_linear_regression()
     nnt_scores = nnt.predict_scores(dataset, xeon_split, application).predicted_scores
 
@@ -94,21 +87,22 @@ def test_ga_knn_struggles_more_on_outlier_benchmark_than_transposition(dataset):
 
 def test_ga_knn_validation():
     with pytest.raises(ValueError):
-        GAKNNBaseline(k=0)
+        BatchedGAKNN(k=0)
 
 
 def test_ga_knn_requires_training_benchmarks(dataset, split):
-    baseline = GAKNNBaseline(ga_config=FAST_GA)
-    with pytest.raises(ValueError):
-        baseline.predict_application_scores(dataset, split, "gcc", ["gcc"])
+    # A one-benchmark dataset leaves the application nothing to learn from.
+    lone = SpecDataset(
+        matrix=dataset.matrix.select_benchmarks(["gcc"]),
+        machines=dataset.machines,
+        benchmarks=(dataset.benchmark("gcc"),),
+    )
+    with pytest.raises(ValueError, match="training benchmark"):
+        _predict(BatchedGAKNN(ga_config=FAST_GA), lone, split, "gcc")
 
 
 def test_ga_knn_seed_reproducibility(dataset, split):
-    a = GAKNNBaseline(ga_config=FAST_GA, seed=5).predict_application_scores(
-        dataset, split, "astar", _training(dataset, "astar")
-    )
-    b = GAKNNBaseline(ga_config=FAST_GA, seed=5).predict_application_scores(
-        dataset, split, "astar", _training(dataset, "astar")
-    )
+    a = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=5), dataset, split, "astar")
+    b = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=5), dataset, split, "astar")
     assert np.array_equal(a, b)
 

@@ -5,22 +5,22 @@ reproduce the sequential implementation it replaces.  These tests pin that
 contract — stacked MLP training against the original per-network loop
 (byte for byte, via the oracle in ``test_mlp_sgd_oracle``), downdated
 leave-one-out NNᵀ against per-application refits, the batched pipeline
-against the per-cell pipeline, and the process-pool fan-out against the
-in-process path — plus the satellite API changes that ride along
-(read-only matrix views, the ``gradient_clip`` knob).
+against a per-cell loop over the N=1 predictors, and the stacked GA-kNN
+fitness against the per-benchmark loop — plus the satellite API changes
+that ride along (read-only matrix views, the ``gradient_clip`` knob).
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import BatchedGAKNN
 from repro.core import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
     LinearTranspositionPredictor,
     SplitContext,
-    TranspositionMethod,
+    predict_split_scores,
     run_cross_validation,
-    supports_batched_prediction,
 )
 from repro.core.batch import split_fingerprint
 from repro.core.mlp_predictor import MLPTranspositionPredictor
@@ -153,68 +153,55 @@ def test_nnt_selection_breaks_ties_by_lowest_index():
 
 
 # -------------------------------------------------------- pipeline equivalence
-def _transposition_methods(batched, epochs=40):
-    if batched:
-        return {
-            "NN^T": BatchedLinearTransposition(),
-            "MLP^T": BatchedMLPTransposition(epochs=epochs, seed=0),
-        }
+def _transposition_methods(epochs=40):
     return {
-        "NN^T": TranspositionMethod(LinearTranspositionPredictor, "NN^T"),
-        "MLP^T": TranspositionMethod(
-            lambda: MLPTranspositionPredictor(epochs=epochs, seed=0), "MLP^T"
+        "NN^T": BatchedLinearTransposition(),
+        "MLP^T": BatchedMLPTransposition(epochs=epochs, seed=0),
+    }
+
+
+def _per_cell_scores(dataset, split, application, epochs=40):
+    """One cell through the N=1 predictors, refit on all other benchmarks."""
+    predictive = dataset.matrix.select_machines(split.predictive_ids)
+    target = dataset.matrix.select_machines(split.target_ids).scores
+    keep = np.array([name != application for name in dataset.benchmark_names])
+    app_scores = predictive.benchmark_scores(application)
+    return {
+        "NN^T": LinearTranspositionPredictor().predict(
+            predictive.scores[keep], app_scores, target[keep]
+        ),
+        "MLP^T": MLPTranspositionPredictor(epochs=epochs, seed=0).predict(
+            predictive.scores[keep], app_scores, target[keep]
         ),
     }
 
 
-def test_batched_methods_implement_both_protocols():
-    methods = _transposition_methods(batched=True)
-    for method in methods.values():
-        assert isinstance(method, TranspositionMethod)
-        assert supports_batched_prediction(method)
-    assert not supports_batched_prediction(
-        TranspositionMethod(LinearTranspositionPredictor, "NN^T")
-    )
-
-
 def test_batched_pipeline_matches_per_cell_pipeline(dataset, splits):
     applications = ["leslie3d", "gcc", "namd"]
-    chosen_splits = splits[:2]
-    sequential = run_cross_validation(
-        dataset, chosen_splits, _transposition_methods(False), applications
-    )
-    batched = run_cross_validation(
-        dataset, chosen_splits, _transposition_methods(True), applications
-    )
-    for name in ("NN^T", "MLP^T"):
-        assert len(sequential[name].cells) == len(batched[name].cells)
-        for cell_a, cell_b in zip(sequential[name].cells, batched[name].cells):
-            assert cell_a.split_name == cell_b.split_name
-            assert cell_a.application == cell_b.application
-            assert cell_a.rank_correlation == pytest.approx(
-                cell_b.rank_correlation, rel=1e-9, abs=1e-12
+    for split in splits[:2]:
+        batched = predict_split_scores(dataset, split, _transposition_methods(), applications)
+        for application in applications:
+            per_cell = _per_cell_scores(dataset, split, application)
+            # Downdating reorders NN^T's arithmetic; MLP^T runs the same
+            # networks on the same kernel, so it agrees byte for byte.
+            np.testing.assert_allclose(
+                batched["NN^T"][application], per_cell["NN^T"], rtol=1e-9, atol=1e-12
             )
-            assert cell_a.top1_error_percent == pytest.approx(
-                cell_b.top1_error_percent, rel=1e-9, abs=1e-9
-            )
-            assert cell_a.mean_error_percent == pytest.approx(
-                cell_b.mean_error_percent, rel=1e-9, abs=1e-9
-            )
+            assert batched["MLP^T"][application].tobytes() == per_cell["MLP^T"].tobytes()
 
 
 def test_run_cross_validation_is_deterministic(dataset, splits):
     applications = ["gcc", "lbm"]
-    methods = lambda: _transposition_methods(True, epochs=25)  # noqa: E731
+    methods = lambda: _transposition_methods(epochs=25)  # noqa: E731
     first = run_cross_validation(dataset, splits[:2], methods(), applications)
     second = run_cross_validation(dataset, splits[:2], methods(), applications)
     for name in first:
         assert first[name].cells == second[name].cells
 
 
-def test_split_context_is_cached_and_consistent(dataset, splits):
+def test_split_context_matches_named_selection(dataset, splits):
     split = splits[0]
     context = SplitContext.for_split(dataset, split)
-    assert SplitContext.for_split(dataset, split) is context
     assert context.predictive_scores.shape == (
         len(dataset.benchmark_names),
         split.n_predictive,
@@ -224,8 +211,7 @@ def test_split_context_is_cached_and_consistent(dataset, splits):
     reference = dataset.matrix.select_machines(split.predictive_ids).scores
     np.testing.assert_array_equal(context.predictive_scores, reference)
     np.testing.assert_array_equal(
-        context.app_predictive_scores("gcc"),
-        dataset.matrix.select_machines(split.predictive_ids).benchmark_scores("gcc"),
+        context.target_scores, dataset.matrix.select_machines(split.target_ids).scores
     )
 
 
@@ -236,86 +222,45 @@ def test_split_context_fingerprint_is_hashed_once_and_unchanged(dataset, splits)
     assert vars(context)["fingerprint"] is context.fingerprint
 
 
-def test_split_context_cache_survives_concurrent_misses(dataset):
-    """The service trains cold splits on several threads at once; their
-    context lookups share one class-level cache, kept full here so every
-    miss also evicts."""
-    import sys
-    import threading
-
-    from repro.data.splits import MachineSplit
-
-    ids = dataset.machine_ids
-    errors = []
-
-    def worker(offset):
-        try:
-            for i in range(300):
-                first = (offset * 300 + i) % (len(ids) - 2)
-                split = MachineSplit(
-                    name="stress", predictive_ids=(ids[first], ids[first + 1]),
-                    target_ids=(ids[first + 2],),
-                )
-                SplitContext.for_split(dataset, split)
-        except Exception as exc:  # recorded, then asserted on below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(SplitContext._cache) <= SplitContext._CACHE_LIMIT
-
-
-def test_transposition_method_validates_training_benchmarks(dataset, splits):
-    method = TranspositionMethod(LinearTranspositionPredictor, "NN^T")
-    with pytest.raises(ValueError):
-        method.predict_application_scores(dataset, splits[0], "gcc", ["gcc", "mcf"])
-    with pytest.raises(ValueError):
-        method.predict_application_scores(dataset, splits[0], "gcc", [])
-
-
 # ------------------------------------------------------ GA-kNN fitness batching
-def _reference_loo_fitness(baseline, features, scores, weights):
-    """The per-benchmark leave-one-out loop the vectorised fitness replaced."""
+def _reference_loo_fitness(method, features, scores, weights):
+    """The per-benchmark leave-one-out loop the stacked fitness replaced."""
     n_benchmarks = features.shape[0]
     errors = np.empty(n_benchmarks)
     for i in range(n_benchmarks):
         others = np.arange(n_benchmarks) != i
-        predicted = baseline._knn_predict(
+        predicted = method._knn_predict(
             features[i], features[others], scores[others], weights
         )
         errors[i] = float(np.mean(np.abs(predicted - scores[i]) / scores[i]))
     return float(errors.mean())
 
 
-def test_ga_knn_vectorised_fitness_matches_per_benchmark_loop(dataset, splits):
-    from repro.baselines import GAKNNBaseline
-    from repro.ml.preprocessing import StandardScaler
-
-    baseline = GAKNNBaseline(k=10)
-    split = splits[0]
-    training = [name for name in dataset.benchmark_names if name != "gcc"]
-    features = StandardScaler().fit_transform(dataset.benchmark_feature_matrix(training))
-    scores = np.ascontiguousarray(
-        dataset.matrix.select_benchmarks(training).select_machines(split.target_ids).scores
-    )
+def _stacked_fitness(method, features, scores, weights):
+    """The stacked fitness of one genome of one cell."""
     pairwise_sq = np.ascontiguousarray(
         ((features[:, None, :] - features[None, :, :]) ** 2).transpose(2, 0, 1)
     )
+    fitness = method._population_loo_fitness(
+        weights[None, None], pairwise_sq[None], np.ascontiguousarray(scores)[None], {}
+    )
+    assert fitness.shape == (1, 1)
+    return float(fitness[0, 0])
+
+
+def test_ga_knn_vectorised_fitness_matches_per_benchmark_loop(dataset, splits):
+    from repro.ml.preprocessing import StandardScaler
+
+    method = BatchedGAKNN(k=10)
+    split = splits[0]
+    training = [name for name in dataset.benchmark_names if name != "gcc"]
+    features = StandardScaler().fit_transform(dataset.benchmark_feature_matrix(training))
+    scores = dataset.matrix.select_benchmarks(training).select_machines(split.target_ids).scores
     rng = np.random.default_rng(4)
     for _ in range(10):
         weights = rng.uniform(0.0, 1.0, features.shape[1])
-        vectorised = baseline._loo_fitness(weights, pairwise_sq, scores)
-        reference = _reference_loo_fitness(baseline, features, scores, weights)
+        vectorised = _stacked_fitness(method, features, scores, weights)
+        reference = _reference_loo_fitness(method, features, scores, weights)
         # Bit-identical on the study dataset (7 characteristics).
         assert vectorised == reference
 
@@ -323,19 +268,14 @@ def test_ga_knn_vectorised_fitness_matches_per_benchmark_loop(dataset, splits):
 def test_ga_knn_vectorised_fitness_matches_on_wide_feature_spaces():
     # Beyond NumPy's pairwise-summation block (>= 8 characteristics) the two
     # reduction orders may differ in the last ulp; agreement must stay tight.
-    from repro.baselines import GAKNNBaseline
-
-    baseline = GAKNNBaseline(k=5)
+    method = BatchedGAKNN(k=5)
     rng = np.random.default_rng(6)
     features = rng.normal(size=(20, 12))
     scores = rng.uniform(1.0, 50.0, (20, 6))
-    pairwise_sq = np.ascontiguousarray(
-        ((features[:, None, :] - features[None, :, :]) ** 2).transpose(2, 0, 1)
-    )
     for _ in range(10):
         weights = rng.uniform(0.0, 1.0, 12)
-        vectorised = baseline._loo_fitness(weights, pairwise_sq, scores)
-        reference = _reference_loo_fitness(baseline, features, scores, weights)
+        vectorised = _stacked_fitness(method, features, scores, weights)
+        reference = _reference_loo_fitness(method, features, scores, weights)
         assert vectorised == pytest.approx(reference, rel=1e-12)
 
 

@@ -1,9 +1,10 @@
 """Batched GA-kNN equivalence: the lockstep tensor path vs the sequential GA.
 
 The contract is **bit-exactness**: :class:`~repro.baselines.ga_knn.
-BatchedGAKNN` must reproduce :class:`~repro.baselines.ga_knn.GAKNNBaseline`
-to the last bit — same seeded random stream, same learned weights, same
-predictions — across every family split.  The tests keep the GA budget
+BatchedGAKNN` must reproduce the sequential oracle (``gaknn_oracle.
+SequentialGAKNN``, one GA per cell) to the last bit — same seeded random
+stream, same learned weights, same predictions — across every family
+split.  The tests keep the GA budget
 small (the equivalence does not depend on it) so the full sweep stays
 unit-test fast.
 """
@@ -11,10 +12,12 @@ unit-test fast.
 import numpy as np
 import pytest
 
-from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
-from repro.core import predict_split_scores, supports_batched_prediction
+from repro.baselines.ga_knn import BatchedGAKNN
+from repro.core import predict_split_scores
 from repro.data import build_default_dataset, family_cross_validation_splits
-from repro.ml.genetic import GAConfig, GeneticAlgorithm, LockstepGeneticAlgorithm
+from repro.ml.genetic import GAConfig, LockstepGeneticAlgorithm
+
+from gaknn_oracle import SequentialGA, SequentialGAKNN
 
 SMALL_GA = GAConfig(population_size=8, generations=3)
 
@@ -30,7 +33,7 @@ def splits(dataset):
 
 
 def _sequential_scores(dataset, split, applications, **kwargs):
-    method = GAKNNBaseline(**kwargs)
+    method = SequentialGAKNN(**kwargs)
     scores = {}
     for application in applications:
         training = [b for b in dataset.benchmark_names if b != application]
@@ -42,7 +45,7 @@ def _sequential_scores(dataset, split, applications, **kwargs):
 
 # ------------------------------------------------------------ lockstep driver
 def test_lockstep_ga_matches_independent_sequential_runs():
-    """S problems in lockstep == S sequential GeneticAlgorithm runs, bit for bit."""
+    """S problems in lockstep == S sequential GA runs, bit for bit."""
     rng = np.random.default_rng(7)
     targets = rng.uniform(0.0, 1.0, size=(5, 6))  # 5 problems, 6 genes
 
@@ -50,7 +53,7 @@ def test_lockstep_ga_matches_independent_sequential_runs():
         return lambda genome: float(np.abs(genome - targets[index]).sum())
 
     sequential = [
-        GeneticAlgorithm(
+        SequentialGA(
             genome_length=6, fitness=problem_fitness(i), config=SMALL_GA, seed=3
         )
         for i in range(5)
@@ -105,7 +108,7 @@ def test_batched_gaknn_bit_identical_on_one_split_all_applications(dataset, spli
 
 
 def test_batched_gaknn_bit_identical_across_all_family_splits(dataset, splits):
-    """Acceptance: bit-identical to the sequential baseline on all 17 splits."""
+    """Acceptance: bit-identical to the sequential oracle on all 17 splits."""
     assert len(splits) == 17
     applications = ["leslie3d", "gcc", "namd"]  # outlier + typical int/fp codes
     for split in splits:
@@ -138,38 +141,20 @@ def test_batched_gaknn_seed_and_k_sensitivity_matches_sequential(dataset, splits
 def test_batched_gaknn_learned_weights_match_sequential(dataset, splits):
     applications = ["gcc", "leslie3d"]
     batched = BatchedGAKNN(k=10, ga_config=SMALL_GA, seed=0)
-    batched.predict_all_applications(dataset, [splits[0]], applications)
-    for application in applications:
-        sequential = GAKNNBaseline(k=10, ga_config=SMALL_GA, seed=0)
+    weights = batched.learned_weights(dataset, splits[0], applications)
+    assert weights.shape == (len(applications), 7)
+    for row, application in enumerate(applications):
+        sequential = SequentialGAKNN(k=10, ga_config=SMALL_GA, seed=0)
         training = [b for b in dataset.benchmark_names if b != application]
         sequential.predict_application_scores(
             dataset, splits[0], application, training
         )
-        np.testing.assert_array_equal(
-            batched.learned_weights_by_application_[application],
-            sequential.learned_weights_,
-        )
-
-
-def test_batched_gaknn_uniform_weights_without_learning(dataset, splits):
-    applications = ["gcc", "mcf"]
-    expected = _sequential_scores(
-        dataset, splits[0], applications, k=10, ga_config=SMALL_GA, seed=0,
-        learn_weights=False,
-    )
-    batched = BatchedGAKNN(
-        k=10, ga_config=SMALL_GA, seed=0, learn_weights=False
-    ).predict_all_applications(dataset, [splits[0]], applications)[0]
-    for application in applications:
-        np.testing.assert_array_equal(batched[application], expected[application])
+        np.testing.assert_array_equal(weights[row], sequential.learned_weights_)
 
 
 # ----------------------------------------------------------------- engine fit
 def test_batched_gaknn_is_dispatched_as_a_batched_method(dataset, splits):
     method = BatchedGAKNN(k=10, ga_config=SMALL_GA, seed=0)
-    assert supports_batched_prediction(method)
-    assert not supports_batched_prediction(GAKNNBaseline())
-
     applications = ["gcc", "namd"]
     scores = predict_split_scores(
         dataset, splits[0], {"GA-kNN": method}, applications

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import GAKNNBaseline
 from repro.core import (
     CellResult,
     DataTransposition,
     LinearTranspositionPredictor,
     MachineRanking,
     MethodResults,
-    TranspositionMethod,
     actual_ranking,
     compare_rankings,
     create_method,
@@ -217,26 +215,26 @@ def test_method_results_validation():
 # ------------------------------------------------------------------- pipeline
 def test_run_cross_validation_small_slice(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
-    # One batched and one per-cell method in the same run: both dispatch
-    # paths of run_cross_validation, which must agree cell for cell.
-    methods = {
-        "NN^T": create_method("NN^T"),
-        "NN^T/per-cell": create_method("NN^T/per-cell"),
-    }
+    methods = {"NN^T": create_method("NN^T")}
     results = run_cross_validation(dataset, [split], methods, applications=["libquantum", "leslie3d"])
-    assert set(results) == {"NN^T", "NN^T/per-cell"}
-    for method_results in results.values():
-        assert len(method_results.cells) == 2
-    for batched, per_cell in zip(results["NN^T"].cells, results["NN^T/per-cell"].cells):
-        assert batched.application == per_cell.application
-        assert batched.rank_correlation == pytest.approx(per_cell.rank_correlation, abs=1e-9)
+    assert set(results) == {"NN^T"}
+    assert [cell.application for cell in results["NN^T"].cells] == ["libquantum", "leslie3d"]
+    # Each cell scores what the N=1 library API predicts for it.
+    nnt_api = DataTransposition.with_linear_regression()
+    for cell in results["NN^T"].cells:
+        predicted = nnt_api.predict_scores(dataset, split, cell.application).predicted_scores
+        comparison = compare_rankings(
+            MachineRanking.from_scores(split.target_ids, predicted),
+            actual_ranking(dataset, split, cell.application),
+        )
+        assert cell.rank_correlation == pytest.approx(comparison.rank_correlation, abs=1e-9)
     nnt = results["NN^T"].summary()
     assert nnt.rank_correlation.mean > 0.6
 
 
 def test_run_cross_validation_validation_errors(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
-    methods = {"NN^T/per-cell": create_method("NN^T/per-cell")}
+    methods = {"NN^T": create_method("NN^T")}
     with pytest.raises(ValueError):
         run_cross_validation(dataset, [], methods)
     with pytest.raises(ValueError):
@@ -252,16 +250,24 @@ def test_actual_ranking_matches_matrix(dataset, xeon_split):
     assert dataset.matrix.score("lbm", best) == max(scores)
 
 
-def test_transposition_method_adapter_uses_fresh_predictor(dataset, xeon_split):
+def test_transposition_method_adapter_uses_fresh_predictor(dataset, monkeypatch):
+    # BatchedLinearTransposition adapts the NN^T predictor to the method
+    # protocol; no predictor state may carry from one split to the next.
+    from repro.core import BatchedLinearTransposition, batch
+
     calls = []
 
-    def factory():
-        predictor = LinearTranspositionPredictor()
+    def factory(**kwargs):
+        predictor = LinearTranspositionPredictor(**kwargs)
         calls.append(predictor)
         return predictor
 
-    method = TranspositionMethod(factory, "NN^T")
-    method.predict_application_scores(dataset, xeon_split, "gcc", [n for n in dataset.benchmark_names if n != "gcc"])
-    method.predict_application_scores(dataset, xeon_split, "mcf", [n for n in dataset.benchmark_names if n != "mcf"])
+    monkeypatch.setattr(batch, "LinearTranspositionPredictor", factory)
+    first, other = family_cross_validation_splits(dataset)[1:3]  # one shape group
+    together = BatchedLinearTransposition().predict_all_applications(
+        dataset, [first, other], ["gcc", "mcf"]
+    )
     assert len(calls) == 2
     assert calls[0] is not calls[1]
+    [alone] = BatchedLinearTransposition().predict_all_applications(dataset, [other], ["gcc"])
+    np.testing.assert_array_equal(together[1]["gcc"], alone["gcc"])

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
+from repro.baselines.ga_knn import BatchedGAKNN
 from repro.core import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
-    TranspositionMethod,
     predict_split_scores,
     run_cross_validation,
 )
 from repro.core.engine import (
-    CAPABILITIES,
     DEFAULT_METHOD,
-    CapabilityMismatchError,
     DuplicateMethodError,
     MethodParams,
     MethodRegistryError,
@@ -40,24 +37,14 @@ def dataset():
 # ------------------------------------------------------------- registry state
 def test_canonical_methods_are_registered():
     names = {spec.name for spec in registered_methods()}
-    assert {"NN^T", "MLP^T", "GA-kNN"} <= names
-    assert {"NN^T/per-cell", "MLP^T/per-cell", "GA-kNN/per-cell"} <= names
+    assert names == {NNT, MLPT, GAKNN}
     assert DEFAULT_METHOD in names
-
-
-def test_per_cell_variants_share_the_canonical_label():
-    for label in (NNT, MLPT, GAKNN):
-        assert method_spec(label).label == label
-        assert method_spec(f"{label}/per-cell").label == label
 
 
 def test_batched_registrations_create_batched_implementations():
     assert isinstance(create_method("NN^T"), BatchedLinearTransposition)
     assert isinstance(create_method("MLP^T"), BatchedMLPTransposition)
     assert isinstance(create_method("GA-kNN"), BatchedGAKNN)
-    per_cell = create_method("GA-kNN/per-cell")
-    assert isinstance(per_cell, GAKNNBaseline)
-    assert not isinstance(per_cell, BatchedGAKNN)
 
 
 def test_factories_consume_method_params():
@@ -82,38 +69,28 @@ def test_unknown_method_raises():
 
 
 def test_duplicate_registration_raises_unless_replaced():
-    register_method("tmp-duplicate", lambda p: None, ["per-cell"])
+    register_method("tmp-duplicate", lambda p: None)
     try:
         with pytest.raises(DuplicateMethodError, match="tmp-duplicate"):
-            register_method("tmp-duplicate", lambda p: None, ["per-cell"])
-        replaced = register_method(
-            "tmp-duplicate", lambda p: "other", ["batched"], replace=True
-        )
-        assert replaced.capabilities == frozenset({"batched"})
+            register_method("tmp-duplicate", lambda p: None)
+        replaced = register_method("tmp-duplicate", lambda p: "other", replace=True)
+        assert replaced.create() == "other"
     finally:
         unregister_method("tmp-duplicate")
     assert "tmp-duplicate" not in {spec.name for spec in registered_methods()}
 
 
-def test_capability_mismatch_raises():
-    with pytest.raises(CapabilityMismatchError, match="batched"):
-        create_method("GA-kNN/per-cell", require=["batched"])
-    # The requirement itself must come from the known vocabulary.
-    with pytest.raises(MethodRegistryError, match="warp-speed"):
-        create_method("NN^T", require=["warp-speed"])
-
-
-def test_registration_validates_capabilities():
-    with pytest.raises(MethodRegistryError, match="turbo"):
-        register_method("tmp-bad-capability", lambda p: None, ["turbo"])
-    with pytest.raises(MethodRegistryError):
-        register_method("tmp-no-capability", lambda p: None, [])
-    assert CAPABILITIES == {"batched", "per-cell"}
+def test_registration_validates_name_and_fallback():
+    with pytest.raises(MethodRegistryError, match="non-empty"):
+        register_method("", lambda p: None)
+    with pytest.raises(MethodRegistryError, match="itself"):
+        register_method("tmp-self-fallback", lambda p: None, fallback="tmp-self-fallback")
+    assert "tmp-self-fallback" not in {spec.name for spec in registered_methods()}
 
 
 def test_create_methods_rejects_label_collisions():
-    with pytest.raises(MethodRegistryError, match="NN"):
-        create_methods(["NN^T", "NN^T/per-cell"])
+    with pytest.raises(MethodRegistryError, match="named twice"):
+        create_methods(["NN^T", "GA-kNN", "NN^T"])
 
 
 # ---------------------------------------------------------------- resolution
@@ -148,11 +125,6 @@ def test_standard_methods_resolve_through_registry():
     assert isinstance(batched[GAKNN], BatchedGAKNN)
     assert batched[MLPT].epochs == config.mlp_epochs
 
-    per_cell = standard_methods(config, batched=False)
-    assert sorted(per_cell) == [GAKNN, MLPT, NNT]
-    assert isinstance(per_cell[NNT], TranspositionMethod)
-    assert not isinstance(per_cell[GAKNN], BatchedGAKNN)
-
 
 # ------------------------------------------------------------------ discovery
 def test_cli_list_methods_prints_the_registry(capsys):
@@ -160,8 +132,9 @@ def test_cli_list_methods_prints_the_registry(capsys):
 
     assert main(["list-methods"]) == 0
     out = capsys.readouterr().out
-    for spec in registered_methods():
-        assert spec.name in out
+    assert out.splitlines()[0].split() == ["name", "fallback", "description"]
+    listed = [line.split()[0] for line in out.splitlines()[2:]]
+    assert listed == ["GA-kNN", "MLP^T", "NN^T"]
 
 
 def test_every_method_documented_in_api_docs_is_registered():

@@ -6,8 +6,13 @@ the paper-reported reference constants.
 
 import pytest
 
-from repro.baselines import GAKNNBaseline
-from repro.core import MethodResults, CellResult, TranspositionMethod
+from repro.baselines import BatchedGAKNN
+from repro.core import (
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
+    CellResult,
+    MethodResults,
+)
 from repro.experiments import (
     ERAS,
     ExperimentConfig,
@@ -31,9 +36,9 @@ from repro.experiments.report import format_table2
 def test_standard_methods_structure():
     methods = standard_methods(ExperimentConfig.smoke())
     assert set(methods) == {NNT, MLPT, GAKNN}
-    assert isinstance(methods[NNT], TranspositionMethod)
-    assert isinstance(methods[MLPT], TranspositionMethod)
-    assert isinstance(methods[GAKNN], GAKNNBaseline)
+    assert isinstance(methods[NNT], BatchedLinearTransposition)
+    assert isinstance(methods[MLPT], BatchedMLPTransposition)
+    assert isinstance(methods[GAKNN], BatchedGAKNN)
     assert methods[GAKNN].k == 10
 
 
@@ -42,8 +47,7 @@ def test_standard_methods_honour_config():
     methods = standard_methods(config)
     assert methods[GAKNN].k == 5
     assert methods[GAKNN].ga_config.population_size == 8
-    predictor = methods[MLPT].predictor_factory()
-    assert predictor.epochs == 10
+    assert methods[MLPT].epochs == 10
 
 
 # ------------------------------------------------------- paper constants

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import GAConfig, GeneticAlgorithm, pairwise_distances
+from repro.ml import GAConfig, LockstepGeneticAlgorithm, pairwise_distances
 
 
 # --------------------------------------------------------------- distances
@@ -43,34 +43,45 @@ def test_pairwise_distances_triangle_inequality(points):
 
 
 # ----------------------------------------------------------------- genetic
+def _single_problem_ga(genome_length, fitness, config=None, seed=0):
+    """A plain GA run: the lockstep driver with one problem."""
+    return LockstepGeneticAlgorithm(
+        n_problems=1,
+        genome_length=genome_length,
+        fitness=lambda block: np.array([[fitness(genome) for genome in block[0]]]),
+        config=config,
+        seed=seed,
+    )
+
+
 def test_ga_minimises_sphere_function():
-    ga = GeneticAlgorithm(
-        genome_length=4,
-        fitness=lambda genome: float((genome**2).sum()),
-        config=GAConfig(population_size=30, generations=40, lower_bound=-1.0, upper_bound=1.0),
+    ga = _single_problem_ga(
+        4,
+        lambda genome: float((genome**2).sum()),
+        GAConfig(population_size=30, generations=40, lower_bound=-1.0, upper_bound=1.0),
         seed=0,
     )
-    best = ga.run()
-    assert ga.best_fitness_ < 0.05
+    [best] = ga.run()
+    assert ga.best_fitnesses_[0] < 0.05
     assert np.all(np.abs(best) < 0.5)
 
 
 def test_ga_history_is_monotonically_nonincreasing():
-    ga = GeneticAlgorithm(
-        genome_length=3,
-        fitness=lambda genome: float(((genome - 0.5) ** 2).sum()),
-        config=GAConfig(population_size=20, generations=20),
+    ga = _single_problem_ga(
+        3,
+        lambda genome: float(((genome - 0.5) ** 2).sum()),
+        GAConfig(population_size=20, generations=20),
         seed=1,
     )
     ga.run()
-    history = np.asarray(ga.history_)
+    history = np.asarray([entry[0] for entry in ga.history_])
+    assert len(history) == 21
     assert np.all(np.diff(history) <= 1e-12)
 
 
 def test_ga_respects_bounds():
     config = GAConfig(population_size=15, generations=10, lower_bound=0.2, upper_bound=0.8)
-    ga = GeneticAlgorithm(3, lambda genome: float(genome.sum()), config, seed=2)
-    best = ga.run()
+    [best] = _single_problem_ga(3, lambda genome: float(genome.sum()), config, seed=2).run()
     assert np.all(best >= 0.2 - 1e-12)
     assert np.all(best <= 0.8 + 1e-12)
 
@@ -80,8 +91,8 @@ def test_ga_deterministic_given_seed():
         return float(((genome - 0.3) ** 2).sum())
 
     config = GAConfig(population_size=12, generations=8)
-    a = GeneticAlgorithm(3, fitness, config, seed=5).run()
-    b = GeneticAlgorithm(3, fitness, config, seed=5).run()
+    a = _single_problem_ga(3, fitness, config, seed=5).run()
+    b = _single_problem_ga(3, fitness, config, seed=5).run()
     assert np.array_equal(a, b)
 
 
@@ -106,4 +117,4 @@ def test_ga_config_validation():
 
 def test_ga_rejects_zero_length_genome():
     with pytest.raises(ValueError):
-        GeneticAlgorithm(0, lambda genome: 0.0)
+        _single_problem_ga(0, lambda genome: 0.0)

@@ -497,15 +497,15 @@ def test_every_job_runs_once_with_more_workers_than_cores(forks):
 
 
 class FailsInAWorker:
-    """A per-cell method that raises only when it runs in a forked worker."""
+    """A ranking method that raises only when it runs in a forked worker."""
 
     def __init__(self, parent):
         self.parent = parent
 
-    def predict_application_scores(self, dataset, split, application, training):
+    def predict_all_applications(self, dataset, splits, applications):
         if os.getpid() != self.parent:
             raise ValueError("method failed in a worker")
-        return np.zeros(split.n_target)
+        return [{app: np.zeros(split.n_target) for app in applications} for split in splits]
 
 
 def test_method_error_in_a_worker_keeps_its_type(forks, dataset, splits):

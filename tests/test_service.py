@@ -188,30 +188,6 @@ def test_service_methods_fill_lazily_and_independently(dataset):
     assert service.rank(RankingQuery("mcf", machines, method="MLP^T")).cache_hit is True
 
 
-def test_per_cell_methods_fill_one_application_at_a_time(dataset):
-    # A per-cell method must not pay for all 29 applications on the first
-    # query; its table grows per application, and only repeats are warm.
-    from repro.core import LinearTranspositionPredictor, TranspositionMethod
-
-    calls = []
-
-    class CountingPerCell(TranspositionMethod):
-        def predict_application_scores(self, dataset, split, application, training):
-            calls.append(application)
-            return super().predict_application_scores(dataset, split, application, training)
-
-    service = PredictionService(
-        dataset, {"cell": CountingPerCell(LinearTranspositionPredictor, "cell")}
-    )
-    machines = tuple(dataset.machine_ids[:5])
-    assert service.rank(RankingQuery("gcc", machines, method="cell")).cache_hit is False
-    assert calls == ["gcc"]
-    assert service.rank(RankingQuery("mcf", machines, method="cell")).cache_hit is False
-    assert calls == ["gcc", "mcf"]
-    assert service.rank(RankingQuery("gcc", machines, method="cell")).cache_hit is True
-    assert calls == ["gcc", "mcf"]
-
-
 def test_split_cache_key_is_content_addressed(dataset, splits):
     key = split_cache_key(dataset, splits[0])
     assert key == (dataset.fingerprint, splits[0].predictive_ids, splits[0].target_ids)
@@ -878,6 +854,42 @@ def test_concurrent_lookups_and_training_keep_every_count(dataset):
     assert stats.misses == len(splits)
     assert service.metrics.counter("service.cold_passes").value == len(splits)
     assert service.metrics.counter("service.requests").value == len(queries)
+
+
+def test_concurrent_ga_knn_cold_passes_answer_their_own_queries(dataset):
+    """Threads sharing one GA-kNN instance train same-shape splits at once.
+
+    Every cold pass of a 4-machine set (all other machines as targets) has
+    the same tensor shapes, so passes that shared fitness buffers would
+    write into each other's distances.  Each reply must equal what the
+    same query gets from a service of its own.
+    """
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.baselines import BatchedGAKNN
+    from repro.ml import GAConfig
+
+    def ga_knn_service():
+        method = BatchedGAKNN(ga_config=GAConfig(population_size=10, generations=4))
+        return PredictionService(dataset, {"GA-kNN": method})
+
+    queries = [
+        RankingQuery("gcc", tuple(dataset.machine_ids[i:i + 4]), method="GA-kNN")
+        for i in (0, 4, 8, 12)
+    ]
+    service = ga_knn_service()
+    barrier = threading.Barrier(len(queries), timeout=30)
+
+    def rank_together(query):
+        barrier.wait()
+        return service.rank(query)
+
+    with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+        replies = list(pool.map(rank_together, queries, timeout=60))
+    for query, reply in zip(queries, replies):
+        expected = ga_knn_service().rank(query)
+        assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
 
 
 def test_invalid_query_is_invalid_not_shed_on_a_full_queue(dataset):

@@ -333,12 +333,12 @@ def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
 
 
 class _FailingMethod:
-    """A per-cell method with a deterministic bug: every call raises."""
+    """A ranking method with a deterministic bug: every call raises."""
 
     def __init__(self):
         self.calls = 0
 
-    def predict_application_scores(self, dataset, split, application, training_benchmarks):
+    def predict_all_applications(self, dataset, splits, applications):
         self.calls += 1
         raise RuntimeError("deterministic bug")
 
