@@ -1,13 +1,13 @@
 """Micro-benchmarks of the individual components.
 
 Unlike the table/figure benches these measure steady-state throughput of
-the building blocks (simulator scoring, the two predictors, the GA), so the
+the building blocks (simulator scoring, the two N=1 transposition calls, the GA), so the
 pytest-benchmark statistics are meaningful here and default rounds are used.
 """
 
 import numpy as np
 
-from repro.core import LinearTranspositionPredictor, MLPTranspositionPredictor
+from repro.core import BatchedLinearTransposition, BatchedMLPTransposition
 from repro.data import benchmark_by_name, build_machine_catalogue
 from repro.ml import GAConfig, KMedoids, LockstepGeneticAlgorithm
 from repro.simulator import MachineSimulator
@@ -31,7 +31,7 @@ def test_bench_linear_predictor(benchmark, dataset):
     train_rows = np.array([i for i, name in enumerate(matrix.benchmarks) if name != "gcc"])
 
     def run():
-        return LinearTranspositionPredictor().predict(
+        return BatchedLinearTransposition().predict(
             predictive[train_rows], app, target[train_rows]
         )
 
@@ -48,7 +48,7 @@ def test_bench_mlp_predictor(benchmark, dataset):
     train_rows = np.array([i for i, name in enumerate(matrix.benchmarks) if name != "gcc"])
 
     def run():
-        predictor = MLPTranspositionPredictor(epochs=40, seed=0)
+        predictor = BatchedMLPTransposition(epochs=40, seed=0)
         return predictor.predict(predictive[train_rows], app, target[train_rows])
 
     predictions = benchmark.pedantic(run, rounds=3, iterations=1)

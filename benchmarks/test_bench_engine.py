@@ -16,12 +16,8 @@ end-to-end benches use the preset's configured budget (set
 
 import numpy as np
 
-from repro.core import (
-    BatchedLinearTransposition,
-    BatchedMLPTransposition,
-    LinearTranspositionPredictor,
-    run_cross_validation,
-)
+from repro.core import BatchedLinearTransposition, BatchedMLPTransposition, run_cross_validation
+from repro.core.linear_predictor import predict_leave_one_out
 from repro.data import family_cross_validation_splits
 
 from conftest import run_once
@@ -87,7 +83,7 @@ def test_bench_nnt_leave_one_out(benchmark, dataset):
     target = dataset.matrix.select_machines(split.target_ids).scores
 
     def run():
-        return LinearTranspositionPredictor().predict_leave_one_out(predictive, target)
+        return predict_leave_one_out(predictive, target)
 
     predictions = benchmark(run)
     assert predictions.shape == (dataset.matrix.shape[0], split.n_target)
@@ -104,7 +100,7 @@ def test_bench_nnt_per_cell_refit(benchmark, dataset):
         rows = np.arange(n_benchmarks)
         return np.stack(
             [
-                LinearTranspositionPredictor().predict(
+                BatchedLinearTransposition().predict(
                     predictive[rows != row], predictive[row], target[rows != row]
                 )
                 for row in range(n_benchmarks)

@@ -18,7 +18,12 @@ from __future__ import annotations
 import dataclasses
 
 from repro.applications import DesignSpaceStudy
-from repro.core import DataTransposition, actual_ranking, compare_rankings
+from repro.core import (
+    BatchedLinearTransposition,
+    DataTransposition,
+    actual_ranking,
+    compare_rankings,
+)
 from repro.data import SPEC_CPU2006_BENCHMARKS, build_default_dataset, build_machine_catalogue, temporal_split
 from repro.simulator import WorkloadCharacteristics
 
@@ -32,11 +37,11 @@ def future_hardware(dataset) -> None:
         "2007": temporal_split(dataset, target_year=2009, predictive_years=[2007]),
         "pre-2007": temporal_split(dataset, target_year=2009, predictive_before=2007),
     }
-    method = DataTransposition.with_linear_regression()
+    method = DataTransposition(BatchedLinearTransposition())
     for era, split in eras.items():
         correlations = []
         for application in APPLICATIONS:
-            ranking = method.rank_machines(dataset, split, application)
+            ranking = method.predict_scores(dataset, split, application).ranking()
             reference = actual_ranking(dataset, split, application)
             correlations.append(compare_rankings(ranking, reference).rank_correlation)
         mean_corr = sum(correlations) / len(correlations)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.applications import GreedyScheduler, Job, Node
-from repro.core import DataTransposition
+from repro.core import BatchedLinearTransposition, DataTransposition
 from repro.data import MachineSplit, build_default_dataset
 
 #: Node types in the cluster: an old FSB Xeon, an AMD K10 and a Nehalem Xeon.
@@ -58,7 +58,7 @@ def main() -> None:
     # predicted through data transposition (NN^T).
     predicted_speeds = {job.name: dict(oracle_speeds[job.name]) for job in jobs}
     unknown_nodes = [mid for mid in node_ids if mid not in STAGING_NODES]
-    method = DataTransposition.with_linear_regression()
+    method = DataTransposition(BatchedLinearTransposition())
     split = MachineSplit(
         name="cluster", predictive_ids=STAGING_NODES, target_ids=tuple(unknown_nodes)
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.applications import PurchasingAdvisor
-from repro.core import DataTransposition
+from repro.core import BatchedMLPTransposition, DataTransposition
 from repro.data import build_default_dataset, score_application
 from repro.simulator import WorkloadCharacteristics
 
@@ -53,7 +53,7 @@ OWNED_MACHINES = (
 def main() -> None:
     dataset = build_default_dataset()
     advisor = PurchasingAdvisor(
-        dataset, OWNED_MACHINES, method=DataTransposition.with_mlp(epochs=250)
+        dataset, OWNED_MACHINES, method=DataTransposition(BatchedMLPTransposition(epochs=250))
     )
 
     # Measurements the company collects on its own machines.

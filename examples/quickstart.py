@@ -16,7 +16,14 @@ Run with:  ``python examples/quickstart.py``
 
 from __future__ import annotations
 
-from repro.core import DataTransposition, actual_ranking, compare_rankings, select_k_medoids
+from repro.core import (
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
+    DataTransposition,
+    actual_ranking,
+    compare_rankings,
+    select_k_medoids,
+)
 from repro.data import MachineSplit, build_default_dataset
 
 APPLICATION = "sphinx3"
@@ -44,10 +51,10 @@ def main() -> None:
           f"(treated as unknown; measured only on the predictive machines)")
 
     for label, method in (
-        ("NN^T (linear regression)", DataTransposition.with_linear_regression()),
-        ("MLP^T (neural network)", DataTransposition.with_mlp(epochs=200)),
+        ("NN^T (linear regression)", DataTransposition(BatchedLinearTransposition())),
+        ("MLP^T (neural network)", DataTransposition(BatchedMLPTransposition(epochs=200))),
     ):
-        ranking = method.rank_machines(dataset, split, APPLICATION)
+        ranking = method.predict_scores(dataset, split, APPLICATION).ranking()
         comparison = compare_rankings(ranking, reference)
         print(f"\n=== {label} ===")
         print(f"  Spearman rank correlation vs. measured ranking: {comparison.rank_correlation:.3f}")

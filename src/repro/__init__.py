@@ -26,17 +26,17 @@ and ``docs/api.md`` cover the serving stack.
 
 from repro.data import SpecDataset, build_default_dataset
 from repro.core import (
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
     DataTransposition,
-    LinearTranspositionPredictor,
-    MLPTranspositionPredictor,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
+    "BatchedLinearTransposition",
+    "BatchedMLPTransposition",
     "DataTransposition",
-    "LinearTranspositionPredictor",
-    "MLPTranspositionPredictor",
     "SpecDataset",
     "build_default_dataset",
     "__version__",

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batch import BatchedLinearTransposition
 from repro.core.transposition import DataTransposition
 from repro.data.machines import MachineSpec
 from repro.data.matrix import PerformanceMatrix
@@ -111,7 +112,7 @@ class DesignSpaceStudy:
 
     def explore(self, workload: WorkloadCharacteristics, method: DataTransposition | None = None) -> DSEOutcome:
         """Predict *workload* on the non-predictive design points and audit the result."""
-        method = method or DataTransposition.with_linear_regression()
+        method = method or DataTransposition(BatchedLinearTransposition())
         split = MachineSplit(
             name="dse", predictive_ids=self.predictive_ids, target_ids=self.target_ids
         )

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.batch import BatchedMLPTransposition
 from repro.core.ranking import MachineRanking
 from repro.core.transposition import DataTransposition
 from repro.data.spec_dataset import SpecDataset
@@ -70,7 +71,7 @@ class PurchasingAdvisor:
             raise KeyError(f"unknown predictive machines: {sorted(unknown)}")
         self.dataset = dataset
         self.predictive_ids = tuple(predictive_ids)
-        self.method = method or DataTransposition.with_mlp(epochs=200)
+        self.method = method or DataTransposition(BatchedMLPTransposition(epochs=200))
 
     def candidate_ids(self) -> list[str]:
         """Machines under consideration (everything except the predictive set)."""
@@ -92,7 +93,8 @@ class PurchasingAdvisor:
             suite benchmark; the measurements carry all the information).
         app_scores_on_predictive:
             The customer's measured scores of the application on each
-            predictive machine, in ``predictive_ids`` order.
+            predictive machine, in ``predictive_ids`` order.  Each must be
+            finite and positive, or :class:`ValueError` is raised.
         shortlist_size:
             How many machines to shortlist.
         candidates:

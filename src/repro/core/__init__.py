@@ -22,8 +22,6 @@ from repro.core.engine import (
     resolve_methods,
     unregister_method,
 )
-from repro.core.linear_predictor import LinearFitDetail, LinearTranspositionPredictor
-from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.core.ranking import MachineRanking, RankingComparison, compare_rankings
 from repro.core.results import CellResult, MethodResults, MethodSummary
 from repro.core.selection import (
@@ -32,11 +30,7 @@ from repro.core.selection import (
     select_k_medoids,
     select_random,
 )
-from repro.core.transposition import (
-    DataTransposition,
-    TranspositionPredictor,
-    TranspositionResult,
-)
+from repro.core.transposition import DataTransposition, TranspositionResult
 from repro.core.pipeline import (
     actual_ranking,
     predict_split_scores,
@@ -51,9 +45,6 @@ __all__ = [
     "DEFAULT_METHOD",
     "DataTransposition",
     "DuplicateMethodError",
-    "LinearFitDetail",
-    "LinearTranspositionPredictor",
-    "MLPTranspositionPredictor",
     "MachineRanking",
     "MethodParams",
     "MethodRegistryError",
@@ -62,7 +53,6 @@ __all__ = [
     "MethodSummary",
     "RankingComparison",
     "SplitContext",
-    "TranspositionPredictor",
     "TranspositionResult",
     "UnknownMethodError",
     "actual_ranking",

@@ -2,8 +2,8 @@
 
 The hottest loops of the engine — the stacked-network SGD inside
 :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` and the rank-one
-leave-one-out downdating inside :class:`~repro.core.linear_predictor.
-LinearTranspositionPredictor` — are coarse-grained kernels on
+leave-one-out downdating inside
+:func:`~repro.core.linear_predictor.predict_leave_one_out` — are coarse-grained kernels on
 :class:`NumpyBackend`.  The SGD kernel is a packed-layout loop: weights,
 velocities and gradients each live in one flat buffer, so the per-step
 momentum and weight updates are four whole-buffer calls.  Every element

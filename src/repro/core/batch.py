@@ -20,6 +20,15 @@ collapses the application axis:
   networks of every split in a group simultaneously with one
   :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` fit.
 
+Each transposition method is one class with two entry points:
+``predict_all_applications`` (the leave-one-out grid above) and
+``predict(benchmark_scores_predictive, app_scores_predictive,
+benchmark_scores_target)``, the N=1 scored call a user makes with an
+application's own measured scores (Figure 8, :mod:`repro.applications`,
+:class:`repro.core.transposition.DataTransposition`).  Both ``predict``
+methods validate their inputs through one check: every score must be
+finite and positive.
+
 GA-kNN's implementation lives with its baseline
 (:class:`repro.baselines.ga_knn.BatchedGAKNN`).  Method *construction* is
 the registry's job (:mod:`repro.core.engine`) — this module only defines
@@ -40,10 +49,10 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.linear_predictor import LinearTranspositionPredictor
+from repro.core import linear_predictor
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.ml.batched_mlp import GRADIENT_CLIP, BatchedMLPRegressor
+from repro.ml.batched_mlp import BatchedMLPRegressor
 
 __all__ = [
     "BatchedLinearTransposition",
@@ -230,14 +239,70 @@ class SplitContext:
         return np.stack([all_rows[all_rows != r] for r in app_rows])
 
 
-class BatchedLinearTransposition:
-    """NNᵀ: every leave-one-out application of a split in one stacked pass.
+def _scored_call_inputs(
+    benchmark_scores_predictive: np.ndarray,
+    app_scores_predictive: np.ndarray,
+    benchmark_scores_target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated float arrays of one N=1 scored call.
 
-    Each split's sufficient statistics are computed once on the full
-    benchmark set, and each application's leave-one-out fit is derived by
-    rank-one downdating (:meth:`~repro.core.linear_predictor.
-    LinearTranspositionPredictor.predict_leave_one_out`), one stacked pass
-    per split of the group.
+    Both benchmark matrices must be 2-D over the same benchmark rows, the
+    application needs one score per predictive machine, and every score
+    must be finite and positive (scores are speed ratios, as in
+    :class:`~repro.data.matrix.PerformanceMatrix`): a NaN, an infinity or
+    a non-positive score would otherwise come back as a silently wrong
+    ranking.  Raises :class:`ValueError` for any violation.
+    """
+    pred = np.asarray(benchmark_scores_predictive, dtype=float)
+    app = np.asarray(app_scores_predictive, dtype=float)
+    target = np.asarray(benchmark_scores_target, dtype=float)
+    if pred.ndim != 2 or target.ndim != 2:
+        raise ValueError("benchmark score matrices must be 2-D")
+    if pred.shape[0] != target.shape[0]:
+        raise ValueError(
+            "predictive and target matrices must cover the same benchmarks: "
+            f"{pred.shape[0]} vs {target.shape[0]}"
+        )
+    if app.shape != (pred.shape[1],):
+        raise ValueError(
+            f"app_scores_predictive has shape {app.shape}, expected ({pred.shape[1]},): "
+            "one score per predictive machine"
+        )
+    for name, scores in (("app_scores_predictive", app), ("benchmark scores", pred),
+                         ("benchmark scores", target)):
+        if not (np.isfinite(scores) & (scores > 0.0)).all():
+            raise ValueError(f"{name} must all be finite and positive")
+    return pred, app, target
+
+
+class BatchedLinearTransposition:
+    """NNᵀ: best-fitting single-predictive-machine linear regression.
+
+    Two entry points share the fit-quality and selection code of
+    :mod:`repro.core.linear_predictor`:
+
+    * :meth:`predict` — the N=1 scored call: one application's measured
+      scores on the predictive machines in, its predicted scores on the
+      target machines out;
+    * :meth:`predict_all_applications` — the leave-one-out grid: each
+      split's sufficient statistics are computed once on the full benchmark
+      set, and each application's fit is derived by rank-one downdating,
+      one stacked pass per split of the group.
+
+    The two fits agree to about 1e-12, not bit for bit.
+
+    Parameters
+    ----------
+    selection_criterion:
+        ``"rss"`` keeps the predictive machine with the lowest residual sum
+        of squares (equivalently the highest R², the paper's "best fit");
+        ``"correlation"`` keeps the one with the highest absolute Pearson
+        correlation.  Both criteria agree except in degenerate cases; the
+        ablation bench compares them.
+    top_k:
+        Number of best-fitting predictive machines to average over.  The
+        paper uses the single best machine (``top_k=1``); the ablation bench
+        explores small ensembles.
 
     Examples::
 
@@ -251,11 +316,50 @@ class BatchedLinearTransposition:
         True
         >>> scores["gcc"].shape == (split.n_target,)
         True
+        >>> pred = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 5.0]])
+        >>> target = 2.0 * pred[:, 1:] + 1.0    # the target is affine in machine 1
+        >>> BatchedLinearTransposition().predict(pred, [4.0, 6.0], target)
+        array([13.])
     """
 
     def __init__(self, selection_criterion: str = "rss", top_k: int = 1) -> None:
+        if selection_criterion not in {"rss", "correlation"}:
+            raise ValueError("selection_criterion must be 'rss' or 'correlation'")
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
         self.selection_criterion = selection_criterion
         self.top_k = int(top_k)
+
+    def predict(
+        self,
+        benchmark_scores_predictive: np.ndarray,
+        app_scores_predictive: np.ndarray,
+        benchmark_scores_target: np.ndarray,
+    ) -> np.ndarray:
+        """Predict the application of interest's score on every target machine.
+
+        Parameters
+        ----------
+        benchmark_scores_predictive:
+            (benchmarks x predictive machines) training-benchmark scores on
+            the machines the user can measure on.
+        app_scores_predictive:
+            (predictive machines,) measured scores of the application of
+            interest on the predictive machines.
+        benchmark_scores_target:
+            (benchmarks x target machines) published training-benchmark
+            scores on the machines being ranked.
+
+        Returns
+        -------
+        (target machines,) predicted application-of-interest scores.
+        """
+        pred, app, target = _scored_call_inputs(
+            benchmark_scores_predictive, app_scores_predictive, benchmark_scores_target
+        )
+        return linear_predictor.predict(
+            pred, app, target, self.selection_criterion, self.top_k
+        )
 
     def predict_all_applications(
         self,
@@ -266,29 +370,57 @@ class BatchedLinearTransposition:
         predictions = []
         for split in splits:
             context = SplitContext.for_split(dataset, split)
-            predictor = LinearTranspositionPredictor(
-                selection_criterion=self.selection_criterion, top_k=self.top_k
-            )
-            leave_one_out = predictor.predict_leave_one_out(
+            leave_one_out = linear_predictor.predict_leave_one_out(
                 context.predictive_scores,
                 context.target_scores,
-                rows=context.rows_for(applications),
+                context.rows_for(applications),
+                self.selection_criterion,
+                self.top_k,
             )
             predictions.append({app: leave_one_out[i] for i, app in enumerate(applications)})
         return predictions
 
 
-class BatchedMLPTransposition:
-    """MLPᵀ: every leave-one-out network of a split group in one stacked fit.
+#: MLPᵀ's SGD step size.  WEKA's MultilayerPerceptron defaults to 0.3, but
+#: plain per-sample SGD at 0.3 diverges on the very small predictive-machine
+#: training sets of Tables 3/4 and Figure 8 (WEKA decays its rate and
+#: validates internally).  Momentum (0.2) and the error clip keep the
+#: :class:`~repro.ml.batched_mlp.BatchedMLPRegressor` defaults.
+MLP_T_LEARNING_RATE = 0.05
 
-    Every leave-one-out cell of a same-shape split group trains a network of
-    identical shape (predictive machines as samples, all benchmarks but one
-    as features), hyper-parameters and seed, so all of them advance through
-    SGD together as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
-    BatchedMLPRegressor`).  The N=1 predictor
-    (:class:`~repro.core.mlp_predictor.MLPTranspositionPredictor`) trains
-    the same networks one at a time on the same kernel, so the two agree
-    bit for bit.
+
+class BatchedMLPTransposition:
+    """MLPᵀ: a multi-layer perceptron over benchmark-score features.
+
+    Section 3.2.2 of the paper: train a network whose inputs are the scores
+    of the training benchmarks on a machine and whose output is the score
+    of the application of interest on that machine.  The predictive
+    machines are the training samples; the trained network is applied to
+    each target machine's benchmark scores.  Two entry points train on the
+    same kernel (:class:`~repro.ml.batched_mlp.BatchedMLPRegressor`):
+
+    * :meth:`predict` — the N=1 scored call, one network;
+    * :meth:`predict_all_applications` — the leave-one-out grid: every
+      leave-one-out cell of a same-shape split group trains a network of
+      identical shape (predictive machines as samples, all benchmarks but
+      one as features), hyper-parameters and seed, so all of them advance
+      through SGD together as one stacked tensor pass.
+
+    A network trained in a stack is bit-identical to the same network
+    trained alone by :meth:`predict`.
+
+    Parameters
+    ----------
+    hidden_units:
+        Hidden layer size; ``None`` uses WEKA's ``(n_features + 1) // 2``
+        default, i.e. 14 units for 28 training benchmarks.
+    epochs:
+        SGD passes over the predictive machines (WEKA's default, 500).
+        Experiments that sweep many cells lower it to keep runtimes
+        laptop-friendly; the accuracy impact is measured by the ablation
+        bench.
+    seed:
+        Seed for weight initialisation / shuffling, so runs are repeatable.
 
     Examples::
 
@@ -305,20 +437,43 @@ class BatchedMLPTransposition:
     min_predictive_machines = 2
 
     def __init__(
-        self,
-        hidden_units: int | None = None,
-        epochs: int = 500,
-        learning_rate: float = 0.05,
-        momentum: float = 0.2,
-        seed: int = 0,
-        gradient_clip: float = GRADIENT_CLIP,
+        self, hidden_units: int | None = None, epochs: int = 500, seed: int = 0
     ) -> None:
         self.hidden_units = hidden_units
         self.epochs = int(epochs)
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
         self.seed = int(seed)
-        self.gradient_clip = float(gradient_clip)
+
+    def _regressor(self) -> BatchedMLPRegressor:
+        return BatchedMLPRegressor(
+            hidden_units=self.hidden_units,
+            learning_rate=MLP_T_LEARNING_RATE,
+            epochs=self.epochs,
+            seed=self.seed,
+        )
+
+    def _check_predictive_machines(self, n_predictive: int) -> None:
+        if n_predictive < self.min_predictive_machines:
+            raise ValueError("MLPᵀ needs at least two predictive machines to train on")
+
+    def predict(
+        self,
+        benchmark_scores_predictive: np.ndarray,
+        app_scores_predictive: np.ndarray,
+        benchmark_scores_target: np.ndarray,
+    ) -> np.ndarray:
+        """Predict the application of interest's score on every target machine.
+
+        Parameters and result mirror
+        :meth:`BatchedLinearTransposition.predict`; the samples fed to the
+        network are machines (columns), the features are the training
+        benchmarks (rows).
+        """
+        pred, app, target = _scored_call_inputs(
+            benchmark_scores_predictive, app_scores_predictive, benchmark_scores_target
+        )
+        self._check_predictive_machines(pred.shape[1])
+        # One network, so the leading network axis has length 1.
+        return self._regressor().fit(pred.T[None], app[None]).predict(target.T[None])[0]
 
     def predict_all_applications(
         self,
@@ -327,8 +482,7 @@ class BatchedMLPTransposition:
         applications: Sequence[str],
     ) -> list[dict[str, np.ndarray]]:
         n_predictive, n_target = group_shape(splits)
-        if n_predictive < self.min_predictive_machines:
-            raise ValueError("MLPᵀ needs at least two predictive machines to train on")
+        self._check_predictive_machines(n_predictive)
         contexts = [SplitContext.for_split(dataset, split) for split in splits]
         # Row indices come from the dataset's benchmark order, shared by
         # every split of the group.
@@ -346,15 +500,7 @@ class BatchedMLPTransposition:
             features[block] = context.predictive_scores[training_rows].transpose(0, 2, 1)
             targets[block] = context.predictive_scores[app_rows]
             queries[block] = context.target_scores[training_rows].transpose(0, 2, 1)
-        model = BatchedMLPRegressor(
-            hidden_units=self.hidden_units,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            epochs=self.epochs,
-            seed=self.seed,
-            gradient_clip=self.gradient_clip,
-        )
-        predictions = model.fit(features, targets).predict(queries)    # (ΣN, T)
+        predictions = self._regressor().fit(features, targets).predict(queries)  # (ΣN, T)
         return [
             {app: predictions[i * n_apps + a] for a, app in enumerate(applications)}
             for i in range(len(splits))

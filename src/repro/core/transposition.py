@@ -5,42 +5,23 @@ a predictive/target machine split and an application of interest, it
 
 1. extracts the training-benchmark scores on the predictive machines and the
    application's measured scores on those machines,
-2. hands them to a transposition predictor (NNᵀ or MLPᵀ), and
-3. returns the predicted scores / ranking of the target machines.
-
-The class knows nothing about how the predictor works internally — anything
-implementing ``predict(benchmark_scores_predictive, app_scores_predictive,
-benchmark_scores_target)`` can be plugged in, which is also how the ablation
-benches swap in variants.
+2. hands them to a transposition method's N=1 scored call
+   (:meth:`~repro.core.batch.BatchedLinearTransposition.predict` for NNᵀ,
+   :meth:`~repro.core.batch.BatchedMLPTransposition.predict` for MLPᵀ), and
+3. returns the predicted scores of the target machines, which rank them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.core.linear_predictor import LinearTranspositionPredictor
-from repro.core.mlp_predictor import MLPTranspositionPredictor
+from repro.core.batch import BatchedLinearTransposition, BatchedMLPTransposition
 from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
 
-__all__ = ["TranspositionPredictor", "DataTransposition", "TranspositionResult"]
-
-
-class TranspositionPredictor(Protocol):
-    """Anything that maps predictive-machine measurements to target predictions."""
-
-    def predict(
-        self,
-        benchmark_scores_predictive: np.ndarray,
-        app_scores_predictive: np.ndarray,
-        benchmark_scores_target: np.ndarray,
-    ) -> np.ndarray:
-        """Return predicted application scores, one per target machine."""
-        ...  # pragma: no cover - protocol definition
+__all__ = ["DataTransposition", "TranspositionResult"]
 
 
 @dataclass(frozen=True)
@@ -63,10 +44,9 @@ class DataTransposition:
     Parameters
     ----------
     predictor:
-        A transposition predictor instance; defaults to the MLPᵀ model the
-        paper found most accurate.  Use
-        :class:`repro.core.linear_predictor.LinearTranspositionPredictor`
-        for the NNᵀ flavour.
+        The transposition method whose ``predict`` makes each prediction;
+        defaults to the MLPᵀ method the paper found most accurate.  Pass
+        :class:`~repro.core.batch.BatchedLinearTransposition` for NNᵀ.
 
     Examples::
 
@@ -77,25 +57,17 @@ class DataTransposition:
         ...     predictive_ids=tuple(dataset.machine_ids[:4]),
         ...     target_ids=tuple(dataset.machine_ids[4:8]),
         ... )
-        >>> ranking = DataTransposition.with_linear_regression().rank_machines(
+        >>> result = DataTransposition(BatchedLinearTransposition()).predict_scores(
         ...     dataset, split, "gcc"
         ... )
-        >>> len(ranking.top(2))
+        >>> len(result.ranking().top(2))
         2
     """
 
-    def __init__(self, predictor: TranspositionPredictor | None = None) -> None:
-        self.predictor = predictor if predictor is not None else MLPTranspositionPredictor()
-
-    @classmethod
-    def with_linear_regression(cls, **kwargs) -> "DataTransposition":
-        """Convenience constructor for the NNᵀ flavour."""
-        return cls(LinearTranspositionPredictor(**kwargs))
-
-    @classmethod
-    def with_mlp(cls, **kwargs) -> "DataTransposition":
-        """Convenience constructor for the MLPᵀ flavour."""
-        return cls(MLPTranspositionPredictor(**kwargs))
+    def __init__(
+        self, predictor: BatchedLinearTransposition | BatchedMLPTransposition | None = None
+    ) -> None:
+        self.predictor = predictor if predictor is not None else BatchedMLPTransposition()
 
     # ------------------------------------------------------------------ API
     def predict_scores(
@@ -125,7 +97,9 @@ class DataTransposition:
             Measured scores of the application on the predictive machines.
             Defaults to the values recorded in the dataset matrix, which is
             what the leave-one-out evaluation uses; real users of the
-            library pass their own measurements here.
+            library pass their own measurements here.  Each must be finite
+            and positive, one per predictive machine, or :class:`ValueError`
+            is raised.
         """
         if training_benchmarks is None:
             training_benchmarks = [
@@ -147,30 +121,16 @@ class DataTransposition:
         if app_scores_predictive is None:
             app_row = dataset.matrix.benchmark_scores(application)
             machine_index = dataset.matrix.machine_index_map
-            app_scores = np.array(
-                [app_row[machine_index[mid]] for mid in split.predictive_ids], dtype=float
-            )
-        else:
-            app_scores = np.asarray(app_scores_predictive, dtype=float)
-            if app_scores.shape != (len(split.predictive_ids),):
-                raise ValueError(
-                    "app_scores_predictive must provide one measurement per predictive machine"
-                )
+            app_scores_predictive = [
+                app_row[machine_index[mid]] for mid in split.predictive_ids
+            ]
 
-        predictions = self.predictor.predict(predictive.scores, app_scores, target.scores)
+        predictions = self.predictor.predict(
+            predictive.scores, app_scores_predictive, target.scores
+        )
         return TranspositionResult(
             application=application,
             split_name=split.name,
             target_ids=tuple(split.target_ids),
             predicted_scores=tuple(float(value) for value in predictions),
         )
-
-    def rank_machines(
-        self,
-        dataset: SpecDataset,
-        split: MachineSplit,
-        application: str,
-        **kwargs,
-    ) -> MachineRanking:
-        """Predicted ranking of the target machines (best machine first in ``.top()``)."""
-        return self.predict_scores(dataset, split, application, **kwargs).ranking()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mlp_predictor import MLPTranspositionPredictor
+from repro.core.batch import BatchedMLPTransposition
 from repro.core.selection import select_k_medoids, select_random
 from repro.core.transposition import DataTransposition
 from repro.data.spec_dataset import SpecDataset, build_default_dataset
@@ -58,12 +58,14 @@ def _fit_quality(
         name="figure8", predictive_ids=tuple(predictive_ids), target_ids=target_ids
     )
     machine_index = {mid: i for i, mid in enumerate(dataset.machine_ids)}
-    r2_values = []
-    for application in applications:
-        predictor = MLPTranspositionPredictor(
+    method = DataTransposition(
+        BatchedMLPTransposition(
             hidden_units=config.mlp_hidden_units, epochs=config.mlp_epochs, seed=config.seed
         )
-        result = DataTransposition(predictor).predict_scores(dataset, split, application)
+    )
+    r2_values = []
+    for application in applications:
+        result = method.predict_scores(dataset, split, application)
         actual_row = dataset.matrix.benchmark_scores(application)
         actual = [actual_row[machine_index[mid]] for mid in split.target_ids]
         r2_values.append(coefficient_of_determination(result.predicted_scores, actual))

@@ -27,44 +27,42 @@ import numpy as np
 
 __all__ = ["GAConfig", "LockstepGeneticAlgorithm"]
 
+#: Probability that a child blends its two parents (otherwise it copies one).
+CROSSOVER_RATE = 0.9
+#: Probability that a gene mutates.
+MUTATION_RATE = 0.15
+#: Standard deviation of a mutation, as a fraction of the gene range.
+MUTATION_SCALE = 0.25
+#: Contenders drawn per tournament.
+TOURNAMENT_SIZE = 3
+#: Best genomes copied unchanged into the next generation.
+ELITISM = 2
+#: Every gene lives in ``[LOWER_BOUND, UPPER_BOUND]`` (GA-kNN's weights).
+LOWER_BOUND = 0.0
+UPPER_BOUND = 1.0
+
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Hyper-parameters of the genetic algorithm.
+    """The GA budget: population size and number of generations.
 
     The defaults are sized for the GA-kNN baseline: genomes of ~10-20 weight
     genes, a modest population and enough generations to converge on the
-    small training sets used in the paper's cross-validation setup.
+    small training sets used in the paper's cross-validation setup.  The
+    operators' settings are the module constants above.
     """
 
     population_size: int = 40
     generations: int = 30
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.15
-    mutation_scale: float = 0.25
-    tournament_size: int = 3
-    elitism: int = 2
-    lower_bound: float = 0.0
-    upper_bound: float = 1.0
 
     def validate(self) -> None:
-        """Raise ValueError if any hyper-parameter is out of range."""
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        """Raise ValueError if the budget is out of range."""
+        if self.population_size <= ELITISM:
+            raise ValueError(
+                f"population_size must exceed the {ELITISM} elites kept per generation"
+            )
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.mutation_scale <= 0.0:
-            raise ValueError("mutation_scale must be positive")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
-        if self.elitism < 0 or self.elitism >= self.population_size:
-            raise ValueError("elitism must be in [0, population_size)")
-        if self.upper_bound <= self.lower_bound:
-            raise ValueError("upper_bound must exceed lower_bound")
 
 
 class LockstepGeneticAlgorithm:
@@ -95,7 +93,7 @@ class LockstepGeneticAlgorithm:
         ``(S, pop)`` costs; lower is better.  Each problem's column must
         equal what the sequential fitness would return for that genome.
     config:
-        Hyper-parameters; defaults are suitable for GA-kNN.
+        Population size and generations; defaults are suitable for GA-kNN.
     seed:
         Seed for the random generator so runs are reproducible.
     """
@@ -146,29 +144,25 @@ class LockstepGeneticAlgorithm:
         loop consumes them, so the shared stream stays aligned; only the
         arithmetic that *applies* them is vectorised by the caller.
         """
-        cfg = self.config
+        pop_size = self.config.population_size
         rng = self._rng
         genes = self.genome_length
-        contenders = np.empty((n_children, 2, cfg.tournament_size), dtype=np.intp)
+        contenders = np.empty((n_children, 2, TOURNAMENT_SIZE), dtype=np.intp)
         crossed = np.empty(n_children, dtype=bool)
         mix = np.empty((n_children, genes))
         mutation = np.empty((n_children, genes))
         for child in range(n_children):
-            contenders[child, 0] = rng.integers(
-                0, cfg.population_size, size=cfg.tournament_size
-            )
-            contenders[child, 1] = rng.integers(
-                0, cfg.population_size, size=cfg.tournament_size
-            )
-            crossed[child] = rng.uniform() < cfg.crossover_rate
+            contenders[child, 0] = rng.integers(0, pop_size, size=TOURNAMENT_SIZE)
+            contenders[child, 1] = rng.integers(0, pop_size, size=TOURNAMENT_SIZE)
+            crossed[child] = rng.uniform() < CROSSOVER_RATE
             if crossed[child]:
                 mix[child] = rng.uniform(0.0, 1.0, size=genes)
             else:
                 # No draw for un-crossed children (stream alignment); the
                 # zero fill is arithmetic padding np.where discards.
                 mix[child] = 0.0
-            mask = rng.uniform(size=genes) < cfg.mutation_rate
-            noise = rng.normal(0.0, cfg.mutation_scale, size=genes)
+            mask = rng.uniform(size=genes) < MUTATION_RATE
+            noise = rng.normal(0.0, MUTATION_SCALE, size=genes)
             mutation[child] = mask * noise
         return contenders, crossed, mix, mutation
 
@@ -180,13 +174,11 @@ class LockstepGeneticAlgorithm:
         n_problems = self.n_problems
         pop_size = cfg.population_size
         problem_index = np.arange(n_problems)
-        span = cfg.upper_bound - cfg.lower_bound
+        span = UPPER_BOUND - LOWER_BOUND
 
         # All problems start from the same seed, hence the same population.
         population = np.broadcast_to(
-            rng.uniform(
-                cfg.lower_bound, cfg.upper_bound, size=(pop_size, self.genome_length)
-            ),
+            rng.uniform(LOWER_BOUND, UPPER_BOUND, size=(pop_size, self.genome_length)),
             (n_problems, pop_size, self.genome_length),
         ).copy()
         fitnesses = self._evaluate(population)
@@ -202,28 +194,26 @@ class LockstepGeneticAlgorithm:
             best_genome[improved] = population[improved, best_idx[improved]]
             self.history_.append(best_fitness.copy())
 
-            elite_order = np.argsort(fitnesses, axis=1, kind="mergesort")[
-                :, : cfg.elitism
-            ]
+            elite_order = np.argsort(fitnesses, axis=1, kind="mergesort")[:, :ELITISM]
             next_population = np.empty_like(population)
             next_fitnesses = np.empty_like(fitnesses)
-            next_population[:, : cfg.elitism] = np.take_along_axis(
+            next_population[:, :ELITISM] = np.take_along_axis(
                 population, elite_order[:, :, None], axis=1
             )
-            next_fitnesses[:, : cfg.elitism] = np.take_along_axis(
+            next_fitnesses[:, :ELITISM] = np.take_along_axis(
                 fitnesses, elite_order, axis=1
             )
 
             # Draw child by child (stream order), apply vectorised: every
             # elementwise step below reproduces the sequential per-child
             # arithmetic, just over a (problems, children, genes) block.
-            n_children = pop_size - cfg.elitism
+            n_children = pop_size - ELITISM
             contenders, crossed, mix, mutation = self._draw_breeding_plan(n_children)
             # np.argmin keeps the first minimum, matching the sequential
             # ``contenders[np.argmin(fitnesses[contenders])]`` tie-breaking.
             winner = np.argmin(fitnesses[:, contenders], axis=-1)  # (S, children, 2)
             parent_idx = np.take_along_axis(
-                np.broadcast_to(contenders, winner.shape + (cfg.tournament_size,)),
+                np.broadcast_to(contenders, winner.shape + (TOURNAMENT_SIZE,)),
                 winner[..., None],
                 axis=-1,
             )[..., 0]
@@ -235,14 +225,12 @@ class LockstepGeneticAlgorithm:
                 parent_a,
             )
             children += mutation[None] * span
-            np.clip(children, cfg.lower_bound, cfg.upper_bound, out=children)
-            next_population[:, cfg.elitism :] = children
+            np.clip(children, LOWER_BOUND, UPPER_BOUND, out=children)
+            next_population[:, ELITISM:] = children
 
             population = next_population
             # Evaluate only the bred children; elite fitnesses carry over.
-            next_fitnesses[:, cfg.elitism :] = self._evaluate(
-                population[:, cfg.elitism :]
-            )
+            next_fitnesses[:, ELITISM:] = self._evaluate(population[:, ELITISM:])
             fitnesses = next_fitnesses
 
         best_idx = np.argmin(fitnesses, axis=1)

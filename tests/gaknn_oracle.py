@@ -16,7 +16,16 @@ import numpy as np
 
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.ml.genetic import GAConfig
+from repro.ml.genetic import (
+    CROSSOVER_RATE,
+    ELITISM,
+    LOWER_BOUND,
+    MUTATION_RATE,
+    MUTATION_SCALE,
+    TOURNAMENT_SIZE,
+    UPPER_BOUND,
+    GAConfig,
+)
 from repro.ml.preprocessing import StandardScaler
 
 
@@ -33,7 +42,8 @@ class SequentialGA:
     fitness:
         Callable mapping a genome (1-D array) to a cost; lower is better.
     config:
-        Hyper-parameters; defaults are suitable for GA-kNN.
+        Population size and generations; defaults are suitable for GA-kNN.
+        The operators' settings are ``repro.ml.genetic``'s module constants.
     seed:
         Seed for the random generator so runs are reproducible.
     """
@@ -58,15 +68,14 @@ class SequentialGA:
 
     # --------------------------------------------------------------- helpers
     def _random_population(self) -> np.ndarray:
-        cfg = self.config
         return self._rng.uniform(
-            cfg.lower_bound,
-            cfg.upper_bound,
-            size=(cfg.population_size, self.genome_length),
+            LOWER_BOUND,
+            UPPER_BOUND,
+            size=(self.config.population_size, self.genome_length),
         )
 
     def _tournament(self, fitnesses: np.ndarray) -> int:
-        contenders = self._rng.integers(0, fitnesses.size, size=self.config.tournament_size)
+        contenders = self._rng.integers(0, fitnesses.size, size=TOURNAMENT_SIZE)
         return int(contenders[np.argmin(fitnesses[contenders])])
 
     def _crossover(self, parent_a: np.ndarray, parent_b: np.ndarray) -> np.ndarray:
@@ -75,11 +84,10 @@ class SequentialGA:
         return mix * parent_a + (1.0 - mix) * parent_b
 
     def _mutate(self, genome: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        mask = self._rng.uniform(size=self.genome_length) < cfg.mutation_rate
-        noise = self._rng.normal(0.0, cfg.mutation_scale, size=self.genome_length)
-        mutated = genome + mask * noise * (cfg.upper_bound - cfg.lower_bound)
-        return np.clip(mutated, cfg.lower_bound, cfg.upper_bound)
+        mask = self._rng.uniform(size=self.genome_length) < MUTATION_RATE
+        noise = self._rng.normal(0.0, MUTATION_SCALE, size=self.genome_length)
+        mutated = genome + mask * noise * (UPPER_BOUND - LOWER_BOUND)
+        return np.clip(mutated, LOWER_BOUND, UPPER_BOUND)
 
     # ------------------------------------------------------------------- run
     def run(self) -> np.ndarray:
@@ -96,13 +104,13 @@ class SequentialGA:
                 self.best_genome_ = population[best_idx].copy()
             self.history_.append(self.best_fitness_)
 
-            elite_order = np.argsort(fitnesses, kind="mergesort")[: cfg.elitism]
+            elite_order = np.argsort(fitnesses, kind="mergesort")[:ELITISM]
             next_population = [population[i].copy() for i in elite_order]
 
             while len(next_population) < cfg.population_size:
                 parent_a = population[self._tournament(fitnesses)]
                 parent_b = population[self._tournament(fitnesses)]
-                if self._rng.uniform() < cfg.crossover_rate:
+                if self._rng.uniform() < CROSSOVER_RATE:
                     child = self._crossover(parent_a, parent_b)
                 else:
                     child = parent_a.copy()

@@ -11,7 +11,7 @@ from repro.applications import (
     PurchasingAdvisor,
     Schedule,
 )
-from repro.core import DataTransposition
+from repro.core import BatchedLinearTransposition, BatchedMLPTransposition, DataTransposition
 from repro.data import SPEC_CPU2006_BENCHMARKS, build_default_dataset, build_machine_catalogue, score_application
 from repro.simulator import WorkloadCharacteristics
 
@@ -41,7 +41,7 @@ EXTERNAL_APP = WorkloadCharacteristics(
 def test_purchasing_advisor_recommends_fast_machine(dataset):
     owned = ("intel-xeon-harpertown-2", "amd-opteron-k10-barcelona-2", "intel-core-2-wolfdale-2")
     advisor = PurchasingAdvisor(
-        dataset, owned, method=DataTransposition.with_linear_regression()
+        dataset, owned, method=DataTransposition(BatchedLinearTransposition())
     )
     owned_specs = [dataset.machine(mid) for mid in owned]
     measured = score_application(EXTERNAL_APP, owned_specs, noise_sigma=0.0)
@@ -67,15 +67,28 @@ def test_purchasing_advisor_validation(dataset):
         PurchasingAdvisor(dataset, ("not-a-machine",))
     advisor = PurchasingAdvisor(
         dataset, ("intel-xeon-harpertown-2", "amd-opteron-k10-barcelona-2"),
-        method=DataTransposition.with_linear_regression(),
+        method=DataTransposition(BatchedLinearTransposition()),
     )
     with pytest.raises(ValueError):
         advisor.recommend("app", [10.0, 12.0], shortlist_size=0)
 
 
+def test_purchasing_advisor_refuses_scores_that_are_not_finite_and_positive(dataset):
+    # A bad client measurement used to come back as a recommendation whose
+    # ranking held NaN scores; it must be refused instead.
+    for method in (BatchedLinearTransposition(), BatchedMLPTransposition(epochs=5)):
+        advisor = PurchasingAdvisor(
+            dataset, dataset.machine_ids[:4], method=DataTransposition(method)
+        )
+        advisor.recommend("myapp", [4.0, 1.0, 2.0, 3.0])
+        for bad in (float("nan"), float("inf"), 0.0, -3.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                advisor.recommend("myapp", [bad, 1.0, 2.0, 3.0])
+
+
 def test_purchasing_recommendation_flags_disagreement(dataset):
     owned = ("intel-xeon-harpertown-2", "amd-opteron-k10-barcelona-2", "intel-core-2-wolfdale-2")
-    advisor = PurchasingAdvisor(dataset, owned, method=DataTransposition.with_linear_regression())
+    advisor = PurchasingAdvisor(dataset, owned, method=DataTransposition(BatchedLinearTransposition()))
     owned_specs = [dataset.machine(mid) for mid in owned]
     measured = score_application(EXTERNAL_APP, owned_specs, noise_sigma=0.0)
     recommendation = advisor.recommend(EXTERNAL_APP.name, measured)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.backends import NumpyBackend
-from repro.core.linear_predictor import LinearTranspositionPredictor
+from repro.core.linear_predictor import predict_leave_one_out
 from repro.ml.batched_mlp import BatchedMLPRegressor
 
 
@@ -26,7 +26,7 @@ def test_numpy_backend_is_always_available(monkeypatch):
     BatchedMLPRegressor(epochs=2, seed=0).fit(
         rng.uniform(0.5, 1.5, size=(2, 6, 3)), rng.uniform(0.5, 1.5, size=(2, 6))
     )
-    LinearTranspositionPredictor().predict_leave_one_out(
+    predict_leave_one_out(
         rng.uniform(1.0, 2.0, size=(6, 3)), rng.uniform(1.0, 2.0, size=(6, 2))
     )
     assert calls == ["mlp_sgd", "nnt_downdated_statistics"]

@@ -66,7 +66,7 @@ def test_ga_knn_prediction_is_weighted_average_of_benchmark_scores(dataset, spli
 
 def test_ga_knn_struggles_more_on_outlier_benchmark_than_transposition(dataset):
     """The paper's central claim: outlier workloads hurt workload-similarity methods."""
-    from repro.core import DataTransposition
+    from repro.core import BatchedLinearTransposition, DataTransposition
 
     xeon_split = next(
         s for s in family_cross_validation_splits(dataset) if "Intel Xeon" in s.name
@@ -75,7 +75,7 @@ def test_ga_knn_struggles_more_on_outlier_benchmark_than_transposition(dataset):
     reference = actual_ranking(dataset, xeon_split, application)
 
     ga_scores = _predict(BatchedGAKNN(ga_config=FAST_GA, seed=0), dataset, xeon_split, application)
-    nnt = DataTransposition.with_linear_regression()
+    nnt = DataTransposition(BatchedLinearTransposition())
     nnt_scores = nnt.predict_scores(dataset, xeon_split, application).predicted_scores
 
     ga_cmp = compare_rankings(MachineRanking.from_scores(xeon_split.target_ids, ga_scores), reference)

@@ -5,9 +5,10 @@ reproduce the sequential implementation it replaces.  These tests pin that
 contract — stacked MLP training against the original per-network loop
 (byte for byte, via the oracle in ``test_mlp_sgd_oracle``), downdated
 leave-one-out NNᵀ against per-application refits, the batched pipeline
-against a per-cell loop over the N=1 predictors, and the stacked GA-kNN
-fitness against the per-benchmark loop — plus the satellite API changes
-that ride along (read-only matrix views, the ``gradient_clip`` knob).
+against a per-cell loop over each method's N=1 ``predict``, and the
+stacked GA-kNN fitness against the per-benchmark loop — plus the
+satellite API changes that ride along (read-only matrix views, the
+``gradient_clip`` knob).
 """
 
 import numpy as np
@@ -17,13 +18,12 @@ from repro.baselines import BatchedGAKNN
 from repro.core import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
-    LinearTranspositionPredictor,
     SplitContext,
     predict_split_scores,
     run_cross_validation,
 )
+from repro.core import linear_predictor
 from repro.core.batch import split_fingerprint
-from repro.core.mlp_predictor import MLPTranspositionPredictor
 from repro.data import build_default_dataset, family_cross_validation_splits
 from repro.ml import BatchedMLPRegressor
 from repro.ml.batched_mlp import GRADIENT_CLIP
@@ -117,16 +117,15 @@ def test_nnt_leave_one_out_matches_refit_across_shapes():
         target = rng.uniform(1.0, 60.0, (n_benchmarks, n_target))
         for criterion in ("rss", "correlation"):
             for top_k in (1, 2):
-                predictor = LinearTranspositionPredictor(
-                    selection_criterion=criterion, top_k=top_k
+                leave_one_out = linear_predictor.predict_leave_one_out(
+                    predictive, target, selection_criterion=criterion, top_k=top_k
                 )
-                leave_one_out = predictor.predict_leave_one_out(predictive, target)
                 assert leave_one_out.shape == (n_benchmarks, n_target)
                 for row in range(n_benchmarks):
                     keep = np.arange(n_benchmarks) != row
-                    reference = LinearTranspositionPredictor(
-                        selection_criterion=criterion, top_k=top_k
-                    ).predict(predictive[keep], predictive[row], target[keep])
+                    reference = BatchedLinearTransposition(criterion, top_k).predict(
+                        predictive[keep], predictive[row], target[keep]
+                    )
                     np.testing.assert_allclose(
                         leave_one_out[row], reference, rtol=1e-9, atol=1e-12
                     )
@@ -134,9 +133,7 @@ def test_nnt_leave_one_out_matches_refit_across_shapes():
 
 def test_nnt_leave_one_out_requires_three_benchmarks():
     with pytest.raises(ValueError):
-        LinearTranspositionPredictor().predict_leave_one_out(
-            np.ones((2, 3)), np.ones((2, 2))
-        )
+        linear_predictor.predict_leave_one_out(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_nnt_selection_breaks_ties_by_lowest_index():
@@ -146,10 +143,17 @@ def test_nnt_selection_breaks_ties_by_lowest_index():
     column = rng.uniform(1.0, 10.0, (12, 1))
     predictive = np.tile(column, (1, 6))
     target = rng.uniform(1.0, 10.0, (12, 4))
-    app = rng.uniform(1.0, 10.0, 6)
-    predictor = LinearTranspositionPredictor()
-    predictor.predict(predictive, app, target)
-    assert predictor.chosen_predictive_machines() == [0, 0, 0, 0]
+    app = np.arange(1.0, 7.0)    # a different score on each copy
+    predicted = BatchedLinearTransposition().predict(predictive, app, target)
+    # Every copy fits equally well, so each target is predicted from
+    # machine 0's application score, not from any other copy's.
+    from_first = BatchedLinearTransposition().predict(predictive[:, :1], app[:1], target)
+    np.testing.assert_allclose(predicted, from_first, rtol=1e-12)
+    for other in range(1, 6):
+        from_other = BatchedLinearTransposition().predict(
+            predictive[:, :1], app[other:other + 1], target
+        )
+        assert not np.isclose(predicted, from_other, rtol=1e-6).any()
 
 
 # -------------------------------------------------------- pipeline equivalence
@@ -161,16 +165,16 @@ def _transposition_methods(epochs=40):
 
 
 def _per_cell_scores(dataset, split, application, epochs=40):
-    """One cell through the N=1 predictors, refit on all other benchmarks."""
+    """One cell through each method's N=1 ``predict``, refit on all other benchmarks."""
     predictive = dataset.matrix.select_machines(split.predictive_ids)
     target = dataset.matrix.select_machines(split.target_ids).scores
     keep = np.array([name != application for name in dataset.benchmark_names])
     app_scores = predictive.benchmark_scores(application)
     return {
-        "NN^T": LinearTranspositionPredictor().predict(
+        "NN^T": BatchedLinearTransposition().predict(
             predictive.scores[keep], app_scores, target[keep]
         ),
-        "MLP^T": MLPTranspositionPredictor(epochs=epochs, seed=0).predict(
+        "MLP^T": BatchedMLPTransposition(epochs=epochs, seed=0).predict(
             predictive.scores[keep], app_scores, target[keep]
         ),
     }
@@ -321,6 +325,3 @@ def test_gradient_clip_is_configurable():
         reference = ReferenceMLPRegressor(**kwargs).fit(x[0], y[0]).predict(x[0])
         assert predictions[clip].tobytes() == reference.tobytes()
     assert not np.array_equal(predictions[0.01], predictions[100.0])
-    # The transposition predictor forwards the knob.
-    predictor = MLPTranspositionPredictor(epochs=5, gradient_clip=7.5)
-    assert predictor.gradient_clip == 7.5

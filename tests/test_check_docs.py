@@ -91,3 +91,25 @@ def test_dotted_names_must_resolve(check_docs):
         Path("doc.md"), "intro\nsee `repro.ml.knn.KNNRegressor` for details", problems
     )
     assert problems == ["doc.md:2: `repro.ml.knn.KNNRegressor` does not resolve"]
+
+
+def test_bare_class_names_must_resolve(check_docs):
+    problems = []
+    check_docs.check_names(
+        Path("doc.md"),
+        "`SplitContext` and `MachineRanking.top(3)` and `PredictionService(dataset, methods)`;\n"
+        "builtins such as `ValueError` and constants such as `INVALID_JSON` pass,\n"
+        "and so does prose like `Examples::` or `NNᵀ`.",
+        problems,
+    )
+    assert problems == []
+
+    check_docs.check_names(
+        Path("doc.md"),
+        "intro\nsee `MLPTranspositionPredictor` and `SplitContext.no_such_method(x)`",
+        problems,
+    )
+    assert problems == [
+        "doc.md:2: `MLPTranspositionPredictor` does not resolve",
+        "doc.md:2: `SplitContext.no_such_method` does not resolve",
+    ]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    BatchedLinearTransposition,
+    BatchedMLPTransposition,
     CellResult,
     DataTransposition,
-    LinearTranspositionPredictor,
     MachineRanking,
     MethodResults,
     actual_ranking,
@@ -86,7 +87,7 @@ def test_compare_rankings_handles_different_machine_order():
 
 # ------------------------------------------------------------ DataTransposition
 def test_data_transposition_nnt_predicts_suite_benchmark(dataset, xeon_split):
-    method = DataTransposition.with_linear_regression()
+    method = DataTransposition(BatchedLinearTransposition())
     result = method.predict_scores(dataset, xeon_split, "gcc")
     assert result.application == "gcc"
     assert len(result.predicted_scores) == xeon_split.n_target
@@ -98,18 +99,18 @@ def test_data_transposition_nnt_predicts_suite_benchmark(dataset, xeon_split):
 
 def test_data_transposition_default_is_mlp():
     method = DataTransposition()
-    assert method.predictor.__class__.__name__ == "MLPTranspositionPredictor"
+    assert isinstance(method.predictor, BatchedMLPTransposition)
 
 
-def test_data_transposition_rank_machines_returns_ranking(dataset, xeon_split):
-    method = DataTransposition.with_linear_regression()
-    ranking = method.rank_machines(dataset, xeon_split, "mcf")
+def test_data_transposition_result_ranks_the_targets(dataset, xeon_split):
+    method = DataTransposition(BatchedLinearTransposition())
+    ranking = method.predict_scores(dataset, xeon_split, "mcf").ranking()
     assert set(ranking.machine_ids) == set(xeon_split.target_ids)
     assert len(ranking.top(3)) == 3
 
 
 def test_data_transposition_with_explicit_app_measurements(dataset, xeon_split):
-    method = DataTransposition.with_linear_regression()
+    method = DataTransposition(BatchedLinearTransposition())
     app_scores = dataset.matrix.benchmark_scores("astar")
     index = {mid: i for i, mid in enumerate(dataset.machine_ids)}
     measured = [app_scores[index[mid]] for mid in xeon_split.predictive_ids]
@@ -121,7 +122,7 @@ def test_data_transposition_with_explicit_app_measurements(dataset, xeon_split):
 
 
 def test_data_transposition_argument_validation(dataset, xeon_split):
-    method = DataTransposition.with_linear_regression()
+    method = DataTransposition(BatchedLinearTransposition())
     with pytest.raises(ValueError):
         method.predict_scores(
             dataset, xeon_split, "gcc", training_benchmarks=["gcc", "mcf"]
@@ -132,6 +133,18 @@ def test_data_transposition_argument_validation(dataset, xeon_split):
         method.predict_scores(
             dataset, xeon_split, "gcc", app_scores_predictive=[1.0, 2.0]
         )
+
+
+def test_data_transposition_refuses_bad_app_measurements(dataset, xeon_split):
+    measured = [10.0 + i for i in range(xeon_split.n_predictive)]
+    for method in (BatchedLinearTransposition(), BatchedMLPTransposition(epochs=5)):
+        transposition = DataTransposition(method)
+        transposition.predict_scores(dataset, xeon_split, "gcc", app_scores_predictive=measured)
+        for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                transposition.predict_scores(
+                    dataset, xeon_split, "gcc", app_scores_predictive=[bad, *measured[1:]]
+                )
 
 
 # ------------------------------------------------------------------ selection
@@ -220,7 +233,7 @@ def test_run_cross_validation_small_slice(dataset):
     assert set(results) == {"NN^T"}
     assert [cell.application for cell in results["NN^T"].cells] == ["libquantum", "leslie3d"]
     # Each cell scores what the N=1 library API predicts for it.
-    nnt_api = DataTransposition.with_linear_regression()
+    nnt_api = DataTransposition(BatchedLinearTransposition())
     for cell in results["NN^T"].cells:
         predicted = nnt_api.predict_scores(dataset, split, cell.application).predicted_scores
         comparison = compare_rankings(
@@ -250,24 +263,12 @@ def test_actual_ranking_matches_matrix(dataset, xeon_split):
     assert dataset.matrix.score("lbm", best) == max(scores)
 
 
-def test_transposition_method_adapter_uses_fresh_predictor(dataset, monkeypatch):
-    # BatchedLinearTransposition adapts the NN^T predictor to the method
-    # protocol; no predictor state may carry from one split to the next.
-    from repro.core import BatchedLinearTransposition, batch
-
-    calls = []
-
-    def factory(**kwargs):
-        predictor = LinearTranspositionPredictor(**kwargs)
-        calls.append(predictor)
-        return predictor
-
-    monkeypatch.setattr(batch, "LinearTranspositionPredictor", factory)
+def test_nnt_split_group_matches_each_split_alone(dataset):
+    # No state may carry from one split of a group to the next: a split's
+    # predictions in a group equal its predictions alone.
     first, other = family_cross_validation_splits(dataset)[1:3]  # one shape group
     together = BatchedLinearTransposition().predict_all_applications(
         dataset, [first, other], ["gcc", "mcf"]
     )
-    assert len(calls) == 2
-    assert calls[0] is not calls[1]
     [alone] = BatchedLinearTransposition().predict_all_applications(dataset, [other], ["gcc"])
     np.testing.assert_array_equal(together[1]["gcc"], alone["gcc"])

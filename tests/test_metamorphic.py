@@ -13,19 +13,30 @@ hypothesis, through :func:`repro.core.predict_split_scores`:
   the same way, bit for bit (each target machine is predicted on its
   own);
 * GA-kNN's predictions do not depend on the predictive machines at all
-  (it ranks from workload similarity only).
+  (it ranks from workload similarity only), so its Table 3 cells are the
+  same for every predictive era.
+
+Two more relations hold for NNᵀ's N=1 scored call
+(:meth:`repro.core.batch.BatchedLinearTransposition.predict`):
+
+* duplicating a predictive machine (with its application score) leaves the
+  predictions unchanged, bit for bit: the copy ties with the original and
+  the selection keeps the first of tied machines;
+* a target machine whose benchmark scores copy predictive machine j is
+  predicted as the application's score on j, to rounding (1e-12).
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import predict_split_scores
+from repro.core import BatchedLinearTransposition, predict_split_scores
 from repro.core.engine import create_methods
 from repro.data import build_default_dataset
 from repro.data.matrix import PerformanceMatrix
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.experiments import GAKNN, MLPT, NNT, ExperimentConfig
+from repro.experiments import GAKNN, MLPT, NNT, ExperimentConfig, run_table3
 
 DATASET = build_default_dataset()
 SMOKE = ExperimentConfig.smoke()
@@ -102,3 +113,68 @@ def test_ga_knn_ignores_the_predictive_machines(split, data):
     moved = predict_split_scores(DATASET, elsewhere, methods, APPLICATIONS)[GAKNN]
     for application in APPLICATIONS:
         assert moved[application].tobytes() == base[application].tobytes(), application
+
+
+def test_ga_knn_table3_cells_are_the_same_for_every_era():
+    for config in (SMOKE, ExperimentConfig.fast()):
+        result = run_table3(DATASET, config)
+        cells = {
+            era: [
+                (c.application, c.rank_correlation, c.top1_error_percent, c.mean_error_percent)
+                for c in by_method[GAKNN].cells
+            ]
+            for era, by_method in result.results.items()
+        }
+        assert len(cells) == 3
+        assert cells["2008"] == cells["2007"] == cells["older"]
+
+
+def _scored_call(split, application):
+    """The N=1 inputs of *application* on *split*: benchmarks but it, its scores."""
+    matrix = DATASET.matrix
+    training = [name for name in matrix.benchmarks if name != application]
+    train = matrix.select_benchmarks(training)
+    app_row = matrix.benchmark_scores(application)
+    index = matrix.machine_index_map
+    return (
+        train.select_machines(split.predictive_ids).scores,
+        np.array([app_row[index[mid]] for mid in split.predictive_ids]),
+        train.select_machines(split.target_ids).scores,
+    )
+
+
+@given(
+    split=machine_splits(),
+    application=st.sampled_from(APPLICATIONS),
+    criterion=st.sampled_from(["rss", "correlation"]),
+    data=st.data(),
+)
+@RELATIONS
+def test_duplicated_predictive_machine_leaves_nnt_unchanged(split, application, criterion, data):
+    pred, app, target = _scored_call(split, application)
+    copied = data.draw(st.integers(0, split.n_predictive - 1))
+    at = data.draw(st.integers(0, split.n_predictive))
+    method = BatchedLinearTransposition(criterion)
+    base = method.predict(pred, app, target)
+    duplicated = method.predict(
+        np.insert(pred, at, pred[:, copied], axis=1), np.insert(app, at, app[copied]), target
+    )
+    assert duplicated.tobytes() == base.tobytes()
+
+
+@given(
+    split=machine_splits(),
+    application=st.sampled_from(APPLICATIONS),
+    criterion=st.sampled_from(["rss", "correlation"]),
+    data=st.data(),
+)
+@RELATIONS
+def test_target_copying_a_predictive_machine_is_predicted_as_its_score(
+    split, application, criterion, data
+):
+    pred, app, target = _scored_call(split, application)
+    copied = data.draw(st.integers(0, split.n_predictive - 1))
+    at = data.draw(st.integers(0, split.n_target))
+    target = np.insert(target, at, pred[:, copied], axis=1)
+    predicted = BatchedLinearTransposition(criterion).predict(pred, app, target)
+    assert abs(predicted[at] - app[copied]) <= 1e-12 * app[copied]

@@ -1,6 +1,6 @@
 """Bit-exactness oracles for NNᵀ leave-one-out fit and selection.
 
-``LinearTranspositionPredictor.predict_leave_one_out`` fits and selects for
+``repro.core.linear_predictor.predict_leave_one_out`` fits and selects for
 every leave-one-out row in one stacked pass over ``(rows, P, T)`` arrays.
 It must put every element through the same IEEE operation sequence as the
 original per-row loop — one 2-D fit and one 2-D best-machine selection per
@@ -8,15 +8,16 @@ row — so its outputs are byte-for-byte equal, not merely close.
 :func:`reference_predict_leave_one_out` is that loop, and the ``reference_*``
 helpers are the original 2-D fit and selection, kept here verbatim as a
 test-only oracle.  :func:`reference_predict` is the original single-fit
-``predict``, the oracle for the one-row case of the stacked pass.
+``predict``, the oracle for the one-row case of the stacked pass, which
+``BatchedLinearTransposition.predict`` (the N=1 scored call) runs.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.backends import NumpyBackend
-from repro.core.batch import SplitContext
-from repro.core.linear_predictor import LinearTranspositionPredictor, _stable_top_k
+from repro.core.batch import BatchedLinearTransposition, SplitContext
+from repro.core.linear_predictor import _fit_from_statistics, _stable_top_k, predict_leave_one_out
 from repro.data import build_default_dataset, family_cross_validation_splits
 
 CRITERIA = ("rss", "correlation")
@@ -87,7 +88,7 @@ def reference_predict_leave_one_out(criterion, top_k, pred, target, rows=None):
 
 
 def reference_predict(criterion, top_k, pred, app, target):
-    """The original single-fit ``predict``: predictions and fit details."""
+    """The original single-fit ``predict``."""
     mean_x = pred.mean(axis=0)
     mean_y = target.mean(axis=0)
     pred_centered = pred - mean_x[None, :]
@@ -95,19 +96,11 @@ def reference_predict(criterion, top_k, pred, app, target):
     sxx = (pred_centered**2).sum(axis=0)
     syy = (target_centered**2).sum(axis=0)
     sxy = pred_centered.T @ target_centered
-    slopes, intercepts, rss, quality = reference_fit_from_statistics(
+    slopes, intercepts, _, quality = reference_fit_from_statistics(
         criterion, sxx, syy, sxy, mean_x, mean_y
     )
-    predictions, best = reference_select_predictions(top_k, slopes, intercepts, quality, app)
-    targets = np.arange(target.shape[1])
-    safe_syy = np.where(syy == 0.0, 1.0, syy)
-    r_squared = np.where(syy == 0.0, 1.0, 1.0 - rss[best, targets] / safe_syy)
-    details = [
-        (int(t), int(best[t]), float(slopes[best[t], t]), float(intercepts[best[t], t]),
-         float(r_squared[t]))
-        for t in targets
-    ]
-    return predictions, details
+    predictions, _ = reference_select_predictions(top_k, slopes, intercepts, quality, app)
+    return predictions
 
 
 # ----------------------------------------------------------------- helpers
@@ -116,9 +109,9 @@ def assert_loo_bit_identical(pred, target, rows=None, top_ks=(1, 2, 3)):
     for criterion in CRITERIA:
         for top_k in (*top_ks, pred.shape[1] + 1):
             expected = reference_predict_leave_one_out(criterion, top_k, pred, target, rows)
-            got = LinearTranspositionPredictor(
-                selection_criterion=criterion, top_k=top_k
-            ).predict_leave_one_out(pred, target, rows=rows)
+            got = predict_leave_one_out(
+                pred, target, rows=rows, selection_criterion=criterion, top_k=top_k
+            )
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes(), (criterion, top_k)
 
@@ -161,7 +154,7 @@ def test_empty_and_duplicate_rows():
     pred, target = random_scores(7, 10, 4, 3)
     assert_loo_bit_identical(pred, target, rows=[])
     assert_loo_bit_identical(pred, target, rows=[5, 5, 0, 5])
-    empty = LinearTranspositionPredictor().predict_leave_one_out(pred, target, rows=[])
+    empty = predict_leave_one_out(pred, target, rows=[])
     assert empty.shape == (0, 3)
 
 
@@ -188,8 +181,7 @@ def test_identical_machines_run_the_tie_fallback():
     target[:, 1] = 3.0 * pred[:, 0] + 1.0   # machine 0's copies win target 1
     statistics = NumpyBackend().nnt_downdated_statistics(pred, target, np.arange(14))
     for criterion in CRITERIA:
-        predictor = LinearTranspositionPredictor(selection_criterion=criterion)
-        quality = predictor._fit_from_statistics(*statistics)[3]
+        quality = _fit_from_statistics(*statistics, criterion)[2]
         best = quality.max(axis=1)
         assert ((quality == best[:, None, :]).sum(axis=1) > 1).any()
     assert_loo_bit_identical(pred, target)
@@ -236,13 +228,11 @@ def test_each_row_is_independent_of_the_batch(family_contexts):
         pred, target = context.predictive_scores, context.target_scores
         for criterion in CRITERIA:
             for top_k in (1, 3):
-                predictor = LinearTranspositionPredictor(
-                    selection_criterion=criterion, top_k=top_k
-                )
-                full = predictor.predict_leave_one_out(pred, target)
+                options = dict(selection_criterion=criterion, top_k=top_k)
+                full = predict_leave_one_out(pred, target, **options)
                 for _ in range(3):
                     rows = rng.permutation(pred.shape[0])[: rng.integers(1, pred.shape[0])]
-                    subset = predictor.predict_leave_one_out(pred, target, rows=rows)
+                    subset = predict_leave_one_out(pred, target, rows=rows, **options)
                     for i, r in enumerate(rows):
                         assert subset[i].tobytes() == full[r].tobytes()
 
@@ -260,42 +250,31 @@ def test_predict_is_the_one_row_case(degenerate):
         target[:, 0] = 9.0
     for criterion in CRITERIA:
         for top_k in (1, 2, 3, 7):
-            expected, expected_details = reference_predict(criterion, top_k, pred, app, target)
-            predictor = LinearTranspositionPredictor(selection_criterion=criterion, top_k=top_k)
-            got = predictor.predict(pred, app, target)
+            expected = reference_predict(criterion, top_k, pred, app, target)
+            got = BatchedLinearTransposition(criterion, top_k).predict(pred, app, target)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-            details = [
-                (d.target_index, d.chosen_predictive_index, d.slope, d.intercept, d.r_squared)
-                for d in predictor.fit_details_
-            ]
-            assert np.array(details).tobytes() == np.array(expected_details).tobytes()
 
 
 # -------------------------------------------------------------- validation
 def test_rows_must_be_integer_indices():
     pred, target = random_scores(15, 6, 3, 2)
-    predictor = LinearTranspositionPredictor()
-    full = predictor.predict_leave_one_out(pred, target)
+    full = predict_leave_one_out(pred, target)
     for bad in ([2.7], np.array([0.0, 1.0]), np.ones(6, dtype=bool), [True, False],
                 ["a"], [[0, 1]]):
         with pytest.raises(ValueError, match="integer"):
-            predictor.predict_leave_one_out(pred, target, rows=bad)
+            predict_leave_one_out(pred, target, rows=bad)
     for out_of_range in ([6], [-1]):
         with pytest.raises(ValueError, match="index benchmark rows"):
-            predictor.predict_leave_one_out(pred, target, rows=out_of_range)
+            predict_leave_one_out(pred, target, rows=out_of_range)
     for good in ([2, 0], (2, 0), np.array([2, 0], dtype=np.int32),
                  np.array([2, 0], dtype=np.uint8), [np.int64(2), 0]):
-        got = predictor.predict_leave_one_out(pred, target, rows=good)
+        got = predict_leave_one_out(pred, target, rows=good)
         assert got.tobytes() == full[[2, 0]].tobytes()
 
 
 def test_rows_from_split_context_keep_working(family_contexts):
     context = family_contexts[0]
     rows = context.rows_for(["gcc", "mcf"])
-    got = LinearTranspositionPredictor().predict_leave_one_out(
-        context.predictive_scores, context.target_scores, rows=rows
-    )
-    full = LinearTranspositionPredictor().predict_leave_one_out(
-        context.predictive_scores, context.target_scores
-    )
+    got = predict_leave_one_out(context.predictive_scores, context.target_scores, rows=rows)
+    full = predict_leave_one_out(context.predictive_scores, context.target_scores)
     assert got.tobytes() == full[rows].tobytes()

@@ -17,6 +17,11 @@ Checks, over ``README.md`` and every ``docs/*.md``:
   ``repro.…`` name (`` `repro.core.batch.split_cache_key(...)` `` checks
   ``repro.core.batch.split_cache_key``) must import as a module or resolve
   as an attribute of one, so no document names a deleted symbol.
+* **bare class names** — every inline-code span that starts with a bare
+  CamelCase identifier (`` `SplitContext` ``, `` `MachineRanking.top(3)` ``)
+  must name a class or function defined in some ``repro`` module, or a
+  builtin; when the span calls a member (`` `Foo.bar(` ``), the member must
+  exist too.
 
 Exit status is the number of problems found, capped at 1, so the script
 slots directly into a CI step.
@@ -24,8 +29,10 @@ slots directly into a CI step.
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -39,6 +46,12 @@ LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 FENCE = re.compile(r"^```(\S*)")
 #: The dotted ``repro.…`` name an inline-code span starts with.
 DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+#: A CamelCase name an inline-code span starts with (an initial capital and a
+#: lower-case letter, so ``ALL_CAPS`` constants are not names), and the
+#: member it calls, if any: `Foo`, `Foo(x)`, `Foo.bar(`.
+BARE_NAME = re.compile(
+    r"`([A-Z][A-Z0-9_]*[a-z][A-Za-z0-9_]*)(?:\.([A-Za-z_]\w*)(?=\())?(?=[`.(\[])"
+)
 
 
 def _display(path: Path) -> str:
@@ -120,23 +133,62 @@ def resolves(name: str) -> bool:
     return False
 
 
-def check_names(path: Path, text: str, problems: list[str]) -> None:
+def repro_definitions() -> dict[str, list[object]]:
+    """Every class and function defined at the top of some ``repro`` module."""
+    import repro
+
+    definitions: dict[str, list[object]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it would run the program
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) == info.name:
+                definitions.setdefault(name, []).append(value)
+    return definitions
+
+
+def bare_name_resolves(
+    name: str, member: str | None, definitions: dict[str, list[object]]
+) -> bool:
+    """Whether *name* (and its called *member*) is a repro definition or a builtin."""
+    candidates = definitions.get(name, [])
+    if hasattr(builtins, name):
+        candidates = [*candidates, getattr(builtins, name)]
+    return any(member is None or hasattr(value, member) for value in candidates)
+
+
+def check_names(
+    path: Path,
+    text: str,
+    problems: list[str],
+    definitions: dict[str, list[object]] | None = None,
+) -> None:
+    def report(start: int, name: str) -> None:
+        line = text.count("\n", 0, start) + 1
+        problems.append(f"{_display(path)}:{line}: `{name}` does not resolve")
+
     for match in DOTTED_NAME.finditer(text):
-        name = match.group(1)
-        if not resolves(name):
-            line = text.count("\n", 0, match.start()) + 1
-            problems.append(f"{_display(path)}:{line}: `{name}` does not resolve")
+        if not resolves(match.group(1)):
+            report(match.start(), match.group(1))
+    for match in BARE_NAME.finditer(text):
+        if definitions is None:
+            definitions = repro_definitions()
+        name, member = match.groups()
+        if not bare_name_resolves(name, member, definitions):
+            report(match.start(), name if member is None else f"{name}.{member}")
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     problems: list[str] = []
     documents = iter_documents()
+    definitions = repro_definitions()
     for path in documents:
         text = path.read_text()
         check_links(path, text, problems)
         check_snippets(path, text, problems)
-        check_names(path, text, problems)
+        check_names(path, text, problems, definitions)
     for problem in problems:
         print(problem)
     print(f"checked {len(documents)} document(s): {len(problems)} problem(s)")
