@@ -30,19 +30,14 @@ from repro.data import build_default_dataset
 from repro.experiments import ExperimentConfig, run_table2
 
 
-def _preset() -> ExperimentConfig:
-    name = os.environ.get("REPRO_BENCH_PRESET", "fast").lower()
-    if name == "full":
-        return ExperimentConfig.full()
-    if name == "smoke":
-        return ExperimentConfig.smoke()
-    return ExperimentConfig.fast()
+def _preset_name() -> str:
+    return os.environ.get("REPRO_BENCH_PRESET", "fast").lower()
 
 
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     """Experiment configuration used by all benches."""
-    return _preset()
+    return ExperimentConfig.preset(_preset_name())
 
 
 @pytest.fixture(scope="session")
@@ -139,11 +134,10 @@ def pytest_sessionfinish(session, exitstatus):
         return
     out = Path(__file__).resolve().parent / "out"
     out.mkdir(exist_ok=True)
-    preset = os.environ.get("REPRO_BENCH_PRESET", "fast").lower()
     for module in modules:
         results = by_module.get(module, {})
         payload = {
-            "preset": preset,
+            "preset": _preset_name(),
             "results": {name: results[name] for name in sorted(results)},
         }
         extras = _BENCH_EXTRAS.get(module)

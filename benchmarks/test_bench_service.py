@@ -99,9 +99,10 @@ def test_bench_service_microbatch_throughput(benchmark, dataset):
 
     async def drive():
         batcher = MicroBatcher(service, max_batch=len(queries))
-        replies = await asyncio.gather(*(batcher.submit(query) for query in queries))
-        return batcher, replies
+        return await asyncio.gather(*(batcher.submit(query) for query in queries))
 
-    batcher, replies = run_once(benchmark, lambda: asyncio.run(drive()))
+    replies = run_once(benchmark, lambda: asyncio.run(drive()))
     assert len(replies) == len(queries)
-    assert batcher.batches_dispatched < batcher.requests_served
+    snapshot = service.metrics.snapshot()
+    served = snapshot["histograms"]["batcher.batch_size"]["sum"]
+    assert snapshot["counters"]["batcher.batches"] < served

@@ -78,10 +78,10 @@ def main() -> None:
     for entry in response["ranking"]:
         print(f"  {entry['machine']:<38} predicted {entry['score']:6.1f}")
 
-    stats = service.cache_stats()
+    counters = service.metrics.snapshot()["counters"]
     print(
-        f"\nCache: {stats.entries} trained split(s) resident, "
-        f"{stats.hits} hits / {stats.misses} misses"
+        f"\nCache: {len(service.cache)} trained split(s) resident, "
+        f"{counters['cache.hits']} hits / {counters['cache.misses']} misses"
     )
 
 

@@ -110,21 +110,19 @@ class PurchasingAdvisor:
             target_ids=target_ids,
         )
         # The application of interest is external, so every suite benchmark
-        # is available for training.
-        training = [name for name in self.dataset.benchmark_names if name != application]
-        result = self.method.predict_scores(
-            self.dataset,
-            split,
-            application,
-            training_benchmarks=training,
-            app_scores_predictive=list(app_scores_on_predictive),
+        # trains the method, whatever the application's label.
+        matrix = self.dataset.matrix
+        targets = matrix.select_machines(list(split.target_ids)).scores
+        predictions = self.method.predictor.predict(
+            matrix.select_machines(list(split.predictive_ids)).scores,
+            app_scores_on_predictive,
+            targets,
         )
-        ranking = result.ranking()
-        suite_means = (
-            self.dataset.matrix.select_benchmarks(training)
-            .select_machines(list(target_ids))
-            .scores.mean(axis=0)
+        ranking = MachineRanking(
+            machine_ids=target_ids,
+            scores=tuple(float(value) for value in predictions),
         )
+        suite_means = targets.mean(axis=0)
         suite_choice = target_ids[int(np.argmax(suite_means))]
         return PurchaseRecommendation(
             application=application,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable
 
 from repro.data.spec_dataset import build_default_dataset
 from repro.experiments import (
@@ -40,6 +39,7 @@ from repro.experiments import (
     run_table3,
     run_table4,
 )
+from repro.experiments.config import PRESETS
 
 __all__ = ["format_method_registry", "main"]
 
@@ -72,12 +72,6 @@ def format_method_registry() -> str:
     lines.insert(1, "  ".join("-" * width for width in widths) + "  " + "-" * 11)
     return "\n".join(line.rstrip() for line in lines)
 
-_PRESETS: dict[str, Callable[[], ExperimentConfig]] = {
-    "fast": ExperimentConfig.fast,
-    "full": ExperimentConfig.full,
-    "smoke": ExperimentConfig.smoke,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preset",
-        choices=sorted(_PRESETS),
+        choices=PRESETS,
         default="fast",
         help="configuration preset (default: fast)",
     )
@@ -122,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_method_registry())
         return 0
     args = _build_parser().parse_args(argv)
-    config = _PRESETS[args.preset]()
+    config = ExperimentConfig.preset(args.preset)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     dataset = build_default_dataset(noise_sigma=config.noise_sigma, seed=config.seed)

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 from repro.core.engine import MethodParams
 from repro.ml.genetic import GAConfig
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["PRESETS", "ExperimentConfig"]
+
+#: The configuration presets by name, fastest first; each names the
+#: :class:`ExperimentConfig` classmethod that builds it.
+PRESETS: tuple[str, ...] = ("smoke", "fast", "full")
 
 #: Benchmarks used by the fast preset: the outliers the paper highlights
 #: (leslie3d, cactusADM, libquantum, namd, hmmer) plus typical integer and
@@ -86,6 +90,23 @@ class ExperimentConfig:
             raise ValueError("figure8_random_draws must be >= 1")
         if self.figure8_max_predictive < 1:
             raise ValueError("figure8_max_predictive must be >= 1")
+
+    @classmethod
+    def preset(cls, name: str) -> "ExperimentConfig":
+        """The configuration preset called *name* (one of :data:`PRESETS`).
+
+        Examples::
+
+            >>> ExperimentConfig.preset("smoke") == ExperimentConfig.smoke()
+            True
+            >>> ExperimentConfig.preset("warp-speed")
+            Traceback (most recent call last):
+            ...
+            ValueError: unknown preset 'warp-speed' (choose from ['fast', 'full', 'smoke'])
+        """
+        if name not in PRESETS:
+            raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
+        return getattr(cls, name)()
 
     @classmethod
     def full(cls) -> "ExperimentConfig":

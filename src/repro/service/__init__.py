@@ -60,7 +60,7 @@ from repro.service.api import (
     ServiceError,
 )
 from repro.service.batching import MicroBatcher
-from repro.service.cache import CacheStats, SplitContextCache
+from repro.service.cache import SplitContextCache
 from repro.service.errors import (
     ERROR_CODES,
     RETRYABLE_CODES,
@@ -90,7 +90,6 @@ from repro.service.server import build_service, serve_stdio, serve_tcp
 
 __all__ = [
     "BackendFailureError",
-    "CacheStats",
     "ColdPass",
     "Counter",
     "Deadline",

@@ -62,10 +62,10 @@ from repro.core.pipeline import predict_split_scores
 from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.service.cache import CacheStats, SplitContextCache
+from repro.service.cache import SplitContextCache
 from repro.service.errors import BackendFailureError, ServiceError
 from repro.service.faults import FaultInjector, InjectedFault
-from repro.service.observability import MetricsRegistry, Trace
+from repro.service.observability import Trace
 from repro.service.resilience import Deadline
 
 __all__ = [
@@ -280,7 +280,8 @@ class PredictionService:
         split.
     cache:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
-        split state (default: 64 entries).
+        split state (default: 64 entries).  Its registry is the service's
+        :attr:`metrics`, which every layer of the stack records into.
     fallbacks:
         ``{method: fallback_method}`` degradation map, walked when a
         query's deadline cannot be met by its requested method or a cold
@@ -292,10 +293,6 @@ class PredictionService:
         stack, if any.  Its engine seams fire before every cold pass; the
         health payload reports its counters.  (The cache's seams are wired
         into the :class:`~repro.service.cache.SplitContextCache` itself.)
-    metrics:
-        The :class:`~repro.service.observability.MetricsRegistry` this
-        stack records into.  ``None`` (the default) creates a private
-        registry, so recording never needs a null check.
 
     Examples::
 
@@ -323,7 +320,6 @@ class PredictionService:
         cache: SplitContextCache | None = None,
         fallbacks: "Mapping[str, str] | None" = None,
         fault_injector: FaultInjector | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not methods:
             raise ValueError("at least one ranking method is required")
@@ -331,7 +327,15 @@ class PredictionService:
         self.methods = resolve_methods(methods)
         self.cache = cache if cache is not None else SplitContextCache()
         self.fault_injector = fault_injector
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = self.cache.metrics
+        self._requests = self.metrics.counter("service.requests")
+        self._warm_hits = self.metrics.counter("service.warm_hits")
+        self._cold_passes = self.metrics.counter("service.cold_passes")
+        #: Replies answered by a fallback method (deadline or failed pass).
+        self._degraded = self.metrics.counter("service.degraded")
+        #: Cache entries found corrupted (wrong type) and rebuilt.
+        self._corrupt_entries = self.metrics.counter("service.corrupt_entries_dropped")
+        self._cold_train_ms = self.metrics.histogram("service.cold_train_ms")
         self._benchmarks = set(dataset.benchmark_names)
         self._machines = set(dataset.machine_ids)
         self._fallbacks = (
@@ -340,10 +344,6 @@ class PredictionService:
         #: Worst observed cold-training seconds per served method, fed by
         #: rank_many; the deadline-degradation decision consults it.
         self._cold_cost: dict[str, float] = {}
-        #: Replies answered by a fallback method (deadline or failed pass).
-        self.degraded_served = 0
-        #: Cache entries found corrupted (wrong type) and rebuilt.
-        self.corrupt_entries_dropped = 0
 
     def _registry_fallbacks(self) -> dict[str, str]:
         """Degradation map from the registry, limited to served methods."""
@@ -425,11 +425,11 @@ class PredictionService:
             # purge it and rebuild.  If the rebuilt entry is corrupted too
             # (injection can strike twice), serve from a private state —
             # slower, but always correct.
-            self.corrupt_entries_dropped += 1
+            self._corrupt_entries.inc()
             self.cache.invalidate(key)
             state, _ = self.cache.get_or_create(key, factory)
             if not isinstance(state, _SplitState):
-                self.corrupt_entries_dropped += 1
+                self._corrupt_entries.inc()
                 self.cache.invalidate(key)
                 state = factory()
         return state
@@ -563,7 +563,7 @@ class PredictionService:
             elapsed = time.monotonic() - started
             if elapsed > self._cold_cost.get(served, 0.0):
                 self._cold_cost[served] = elapsed
-            self.metrics.histogram("service.cold_train_ms").observe(elapsed * 1000.0)
+            self._cold_train_ms.observe(elapsed * 1000.0)
         return self._reply(query, state, served, scores, warm)
 
     def _reply(
@@ -579,14 +579,11 @@ class PredictionService:
         One stable descending argsort orders the targets exactly as
         :meth:`~repro.core.ranking.MachineRanking.ordered_ids` does.
         """
-        self.metrics.counter("service.requests").inc()
-        self.metrics.counter(
-            "service.warm_hits" if warm else "service.cold_passes"
-        ).inc()
+        self._requests.inc()
+        (self._warm_hits if warm else self._cold_passes).inc()
         degraded = served != query.method
         if degraded:
-            self.degraded_served += 1
-            self.metrics.counter("service.degraded").inc()
+            self._degraded.inc()
         scores = np.asarray(scores, dtype=float)
         order = np.argsort(-scores, kind="mergesort")[: query.top_n]
         targets = state.split.target_ids
@@ -600,8 +597,3 @@ class PredictionService:
             degraded=degraded,
             served_method=served,
         )
-
-    # ------------------------------------------------------------ inspection
-    def cache_stats(self) -> CacheStats:
-        """Counters of the underlying split-state cache."""
-        return self.cache.stats()

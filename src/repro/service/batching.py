@@ -114,14 +114,19 @@ class MicroBatcher:
         self._inflight = 0
         self._inflight_tasks: set[asyncio.Future] = set()
         self._draining = False
-        #: Number of flushes dispatched (for tests and throughput benches).
-        self.batches_dispatched = 0
-        #: Total requests answered across all flushes.
-        self.requests_served = 0
+        metrics = service.metrics
         #: Requests refused at admission (queue/inflight budget exhausted).
-        self.requests_shed = 0
+        self._shed = metrics.counter("batcher.shed")
         #: Requests refused because their deadline had already expired.
-        self.deadline_rejections = 0
+        self._deadline_rejected = metrics.counter("batcher.deadline_rejected")
+        #: Flushes that answered at least one request; the batch-size
+        #: histogram's sum is the number of requests they answered.
+        self._batches = metrics.counter("batcher.batches")
+        self._batch_size = metrics.histogram(
+            "batcher.batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)
+        )
+        self._pending_gauge = metrics.gauge("batcher.pending")
+        self._inflight_gauge = metrics.gauge("batcher.inflight")
 
     async def submit(self, query: RankingQuery) -> RankingReply:
         """Enqueue one query and await its reply.
@@ -133,7 +138,6 @@ class MicroBatcher:
         sheds the request; an already-expired deadline rejects it.  Either
         refusal answers an invalid query as invalid.
         """
-        metrics = self.service.metrics
         if self._draining:
             raise self._invalid(query) or OverloadedError(
                 "service is draining; not accepting new requests"
@@ -142,8 +146,7 @@ class MicroBatcher:
             invalid = self._invalid(query)
             if invalid is not None:
                 raise invalid
-            self.requests_shed += 1
-            metrics.counter("batcher.shed").inc()
+            self._shed.inc()
             raise OverloadedError(
                 f"overloaded: {len(self._pending)} queued, {self._inflight} in flight"
             )
@@ -154,7 +157,7 @@ class MicroBatcher:
         if query.trace is not None:
             query.trace.begin("queue")
         self._pending.append((query, future))
-        metrics.gauge("batcher.pending").set(len(self._pending))
+        self._pending_gauge.set(len(self._pending))
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
@@ -180,8 +183,7 @@ class MicroBatcher:
         invalid = self._invalid(query)
         if invalid is not None:
             return invalid
-        self.deadline_rejections += 1
-        self.service.metrics.counter("batcher.deadline_rejected").inc()
+        self._deadline_rejected.inc()
         return DeadlineExceededError(message)
 
     def _flush(self) -> None:
@@ -195,7 +197,6 @@ class MicroBatcher:
         # Fail queries whose deadline expired while they queued: answering
         # them would waste an engine pass on an unusable reply.  Futures may
         # already be done (caller gone) — never touch those.
-        metrics = self.service.metrics
         live: list[tuple[RankingQuery, asyncio.Future]] = []
         for query, future in batch:
             if query.trace is not None:
@@ -205,15 +206,11 @@ class MicroBatcher:
                     future.set_exception(self._expired(query, "deadline expired while queued"))
                 continue
             live.append((query, future))
-        self.batches_dispatched += 1
-        self.requests_served += len(live)
-        metrics.gauge("batcher.pending").set(len(self._pending))
+        self._pending_gauge.set(len(self._pending))
         if not live:
             return
-        metrics.counter("batcher.batches").inc()
-        metrics.histogram(
-            "batcher.batch_size", buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256)
-        ).observe(len(live))
+        self._batches.inc()
+        self._batch_size.observe(len(live))
         for query, _ in live:
             if query.trace is not None:
                 query.trace.begin("batch")
@@ -237,7 +234,7 @@ class MicroBatcher:
             None, self.service.train_cold, passes
         )
         self._inflight += len(cold)
-        metrics.gauge("batcher.inflight").set(self._inflight)
+        self._inflight_gauge.set(self._inflight)
         self._inflight_tasks.add(task)
         task.add_done_callback(lambda done: self._deliver(cold, done))
 
@@ -258,7 +255,7 @@ class MicroBatcher:
     ) -> None:
         """Resolve each cold caller from its own slot of the executor call."""
         self._inflight -= len(cold)
-        self.service.metrics.gauge("batcher.inflight").set(self._inflight)
+        self._inflight_gauge.set(self._inflight)
         self._inflight_tasks.discard(done)
         try:
             outcomes = done.result()
@@ -284,30 +281,6 @@ class MicroBatcher:
         await asyncio.wait(outstanding, timeout=timeout)
 
     @property
-    def pending(self) -> int:
-        """Requests currently waiting for the next flush."""
-        return len(self._pending)
-
-    @property
-    def inflight(self) -> int:
-        """Requests dispatched to the engine but not yet answered."""
-        return self._inflight
-
-    @property
     def draining(self) -> bool:
         """True once :meth:`drain` has begun (no new admissions)."""
         return self._draining
-
-    def snapshot(self) -> dict:
-        """Admission/throughput counters (the ``health`` verb)."""
-        return {
-            "pending": len(self._pending),
-            "inflight": self._inflight,
-            "draining": self._draining,
-            "batches_dispatched": self.batches_dispatched,
-            "requests_served": self.requests_served,
-            "requests_shed": self.requests_shed,
-            "deadline_rejections": self.deadline_rejections,
-            "max_queue": self.max_queue,
-            "max_inflight": self.max_inflight,
-        }

@@ -19,6 +19,12 @@ correct) and the ``cache_corrupt`` seam replaces a resident value with a
 :class:`~repro.service.faults.CorruptedEntry` sentinel (the service
 detects the wrong type, invalidates, and rebuilds).
 
+The cache owns the serving stack's one
+:class:`~repro.service.observability.MetricsRegistry` (``cache.metrics``):
+it counts its own lookups, evictions and applied faults there, and the
+service, the micro-batcher and the front ends record into the same
+registry.
+
 Examples::
 
     >>> cache = SplitContextCache(capacity=2)
@@ -29,7 +35,7 @@ Examples::
     >>> cache.put("split-c", 3)   # evicts the least recently used: split-b
     >>> cache.get("split-b") is None
     True
-    >>> cache.stats().evictions
+    >>> cache.metrics.snapshot()["counters"]["cache.evictions"]
     1
 """
 
@@ -37,31 +43,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.service.faults import CorruptedEntry, FaultInjector
+from repro.service.observability import MetricsRegistry
 
-__all__ = ["CacheStats", "SplitContextCache"]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Counters describing a cache's behaviour since construction.
-
-    ``hits`` / ``misses`` count lookups, ``evictions`` the entries dropped
-    at capacity, ``entries`` those resident now.
-
-    Examples::
-
-        >>> SplitContextCache(capacity=4).stats()
-        CacheStats(hits=0, misses=0, evictions=0, entries=0)
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
+__all__ = ["SplitContextCache"]
 
 
 class SplitContextCache:
@@ -90,15 +77,17 @@ class SplitContextCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self.fault_injector = fault_injector
-        #: Faults actually applied to resident entries (chaos assertions).
-        self.injected_evictions = 0
-        self.injected_corruptions = 0
+        #: The serving stack's metrics registry (see the module docstring).
+        self.metrics = MetricsRegistry()
+        self._hits = self.metrics.counter("cache.hits")
+        self._misses = self.metrics.counter("cache.misses")
+        self._evictions = self.metrics.counter("cache.evictions")
+        #: Faults actually applied to resident entries, not merely drawn.
+        self._injected_evictions = self.metrics.counter("cache.injected_evictions")
+        self._injected_corruptions = self.metrics.counter("cache.injected_corruptions")
         self._lock = threading.Lock()
         #: key -> value, most recently used last.
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def _maybe_inject(self, key: Hashable) -> None:
         """Fire scheduled cache faults against *key* before a lookup."""
@@ -106,20 +95,20 @@ class SplitContextCache:
         if injector is None:
             return
         if injector.fires("cache_evict") and self.invalidate(key):
-            self.injected_evictions += 1
+            self._injected_evictions.inc()
         if injector.fires("cache_corrupt"):
             with self._lock:
                 if key in self._entries:
                     # In place: corruption is not a (re)insertion.
                     self._entries[key] = CorruptedEntry(key)
-                    self.injected_corruptions += 1
+                    self._injected_corruptions.inc()
 
     def _insert(self, key: Hashable, value: Any) -> None:
         """Store *value* as the most recent entry, evicting past capacity."""
         self._entries.pop(key, None)
         while len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
-            self._evictions += 1
+            self._evictions.inc()
         self._entries[key] = value
 
     # ------------------------------------------------------------- operations
@@ -129,9 +118,9 @@ class SplitContextCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._hits += 1
+                self._hits.inc()
                 return self._entries[key]
-            self._misses += 1
+            self._misses.inc()
             return default
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -149,9 +138,9 @@ class SplitContextCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._hits += 1
+                self._hits.inc()
                 return self._entries[key], True
-            self._misses += 1
+            self._misses.inc()
             value = factory()
             self._insert(key, value)
             return value, False
@@ -177,38 +166,6 @@ class SplitContextCache:
             return False
 
     # ------------------------------------------------------------- inspection
-    def stats(self) -> CacheStats:
-        """The cache's counters."""
-        with self._lock:
-            return CacheStats(self._hits, self._misses, self._evictions, len(self._entries))
-
-    def snapshot(self) -> dict:
-        """The cache's JSON accounting (the ``stats``/``metrics`` verbs).
-
-        The counters, the derived ``hit_rate`` (``None`` before any lookup)
-        and the configured ``capacity`` — exactly the dict served under
-        ``{"op": "stats"}``.
-
-        Examples::
-
-            >>> cache = SplitContextCache(capacity=4)
-            >>> cache.put("key", "value")
-            >>> _ = cache.get("key"); _ = cache.get("absent")
-            >>> snap = cache.snapshot()
-            >>> (snap["hits"], snap["misses"], snap["hit_rate"], snap["capacity"])
-            (1, 1, 0.5, 4)
-        """
-        stats = self.stats()
-        lookups = stats.hits + stats.misses
-        return {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-            "entries": stats.entries,
-            "hit_rate": (stats.hits / lookups) if lookups else None,
-            "capacity": self.capacity,
-        }
-
     def clear(self) -> None:
         """Drop every resident entry (counters are preserved)."""
         with self._lock:

@@ -4,9 +4,10 @@ Two complementary views of a running server:
 
 * **Metrics** — cheap aggregate counters, gauges, and fixed-bucket latency
   histograms held in a :class:`MetricsRegistry`.  Every layer of the stack
-  records into the registry (`PredictionService` engine timings,
-  `MicroBatcher` admission counters, the front ends' request latency),
-  and the ``{"op": "metrics"}`` verb
+  records into the registry (`SplitContextCache` lookups,
+  `PredictionService` engine timings, `MicroBatcher` admission counters,
+  the front ends' request latency) and keeps no count of its own; the
+  ``{"op": "metrics"}`` verb
   exposes one JSON snapshot of all of it — including histogram
   p50/p95/p99 estimates — so a load generator can check its client-side
   measurements against the server's own accounting.
@@ -265,9 +266,9 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe, create-on-first-use registry of named metrics.
 
-    One registry spans a whole serving stack (``build_service`` hands it
-    to the service, and — via the service — the micro-batcher and front
-    ends reach it).  Metric factories are
+    One registry spans a whole serving stack: the split cache builds it,
+    and the service (``service.metrics``), the micro-batcher and the front
+    ends reach it through the service.  Metric factories are
     idempotent: asking for an existing name returns the existing metric,
     so call sites never coordinate creation.
 

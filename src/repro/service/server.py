@@ -66,7 +66,7 @@ import time
 from typing import Any, AsyncIterator, Awaitable, Callable, Mapping, TextIO
 
 from repro.data.spec_dataset import build_default_dataset
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PRESETS, ExperimentConfig
 from repro.experiments.methods import standard_methods
 from repro.service.api import PredictionService, RankingQuery, RankingReply, ServiceError
 from repro.service.batching import MicroBatcher
@@ -215,24 +215,56 @@ def _error_payload(message: str, code: str = "INVALID_REQUEST") -> dict[str, Any
     return {"ok": False, "code": code, "error": message}
 
 
+def _cache_view(service: PredictionService, counters: Mapping[str, int]) -> dict[str, Any]:
+    """The ``stats`` block: cache counters, resident entries, hit rate, capacity."""
+    hits, misses = counters["cache.hits"], counters["cache.misses"]
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": counters["cache.evictions"],
+        "entries": len(service.cache),
+        "hit_rate": hits / (hits + misses) if hits + misses else None,
+        "capacity": service.cache.capacity,
+    }
+
+
+def _batcher_view(batcher: MicroBatcher, snapshot: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``batcher`` block: admission state, bounds and throughput counters."""
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
+    return {
+        "pending": gauges["batcher.pending"],
+        "inflight": gauges["batcher.inflight"],
+        "draining": batcher.draining,
+        "batches_dispatched": counters["batcher.batches"],
+        "requests_served": int(snapshot["histograms"]["batcher.batch_size"]["sum"]),
+        "requests_shed": counters["batcher.shed"],
+        "deadline_rejections": counters["batcher.deadline_rejected"],
+        "max_queue": batcher.max_queue,
+        "max_inflight": batcher.max_inflight,
+    }
+
+
 def _handle_op(
     service: PredictionService, payload: Mapping[str, Any], batcher: MicroBatcher
 ) -> dict[str, Any] | None:
     """Answer a protocol verb; ``None`` when the payload is a ranking query.
 
-    * ``stats`` (legacy alias ``{"stats": true}``): the full
-      :class:`~repro.service.cache.SplitContextCache` accounting —
-      hit/miss/eviction counters, resident entries, hit rate and
-      capacity — plus the line-up;
+    Every count a verb reports is read from one
+    :meth:`~repro.service.observability.MetricsRegistry.snapshot` of the
+    service's registry, so the verbs always agree with each other:
+
+    * ``stats`` (legacy alias ``{"stats": true}``): the split cache's
+      hit/miss/eviction counters, resident entries, hit rate and capacity,
+      plus the line-up;
     * ``health``: ``status`` ``"ok"``, or ``"draining"`` once shutdown has
       begun; replies degraded along the fallback chain
       (``degraded_served``); cache and batcher state; and an active fault
       injector's plan and fired-fault counters under ``faults``;
     * ``ready``: whether new requests are admitted;
-    * ``metrics``: the shared
-      :class:`~repro.service.observability.MetricsRegistry` snapshot
-      (counters, gauges, p50/p95/p99 histograms) with the cache and batcher
-      accounting — what a load generator reconciles its own counts against.
+    * ``metrics``: the registry snapshot (counters, gauges, p50/p95/p99
+      histograms) with the ``stats`` cache block and the ``health``
+      batcher block — what a load generator reconciles its own counts
+      against.
 
     Examples::
 
@@ -249,37 +281,38 @@ def _handle_op(
         op = "stats"  # legacy {"stats": true} form
     if op is None:
         return None
-    if op == "stats":
-        stats = service.cache.snapshot()
-        stats["methods"] = sorted(service.methods)
-        return {"ok": True, "stats": stats}
     if op == "ready":
         return {"ok": True, "ready": not batcher.draining}
+    if op not in ("stats", "metrics", "health"):
+        return _error_payload(f"unknown op {op!r} (known: health, metrics, ready, stats)")
+    snapshot = service.metrics.snapshot()
+    counters = snapshot["counters"]
+    if op == "stats":
+        stats = _cache_view(service, counters)
+        stats["methods"] = sorted(service.methods)
+        return {"ok": True, "stats": stats}
     if op == "metrics":
-        snapshot = service.metrics.snapshot()
-        snapshot["cache"] = service.cache.snapshot()
-        snapshot["batcher"] = batcher.snapshot()
+        snapshot["cache"] = _cache_view(service, counters)
+        snapshot["batcher"] = _batcher_view(batcher, snapshot)
         return {"ok": True, "metrics": snapshot}
-    if op == "health":
-        health: dict[str, Any] = {
-            "ok": True,
-            "status": "draining" if batcher.draining else "ok",
-            "ready": not batcher.draining,
-            "degraded_served": service.degraded_served,
-            "corrupt_entries_dropped": service.corrupt_entries_dropped,
-            "cache": {
-                "entries": service.cache_stats().entries,
-                "injected_evictions": service.cache.injected_evictions,
-                "injected_corruptions": service.cache.injected_corruptions,
-            },
-            "batcher": batcher.snapshot(),
-        }
-        injector: FaultInjector | None = service.fault_injector
-        if injector is not None:
-            health["faults"] = {"plan": dataclasses.asdict(injector.plan),
-                                "injected": injector.snapshot()}
-        return health
-    return _error_payload(f"unknown op {op!r} (known: health, metrics, ready, stats)")
+    health: dict[str, Any] = {
+        "ok": True,
+        "status": "draining" if batcher.draining else "ok",
+        "ready": not batcher.draining,
+        "degraded_served": counters["service.degraded"],
+        "corrupt_entries_dropped": counters["service.corrupt_entries_dropped"],
+        "cache": {
+            "entries": len(service.cache),
+            "injected_evictions": counters["cache.injected_evictions"],
+            "injected_corruptions": counters["cache.injected_corruptions"],
+        },
+        "batcher": _batcher_view(batcher, snapshot),
+    }
+    injector: FaultInjector | None = service.fault_injector
+    if injector is not None:
+        health["faults"] = {"plan": dataclasses.asdict(injector.plan),
+                            "injected": injector.snapshot()}
+    return health
 
 
 def _finish_reply(
@@ -648,14 +681,7 @@ def build_service(
         >>> service.cache.capacity
         8
     """
-    presets = {
-        "fast": ExperimentConfig.fast,
-        "full": ExperimentConfig.full,
-        "smoke": ExperimentConfig.smoke,
-    }
-    if preset not in presets:
-        raise ValueError(f"unknown preset {preset!r} (choose from {sorted(presets)})")
-    config = presets[preset]()
+    config = ExperimentConfig.preset(preset)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     injector = fault_injector if fault_injector is not None else injector_from_env()
@@ -676,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--preset",
-        choices=["smoke", "fast", "full"],
+        choices=PRESETS,
         default="fast",
         help="method hyper-parameter preset (default: fast)",
     )

@@ -96,6 +96,24 @@ def test_purchasing_recommendation_flags_disagreement(dataset):
     assert recommendation.suite_mean_choice in advisor.candidate_ids()
 
 
+def test_purchasing_ranking_does_not_depend_on_the_application_label(dataset):
+    # The label only names the client's application: one that happens to
+    # be a suite benchmark's name must not drop that benchmark from training.
+    for method in (BatchedLinearTransposition(), BatchedMLPTransposition(epochs=5)):
+        advisor = PurchasingAdvisor(
+            dataset, dataset.machine_ids[:4], method=DataTransposition(method)
+        )
+        scores = [20.0, 25.0, 30.0, 35.0]
+        external = advisor.recommend("myapp", scores)
+        suite_named = advisor.recommend("gcc", scores)
+        assert external.ranking.machine_ids == suite_named.ranking.machine_ids
+        assert (
+            np.array(external.ranking.scores).tobytes()
+            == np.array(suite_named.ranking.scores).tobytes()
+        )
+        assert external.suite_mean_choice == suite_named.suite_mean_choice
+
+
 # ----------------------------------------------------------------- scheduling
 def _speed_table():
     return {

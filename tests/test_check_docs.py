@@ -113,3 +113,55 @@ def test_bare_class_names_must_resolve(check_docs):
         "doc.md:2: `MLPTranspositionPredictor` does not resolve",
         "doc.md:2: `SplitContext.no_such_method` does not resolve",
     ]
+
+
+CATALOGUE = """\
+### Metrics catalogue
+
+| Metric | Kind | Meaning |
+| --- | --- | --- |
+| `cache.hits` / `cache.misses` | counter | lookups by outcome |
+| `stage.<stage>_ms` | histogram | per-stage latency |
+
+Prose after the table: `not.a.metric`.
+"""
+
+
+@pytest.fixture
+def service_package(tmp_path):
+    """A package recording the catalogue's metrics, plus a doctest's scratch one."""
+    (tmp_path / "module.py").write_text(
+        '"""\n    >>> registry.counter("scratch").inc()\n"""\n'
+        'hits = metrics.counter("cache.hits")\n'
+        'misses = metrics.counter(\n    "cache.misses"\n)\n'
+        'metrics.histogram(f"stage.{entry[\'stage\']}_ms").observe(1.0)\n'
+    )
+    return tmp_path
+
+
+def test_metrics_catalogue_matching_the_code_is_clean(check_docs, service_package):
+    recorded = check_docs.recorded_metrics(service_package)
+    assert recorded == {"cache.hits", "cache.misses", "stage.<>_ms"}
+    problems = []
+    check_docs.check_metrics_catalogue(Path("serving.md"), CATALOGUE, recorded, problems)
+    assert problems == []
+
+
+def test_metrics_catalogue_stale_row_is_reported(check_docs, service_package):
+    stale = CATALOGUE.replace(
+        "| `stage.<stage>_ms`", "| `cache.expirations` | counter | gone |\n| `stage.<stage>_ms`"
+    )
+    problems = []
+    check_docs.check_metrics_catalogue(
+        Path("serving.md"), stale, check_docs.recorded_metrics(service_package), problems
+    )
+    assert problems == ["serving.md: catalogued metric `cache.expirations` is never recorded"]
+
+
+def test_metrics_catalogue_missing_row_is_reported(check_docs, service_package):
+    (service_package / "other.py").write_text('metrics.gauge("batcher.pending").set(0)\n')
+    problems = []
+    check_docs.check_metrics_catalogue(
+        Path("serving.md"), CATALOGUE, check_docs.recorded_metrics(service_package), problems
+    )
+    assert problems == ["serving.md: recorded metric `batcher.pending` is not catalogued"]

@@ -164,7 +164,7 @@ def test_deadline_degrades_to_fallback_method_when_cold_cost_too_high(dataset):
     )
     assert reply.degraded is True
     assert reply.method == "MLP^T" and reply.served_method == "NN^T"
-    assert service.degraded_served == 1
+    assert service.metrics.snapshot()["counters"]["service.degraded"] == 1
     # Scores are exactly what NN^T answers.
     direct = service.rank(RankingQuery("gcc", machines, method="NN^T", top_n=2))
     assert reply.scores == direct.scores
@@ -251,8 +251,7 @@ def test_failed_cold_pass_degrades_bit_exactly_along_fallback_chain(dataset):
     want = clean.rank(RankingQuery("gcc", machines, top_n=3))
     assert reply.machine_ids == want.machine_ids
     assert np.array(reply.scores).tobytes() == np.array(want.scores).tobytes()
-    assert service.degraded_served == 1
-    assert service.metrics.counter("service.degraded").value == 1
+    assert service.metrics.snapshot()["counters"]["service.degraded"] == 1
 
     # The failed pass left no half-built MLP^T table: the next MLP^T query
     # trains it cold and is served as asked.
@@ -371,7 +370,8 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
         client.close()
         assert health["ok"] is True
         assert health["status"] == "ok"
-        assert health["cache"]["injected_evictions"] == service.cache.injected_evictions
+        counters = service.metrics.snapshot()["counters"]
+        assert health["cache"]["injected_evictions"] == counters["cache.injected_evictions"]
         assert health["faults"]["injected"] == injector.snapshot()
 
         # The stack actually hurt: with the default spec every seam fired.

@@ -51,14 +51,19 @@ def _nnt_service(dataset, **cache_kwargs):
     return PredictionService(dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache)
 
 
+def _counters(owner):
+    """The counters of *owner*'s registry (an unknown name is a KeyError)."""
+    return owner.metrics.snapshot()["counters"]
+
+
 # ------------------------------------------------------------- cache semantics
 def test_cache_hit_and_miss_counters():
     cache = SplitContextCache(capacity=4)
     assert cache.get("absent") is None
     cache.put("key", "value")
     assert cache.get("key") == "value"
-    stats = cache.stats()
-    assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+    counters = _counters(cache)
+    assert (counters["cache.hits"], counters["cache.misses"], len(cache)) == (1, 1, 1)
 
 
 def test_cache_lru_eviction_order():
@@ -70,7 +75,7 @@ def test_cache_lru_eviction_order():
     assert cache.get("b") is None
     assert cache.get("a") == 1
     assert cache.get("c") == 3
-    assert cache.stats().evictions == 1
+    assert _counters(cache)["cache.evictions"] == 1
 
 
 def test_cache_put_refreshes_existing_key_without_eviction():
@@ -79,7 +84,7 @@ def test_cache_put_refreshes_existing_key_without_eviction():
     cache.put("b", 2)
     cache.put("a", 10)                  # overwrite, not insert
     assert len(cache) == 2
-    assert cache.stats().evictions == 0
+    assert _counters(cache)["cache.evictions"] == 0
     assert cache.get("a") == 10
 
 
@@ -100,7 +105,7 @@ def test_cache_total_capacity_is_never_exceeded():
         cache.put(f"key-{index}", index)
         assert len(cache) <= 5
     assert [cache.get(f"key-{index}") for index in range(45, 50)] == list(range(45, 50))
-    assert cache.stats().evictions == 45
+    assert _counters(cache)["cache.evictions"] == 45
 
 
 def test_cache_validates_parameters():
@@ -169,7 +174,7 @@ def test_service_eviction_forces_retraining(dataset):
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False
     assert service.rank(RankingQuery("gcc", second)).cache_hit is False  # evicts first
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False   # retrained
-    assert service.cache_stats().evictions == 2
+    assert _counters(service)["cache.evictions"] == 2
 
 
 def test_service_methods_fill_lazily_and_independently(dataset):
@@ -269,14 +274,13 @@ def test_microbatcher_coalesces_within_window(dataset):
 
     async def run():
         batcher = MicroBatcher(service)
-        replies = await asyncio.gather(
+        return await asyncio.gather(
             *(batcher.submit(RankingQuery(app, machines)) for app in ["gcc", "mcf", "lbm"])
         )
-        return batcher, replies
 
-    batcher, replies = asyncio.run(run())
-    assert batcher.batches_dispatched == 1
-    assert batcher.requests_served == 3
+    replies = asyncio.run(run())
+    assert _counters(service)["batcher.batches"] == 1
+    assert service.metrics.snapshot()["histograms"]["batcher.batch_size"]["sum"] == 3
     assert len(replies) == 3
 
 
@@ -321,15 +325,14 @@ def test_microbatcher_max_batch_flushes_immediately(dataset):
 
     async def run():
         batcher = MicroBatcher(service, max_batch=2)
-        replies = await asyncio.gather(
+        return await asyncio.gather(
             *(batcher.submit(RankingQuery(app, machines)) for app in ["gcc", "mcf", "lbm"])
         )
-        return batcher, replies
 
     # All three are submitted before the loop turn that would flush them
     # together, so only max_batch can split them.
-    batcher, replies = asyncio.run(asyncio.wait_for(run(), timeout=10))
-    assert batcher.batches_dispatched == 2
+    replies = asyncio.run(asyncio.wait_for(run(), timeout=10))
+    assert _counters(service)["batcher.batches"] == 2
     assert sorted(sizes) == [1, 2]
     assert len(replies) == 3
 
@@ -343,7 +346,7 @@ def test_microbatcher_dispatches_lone_query_on_next_loop_turn(dataset):
         pending = asyncio.ensure_future(batcher.submit(RankingQuery("gcc", machines)))
         await asyncio.sleep(0)  # the submit enqueues and schedules the flush
         await asyncio.sleep(0)  # the flush runs: no timer holds the query back
-        dispatched = batcher.batches_dispatched
+        dispatched = _counters(service)["batcher.batches"]
         reply = await pending
         return dispatched, reply
 
@@ -449,7 +452,7 @@ def test_microbatcher_sheds_past_queue_bound(dataset):
         await asyncio.sleep(0)  # let the submits enqueue
         with pytest.raises(OverloadedError):
             await batcher.submit(RankingQuery("lbm", machines, top_n=1))
-        assert batcher.requests_shed == 1
+        assert _counters(service)["batcher.shed"] == 1
         batcher._flush()  # answer the admitted pair
         replies = await asyncio.gather(*admitted)
         return replies
@@ -471,7 +474,7 @@ def test_microbatcher_rejects_expired_deadline_at_admission(dataset):
             await batcher.submit(
                 RankingQuery("gcc", machines, top_n=1, deadline=expired)
             )
-        assert batcher.deadline_rejections == 1
+        assert _counters(service)["batcher.deadline_rejected"] == 1
 
     asyncio.run(asyncio.wait_for(run(), timeout=30))
 
@@ -502,7 +505,7 @@ def test_microbatcher_deadline_expiring_in_queue_fails_alone(dataset):
         with pytest.raises(DeadlineExceededError):
             await doomed
         assert reply.application == "gcc"
-        assert batcher.deadline_rejections == 1
+        assert _counters(service)["batcher.deadline_rejected"] == 1
 
     asyncio.run(asyncio.wait_for(run(), timeout=30))
 
@@ -530,7 +533,8 @@ def test_microbatcher_cancelled_caller_with_deadline_does_not_strand_batch(datas
         with pytest.raises(asyncio.CancelledError):
             await cancelled
         assert reply.application == "mcf"
-        assert batcher.inflight == 0  # accounting balanced after delivery
+        # Accounting balanced after delivery.
+        assert service.metrics.snapshot()["gauges"]["batcher.inflight"] == 0
 
     asyncio.run(asyncio.wait_for(run(), timeout=30))
 
@@ -571,7 +575,7 @@ def test_cache_injected_eviction_forces_retrain_but_correct_answer(dataset):
     baseline = _nnt_service(dataset).rank(query)
     first = service.rank(query)
     second = service.rank(query)  # entry evicted between the two queries
-    assert cache.injected_evictions >= 1
+    assert _counters(cache)["cache.injected_evictions"] >= 1
     assert second.cache_hit is False  # retrained, not served warm
     for reply in (first, second):
         assert reply.machine_ids == baseline.machine_ids
@@ -591,8 +595,8 @@ def test_cache_injected_corruption_is_detected_and_rebuilt(dataset):
     baseline = _nnt_service(dataset).rank(query)
     first = service.rank(query)
     second = service.rank(query)  # resident entry corrupted before lookup
-    assert cache.injected_corruptions >= 1
-    assert service.corrupt_entries_dropped >= 1
+    assert _counters(cache)["cache.injected_corruptions"] >= 1
+    assert _counters(service)["service.corrupt_entries_dropped"] >= 1
     for reply in (first, second):
         assert reply.machine_ids == baseline.machine_ids
         assert reply.scores == baseline.scores
@@ -709,7 +713,7 @@ def test_injected_eviction_trains_on_the_executor_never_the_loop(dataset, monkey
         return reply, threading.get_ident()
 
     reply, loop_thread = asyncio.run(asyncio.wait_for(run(), timeout=30))
-    assert service.cache.injected_evictions == 1 and len(calls) == 1
+    assert _counters(service)["cache.injected_evictions"] == 1 and len(calls) == 1
     assert reply.cache_hit is False
     assert len(training_threads) == 1 and training_threads[0] != loop_thread
     assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
@@ -756,11 +760,11 @@ def test_every_ranking_request_touches_the_cache_once(dataset):
         return first + second
 
     replies = asyncio.run(asyncio.wait_for(run(), timeout=30))
-    stats = service.cache_stats()
-    assert stats.hits + stats.misses == len(replies) == 2 * len(queries)
-    assert stats.misses == len(splits)
-    assert service.metrics.counter("service.requests").value == len(replies)
-    assert service.metrics.counter("service.cold_passes").value == len(splits)
+    counters = _counters(service)
+    assert counters["cache.hits"] + counters["cache.misses"] == len(replies) == 2 * len(queries)
+    assert counters["cache.misses"] == len(splits)
+    assert counters["service.requests"] == len(replies)
+    assert counters["service.cold_passes"] == len(splits)
 
 
 def test_two_cold_splits_train_at_the_same_time(dataset, monkeypatch):
@@ -815,7 +819,7 @@ def test_invalid_query_with_spent_deadline_is_invalid_not_late(dataset):
             await queued
         with pytest.raises(DeadlineExceededError):  # a valid query is simply late
             await batcher.submit(RankingQuery("gcc", machines, deadline=expired))
-        return at_admission.value, in_queue.value, batcher.deadline_rejections
+        return at_admission.value, in_queue.value, _counters(service)["batcher.deadline_rejected"]
 
     at_admission, in_queue, rejections = asyncio.run(asyncio.wait_for(run(), timeout=30))
     for error in (at_admission, in_queue):
@@ -849,11 +853,11 @@ def test_concurrent_lookups_and_training_keep_every_count(dataset):
     for query, reply in zip(queries, replies):
         expected = reference.rank(query)
         assert (reply.machine_ids, reply.scores) == (expected.machine_ids, expected.scores)
-    stats = service.cache_stats()
-    assert stats.hits + stats.misses == len(queries)
-    assert stats.misses == len(splits)
-    assert service.metrics.counter("service.cold_passes").value == len(splits)
-    assert service.metrics.counter("service.requests").value == len(queries)
+    counters = _counters(service)
+    assert counters["cache.hits"] + counters["cache.misses"] == len(queries)
+    assert counters["cache.misses"] == len(splits)
+    assert counters["service.cold_passes"] == len(splits)
+    assert counters["service.requests"] == len(queries)
 
 
 def test_concurrent_ga_knn_cold_passes_answer_their_own_queries(dataset):
@@ -908,7 +912,7 @@ def test_invalid_query_is_invalid_not_shed_on_a_full_queue(dataset):
             await batcher.submit(RankingQuery("not-a-benchmark", machines))
         with pytest.raises(OverloadedError):
             await batcher.submit(RankingQuery("mcf", machines, top_n=1))
-        shed = batcher.requests_shed
+        shed = _counters(service)["batcher.shed"]
         reply = await pending
         return invalid.value, shed, reply
 

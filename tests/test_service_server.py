@@ -31,7 +31,7 @@ from repro.service import (
     serve_stdio,
     serve_tcp,
 )
-from repro.service.server import query_from_payload, reply_to_payload
+from repro.service.server import handle_line, query_from_payload, reply_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,11 @@ def dataset():
 @pytest.fixture(scope="module")
 def service(dataset):
     return PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
+
+
+def _batches(service):
+    """Micro-batches *service* has dispatched so far."""
+    return service.metrics.snapshot()["counters"]["batcher.batches"]
 
 
 # ------------------------------------------------------------------ protocol
@@ -262,7 +267,7 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
         server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        before = batcher.batches_dispatched
+        before = _batches(service)
         # Pipeline every request in one write, then read the replies.
         writer.write(
             "".join(
@@ -284,7 +289,7 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
     assert [reply["application"] for reply in replies] == apps
     # ...and same-connection pipelined requests shared batches instead of
     # dispatching one batch per request.
-    assert batcher.batches_dispatched - before < len(apps)
+    assert _batches(service) - before < len(apps)
 
 
 def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
@@ -310,7 +315,7 @@ def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
         server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        before = batcher.batches_dispatched
+        before = _batches(service)
         writer.write("".join(json.dumps(request) + "\n" for request in requests).encode())
         await writer.drain()
         replies = [json.loads(await reader.readline()) for _ in requests]
@@ -318,7 +323,7 @@ def test_method_precondition_is_invalid_request_and_spares_its_batch(dataset):
         await writer.wait_closed()
         server.close()
         await server.wait_closed()
-        return batcher.batches_dispatched - before, replies
+        return _batches(service) - before, replies
 
     batches, (rejected, ranked) = asyncio.run(asyncio.wait_for(run(), timeout=30))
     assert batches == 1
@@ -361,7 +366,7 @@ def test_failing_query_does_not_poison_its_batch(dataset):
         server = await serve_tcp(service, "127.0.0.1", 0, batcher=batcher)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        before = batcher.batches_dispatched
+        before = _batches(service)
         writer.write("".join(json.dumps(request) + "\n" for request in requests).encode())
         await writer.drain()
         replies = [json.loads(await reader.readline()) for _ in requests]
@@ -369,7 +374,7 @@ def test_failing_query_does_not_poison_its_batch(dataset):
         await writer.wait_closed()
         server.close()
         await server.wait_closed()
-        return batcher.batches_dispatched - before, replies
+        return _batches(service) - before, replies
 
     batches, (failed, ranked) = asyncio.run(asyncio.wait_for(run(), timeout=30))
     assert batches == 1
@@ -685,6 +690,90 @@ def test_metrics_op_is_not_counted_as_server_load(service):
     first = client.request({"op": "metrics"})["metrics"]["counters"]
     second = client.request({"op": "metrics"})["metrics"]["counters"]
     assert second.get("server.requests", 0) == first.get("server.requests", 0)
+
+
+def test_stats_health_and_metrics_agree_on_every_shared_count(dataset):
+    """One history through one service: the three verbs report one set of counts.
+
+    The history sheds a request, lets a deadline lapse in the queue,
+    degrades a reply through the ``backend_error`` seam, and applies one
+    injected cache eviction and one injected corruption.
+    """
+    from repro.service import (
+        Deadline,
+        DeadlineExceededError,
+        FaultInjector,
+        FaultPlan,
+        MicroBatcher,
+        OverloadedError,
+        SplitContextCache,
+    )
+
+    cache = SplitContextCache(capacity=8)
+    service = PredictionService(
+        dataset,
+        {"NN^T": BatchedLinearTransposition(), "MLP^T": BatchedMLPTransposition(epochs=5)},
+        cache=cache,
+    )
+    machines = tuple(dataset.machine_ids[:4])
+    now = [0.0]
+    lapsing = Deadline(expires_at=0.5, clock=lambda: now[0])
+
+    async def run():
+        batcher = MicroBatcher(service, max_queue=1)
+        # Answered, and sheds its follower: the queue holds one request.
+        first = asyncio.ensure_future(batcher.submit(RankingQuery("gcc", machines)))
+        await asyncio.sleep(0)
+        with pytest.raises(OverloadedError):
+            await batcher.submit(RankingQuery("mcf", machines))
+        await first
+        # Expires while queued: its flush answers nobody.
+        doomed = asyncio.ensure_future(
+            batcher.submit(RankingQuery("mcf", machines, deadline=lapsing))
+        )
+        await asyncio.sleep(0)
+        now[0] = 1.0
+        with pytest.raises(DeadlineExceededError):
+            await doomed
+        # The MLP^T pass fails and NN^T's trained table answers, degraded.
+        service.fault_injector = FaultInjector(FaultPlan(seed=3, backend_error=1.0))
+        degraded = await batcher.submit(RankingQuery("gcc", machines, method="MLP^T"))
+        assert degraded.degraded is True
+        service.fault_injector = None
+        # One injected eviction, then one injected corruption, of the entry.
+        for seam in ("cache_evict", "cache_corrupt"):
+            cache.fault_injector = FaultInjector(FaultPlan(seed=3, **{seam: 1.0}))
+            await batcher.submit(RankingQuery("lbm", machines))
+        cache.fault_injector = None
+        return [
+            await handle_line(service, batcher, json.dumps({"op": op}))
+            for op in ("stats", "health", "metrics")
+        ]
+
+    stats, health, metrics = asyncio.run(asyncio.wait_for(run(), timeout=60))
+    stats, metrics = stats["stats"], metrics["metrics"]
+    counters = metrics["counters"]
+    # Four requests answered, in four flushes; the lapsed one answered nobody.
+    batcher = health["batcher"]
+    assert batcher == metrics["batcher"]
+    assert batcher["batches_dispatched"] == counters["batcher.batches"] == 4
+    assert batcher["requests_served"] == metrics["histograms"]["batcher.batch_size"]["sum"] == 4
+    assert batcher["requests_shed"] == counters["batcher.shed"] == 1
+    assert batcher["deadline_rejections"] == counters["batcher.deadline_rejected"] == 1
+    assert batcher["pending"] == metrics["gauges"]["batcher.pending"] == 0
+    assert batcher["inflight"] == metrics["gauges"]["batcher.inflight"] == 0
+    for key in ("hits", "misses", "evictions", "entries", "hit_rate", "capacity"):
+        assert stats[key] == metrics["cache"][key]
+    for key in ("hits", "misses", "evictions"):
+        assert stats[key] == counters[f"cache.{key}"]
+    assert stats["entries"] == health["cache"]["entries"] == len(cache)
+    for key, name in (
+        ("degraded_served", "service.degraded"),
+        ("corrupt_entries_dropped", "service.corrupt_entries_dropped"),
+    ):
+        assert health[key] == counters[name] == 1
+    for key in ("injected_evictions", "injected_corruptions"):
+        assert health["cache"][key] == counters[f"cache.{key}"] == 1
 
 
 def test_unknown_op_lists_the_full_verb_catalogue(service):

@@ -23,6 +23,15 @@ Checks, over ``README.md`` and every ``docs/*.md``:
   builtin; when the span calls a member (`` `Foo.bar(` ``), the member must
   exist too.
 
+And one cross-check of ``docs/serving.md`` against the code:
+
+* **metrics catalogue** — the metric names in the first column of its
+  "Metrics catalogue" table must be exactly the names
+  ``src/repro/service`` records through literal ``counter("…")`` /
+  ``gauge("…")`` / ``histogram("…")`` calls (doctest lines excluded).  An
+  f-string name (``f"stage.{stage}_ms"``) matches a row with a
+  ``<placeholder>`` in the same place (`` `stage.<stage>_ms` ``).
+
 Exit status is the number of problems found, capped at 1, so the script
 slots directly into a CI step.
 """
@@ -52,6 +61,11 @@ DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 BARE_NAME = re.compile(
     r"`([A-Z][A-Z0-9_]*[a-z][A-Za-z0-9_]*)(?:\.([A-Za-z_]\w*)(?=\())?(?=[`.(\[])"
 )
+#: A metric recorded under a literal or f-string name: ``.counter("a.b")``.
+RECORDED_METRIC = re.compile(r'\.(?:counter|gauge|histogram)\(\s*(f?)"([^"]+)"')
+#: A name's variable part: ``{expr}`` in an f-string, ``<name>`` in a row.
+PLACEHOLDER = re.compile(r"\{[^}]*\}|<[^>]*>")
+CATALOGUE_HEADING = "### Metrics catalogue"
 
 
 def _display(path: Path) -> str:
@@ -179,6 +193,51 @@ def check_names(
             report(match.start(), name if member is None else f"{name}.{member}")
 
 
+def recorded_metrics(package: Path) -> set[str]:
+    """Metric names the modules of *package* record, placeholders as ``<>``."""
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for match in RECORDED_METRIC.finditer(text):
+            line = text[text.rfind("\n", 0, match.start()) + 1 : match.start()].lstrip()
+            if line.startswith((">>>", "...")):
+                continue  # a doctest's scratch registry
+            is_fstring, name = match.groups()
+            names.add(PLACEHOLDER.sub("<>", name) if is_fstring else name)
+    return names
+
+
+def catalogue_metrics(text: str) -> set[str] | None:
+    """Names in the catalogue table's first column (``None`` without one)."""
+    if CATALOGUE_HEADING not in text:
+        return None
+    names: set[str] = set()
+    in_table = False
+    for line in text.split(CATALOGUE_HEADING, 1)[1].splitlines():
+        if not line.startswith("|"):
+            if in_table:
+                break
+            continue
+        in_table = True
+        first_cell = line.split("|")[1]
+        for name in re.findall(r"`([^`]+)`", first_cell):
+            names.add(PLACEHOLDER.sub("<>", name))
+    return names
+
+
+def check_metrics_catalogue(
+    path: Path, text: str, recorded: set[str], problems: list[str]
+) -> None:
+    documented = catalogue_metrics(text)
+    if documented is None:
+        problems.append(f"{_display(path)}: no '{CATALOGUE_HEADING}' table")
+        return
+    for name in sorted(documented - recorded):
+        problems.append(f"{_display(path)}: catalogued metric `{name}` is never recorded")
+    for name in sorted(recorded - documented):
+        problems.append(f"{_display(path)}: recorded metric `{name}` is not catalogued")
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     problems: list[str] = []
@@ -189,6 +248,10 @@ def main() -> int:
         check_links(path, text, problems)
         check_snippets(path, text, problems)
         check_names(path, text, problems, definitions)
+    serving = ROOT / "docs" / "serving.md"
+    check_metrics_catalogue(
+        serving, serving.read_text(), recorded_metrics(ROOT / "src" / "repro" / "service"), problems
+    )
     for problem in problems:
         print(problem)
     print(f"checked {len(documents)} document(s): {len(problems)} problem(s)")
