@@ -13,7 +13,6 @@ from repro.core import (
     BatchedLinearTransposition,
     BatchedMLPTransposition,
     run_cross_validation,
-    select_farthest_point,
     select_k_medoids,
     select_random,
 )
@@ -85,7 +84,7 @@ def test_ablation_ga_knn_neighbour_count(benchmark, dataset, xeon_split):
 
 
 def test_ablation_selection_strategies(benchmark, dataset, config):
-    """Predictive-machine selection: random vs k-medoids vs farthest-point."""
+    """Predictive-machine selection: random vs k-medoids."""
     base = temporal_split(dataset, target_year=2009, predictive_years=[2008])
     candidates = list(base.predictive_ids)
 
@@ -93,7 +92,6 @@ def test_ablation_selection_strategies(benchmark, dataset, config):
         chosen = {
             "random": select_random(candidates, 5, seed=config.seed),
             "k-medoids": select_k_medoids(dataset, candidates, 5, seed=config.seed),
-            "farthest": select_farthest_point(dataset, candidates, 5, seed=config.seed),
         }
         diversity = {
             name: len({dataset.machine(mid).family for mid in ids})
@@ -106,6 +104,5 @@ def test_ablation_selection_strategies(benchmark, dataset, config):
     print("selection diversity (distinct families out of 5 picks):", diversity)
     for ids in chosen.values():
         assert len(ids) == 5
-    # the diversity-seeking strategies never select fewer families than random
+    # the diversity-seeking strategy spans several families
     assert diversity["k-medoids"] >= 2
-    assert diversity["farthest"] >= 2

@@ -20,7 +20,7 @@ the configured MLP epoch budget.
 import asyncio
 import time
 
-from repro.core import BatchedLinearTransposition
+from repro.core import BatchedLinearTransposition, split_cache_key
 from repro.service import MicroBatcher, PredictionService, RankingQuery
 
 from conftest import run_once
@@ -41,7 +41,7 @@ def _queries(dataset):
 def _cold_singles(service, queries):
     replies = []
     for query in queries:
-        service.cache.clear()
+        service.cache.invalidate(split_cache_key(service.dataset, service.split_for(query)))
         replies.append(service.rank(query))
     return replies
 

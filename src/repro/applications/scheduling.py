@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 __all__ = ["Job", "Node", "Assignment", "Schedule", "GreedyScheduler"]
 
 
@@ -68,10 +66,6 @@ class Schedule:
             key = (assignment.machine_id, assignment.node_instance)
             loads[key] = loads.get(key, 0.0) + assignment.runtime
         return max(loads.values())
-
-    def total_runtime(self) -> float:
-        """Sum of all job runtimes (a throughput-style metric)."""
-        return sum(assignment.runtime for assignment in self.assignments)
 
     def jobs_per_machine(self) -> dict[str, int]:
         """Number of jobs placed on each machine type."""
@@ -166,11 +160,3 @@ class GreedyScheduler:
                 Assignment(job=job, machine_id=best_key[0], node_instance=best_key[1], runtime=runtime)
             )
         return schedule
-
-    @staticmethod
-    def makespan_ratio(predicted_schedule: Schedule, oracle_schedule: Schedule) -> float:
-        """How much longer the predicted-speed schedule runs than the oracle's."""
-        oracle = oracle_schedule.makespan()
-        if oracle <= 0:
-            raise ValueError("oracle schedule has no work")
-        return predicted_schedule.makespan() / oracle

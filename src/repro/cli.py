@@ -5,7 +5,7 @@ Installed as ``repro-experiments``.  Examples::
     repro-experiments table2                 # fast preset
     repro-experiments table3 --preset full   # paper-faithful (slow)
     repro-experiments all --preset fast
-    repro-experiments list-methods           # the method registry
+    repro-experiments list-methods           # the method table
     repro-experiments serve --preset smoke   # the prediction server
     repro-experiments loadgen --port 8077    # replay traffic at a server
 
@@ -13,8 +13,8 @@ Installed as ``repro-experiments``.  Examples::
 :mod:`repro.service.server`) and forwards every following argument to it
 (see ``docs/serving.md``); ``loadgen`` does the same for the load
 generator (``repro-loadgen``, :mod:`repro.loadgen`); ``list-methods``
-prints the engine's method registry — every registered ranking method with
-its fallback — so users can discover what ``--method`` / ``methods=``
+prints the engine's method table — every ranking method with its
+fallback — so users can discover what ``--method`` / ``methods=``
 names mean without reading source.
 """
 
@@ -41,22 +41,22 @@ from repro.experiments import (
 )
 from repro.experiments.config import PRESETS
 
-__all__ = ["format_method_registry", "main"]
+__all__ = ["format_method_table", "main"]
 
 
-def format_method_registry() -> str:
-    """The method registry as an aligned text table.
+def format_method_table() -> str:
+    """The method table (:data:`repro.core.engine.METHODS`) as aligned text.
 
-    One row per registered method: name, the fallback the serving layer
+    One row per method: name, the fallback the serving layer
     may substitute when a deadline or a failed engine pass rules the method
     out (``-`` when the method is already the end of its chain), and the
     one-line description.
     """
-    from repro.core.engine import registered_methods
+    from repro.core.engine import METHODS
 
     header = ("name", "fallback", "description")
     rows = [header]
-    for spec in registered_methods():
+    for spec in METHODS:
         rows.append(
             (
                 spec.name,
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-experiments",
         description="Regenerate the tables and figures of the data-transposition paper.",
         epilog="'repro-experiments serve' starts the prediction server (repro-serve); "
-        "'repro-experiments list-methods' prints the method registry.",
+        "'repro-experiments list-methods' prints the method table.",
     )
     parser.add_argument(
         "experiment",
@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ``serve`` is dispatched to :func:`repro.service.server.main` and
     ``loadgen`` to :func:`repro.loadgen.main`, each with the remaining
-    arguments; ``list-methods`` prints the engine's method registry;
+    arguments; ``list-methods`` prints the engine's method table;
     everything else is parsed as an experiment name.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return loadgen_main(argv[1:])
     if argv and argv[0] == "list-methods":
-        print(format_method_registry())
+        print(format_method_table())
         return 0
     args = _build_parser().parse_args(argv)
     config = ExperimentConfig.preset(args.preset)

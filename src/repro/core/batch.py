@@ -30,9 +30,9 @@ methods validate their inputs through one check: every score must be
 finite and positive.
 
 GA-kNN's implementation lives with its baseline
-(:class:`repro.baselines.ga_knn.BatchedGAKNN`).  Method *construction* is
-the registry's job (:mod:`repro.core.engine`) — this module only defines
-the implementations and the protocol.
+(:class:`repro.baselines.ga_knn.BatchedGAKNN`).  Method *construction*
+happens in one place, :func:`repro.experiments.methods.standard_methods`
+— this module only defines the implementations and the protocol.
 
 The module also provides the cache hooks the online prediction service
 (:mod:`repro.service`) builds on: :func:`split_cache_key` derives a stable,

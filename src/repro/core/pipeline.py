@@ -25,9 +25,9 @@ the service never forks).  The caller scores the cells after the join,
 in the callers' split order, so the results are byte-identical however
 many processes ran the jobs.
 
-Method resolution goes through the registry (:mod:`repro.core.engine`):
-callers may pass registered method *names* instead of instances, and this
-module never branches on a method name or kind itself.
+Callers pass the methods as a ``{name: instance}`` mapping (Tables 2–4
+build it with :func:`repro.experiments.methods.standard_methods`), and
+this module never branches on a method name or kind itself.
 
 :func:`predict_split_scores` is the shared fit/predict entry point beneath
 both consumers of the engine: this offline cross-validation driver and the
@@ -45,7 +45,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.batch import BatchedRankingMethod, group_shape, group_splits_by_shape
-from repro.core.engine import resolve_methods
 from repro.core.pool import run_jobs
 from repro.core.ranking import MachineRanking, compare_rankings
 from repro.core.results import CellResult, MethodResults
@@ -80,7 +79,7 @@ def actual_ranking(dataset: SpecDataset, split: MachineSplit, application: str) 
 def predict_split_scores(
     dataset: SpecDataset,
     split: "MachineSplit | Sequence[MachineSplit]",
-    methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
+    methods: Mapping[str, BatchedRankingMethod],
     applications: Sequence[str],
 ) -> "dict[str, dict[str, np.ndarray]] | list[dict[str, dict[str, np.ndarray]]]":
     """Predicted target-machine scores for every (method, application) of a split.
@@ -105,8 +104,7 @@ def predict_split_scores(
         :class:`ValueError`.
     methods:
         Mapping from method name to a :class:`~repro.core.batch.
-        BatchedRankingMethod`, or registered method name(s) resolved
-        through :func:`repro.core.engine.resolve_methods`.
+        BatchedRankingMethod`.
     applications:
         Applications of interest (dataset benchmark names).
 
@@ -122,24 +120,20 @@ def predict_split_scores(
         >>> from repro.data import build_default_dataset, family_cross_validation_splits
         >>> dataset = build_default_dataset()
         >>> split = family_cross_validation_splits(dataset)[0]
-        >>> scores = predict_split_scores(
-        ...     dataset, split, {"NN^T": BatchedLinearTransposition()}, ["gcc"]
-        ... )
+        >>> methods = {"NN^T": BatchedLinearTransposition()}
+        >>> scores = predict_split_scores(dataset, split, methods, ["gcc"])
         >>> scores["NN^T"]["gcc"].shape == (split.n_target,)
         True
-        >>> by_name = predict_split_scores(dataset, split, "NN^T", ["gcc"])
-        >>> bool(np.array_equal(by_name["NN^T"]["gcc"], scores["NN^T"]["gcc"]))
-        True
         >>> group = family_cross_validation_splits(dataset)[1:3]  # 111 / 6 machines each
-        >>> first, second = predict_split_scores(dataset, group, "NN^T", ["gcc"])
-        >>> alone = predict_split_scores(dataset, group[1], "NN^T", ["gcc"])
+        >>> first, second = predict_split_scores(dataset, group, methods, ["gcc"])
+        >>> alone = predict_split_scores(dataset, group[1], methods, ["gcc"])
         >>> bool(np.array_equal(second["NN^T"]["gcc"], alone["NN^T"]["gcc"]))
         True
     """
     group = [split] if isinstance(split, MachineSplit) else list(split)
     group_shape(group)  # ValueError unless the group has exactly one shape
     scores: list[dict[str, dict[str, np.ndarray]]] = [{} for _ in group]
-    for name, method in resolve_methods(methods).items():
+    for name, method in methods.items():
         predicted = method.predict_all_applications(dataset, group, applications)
         for split_scores, split_predicted in zip(scores, predicted):
             split_scores[name] = {app: np.asarray(split_predicted[app]) for app in applications}
@@ -177,7 +171,7 @@ def _split_cells(
 def run_cross_validation(
     dataset: SpecDataset,
     splits: Sequence[MachineSplit],
-    methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
+    methods: Mapping[str, BatchedRankingMethod],
     applications: Sequence[str] | None = None,
 ) -> dict[str, MethodResults]:
     """Run every method over every (split, application) cell.
@@ -191,10 +185,7 @@ def run_cross_validation(
         or a single temporal split for Table 3).
     methods:
         Mapping from method name to a :class:`~repro.core.batch.
-        BatchedRankingMethod`, or registered method name(s) (``["NN^T",
-        "GA-kNN"]``, or a single name) resolved through
-        :func:`repro.core.engine.resolve_methods` with default
-        hyper-parameters.  Each method is evaluated with one call per
+        BatchedRankingMethod`.  Each method is evaluated with one call per
         same-shape group of splits, and each (group, method) job may run
         in a forked worker process.
     applications:
@@ -223,9 +214,6 @@ def run_cross_validation(
         raise ValueError("at least one machine split is required")
     if not methods:
         raise ValueError("at least one method is required")
-    # Resolve once, up front: every split sees the same objects
-    # (split-level state reuse).
-    methods = resolve_methods(methods)
     app_names = list(applications) if applications is not None else dataset.benchmark_names
     unknown = set(app_names) - set(dataset.benchmark_names)
     if unknown:

@@ -114,17 +114,3 @@ class MethodResults:
                 "mean_error_percent": float(np.mean([c.mean_error_percent for c in cells])),
             }
         return breakdown
-
-    def worst_application(self, metric: str = "rank_correlation") -> str:
-        """Name of the benchmark with the worst average value of *metric*.
-
-        For rank correlation "worst" means lowest; for the error metrics it
-        means highest.  Used to check that the outlier benchmarks the paper
-        calls out (leslie3d, cactusADM, libquantum) are indeed the hard ones.
-        """
-        breakdown = self.per_application()
-        if metric == "rank_correlation":
-            return min(breakdown, key=lambda name: breakdown[name][metric])
-        if metric in {"top1_error_percent", "mean_error_percent"}:
-            return max(breakdown, key=lambda name: breakdown[name][metric])
-        raise ValueError(f"unknown metric {metric!r}")

@@ -5,7 +5,6 @@ be chosen when only a few are affordable.  Two strategies are compared in
 Figure 8: random selection and k-medoid clustering of the machines in the
 benchmark-score space (the medoids become the predictive machines, giving a
 diverse set that "maximises the coverage relative to the target machines").
-A greedy farthest-point heuristic is included as an extra ablation point.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.spec_dataset import SpecDataset
-from repro.ml.distances import pairwise_distances
 from repro.ml.kmedoids import KMedoids
 from repro.ml.preprocessing import StandardScaler
 
@@ -21,7 +19,6 @@ __all__ = [
     "machine_feature_matrix",
     "select_random",
     "select_k_medoids",
-    "select_farthest_point",
 ]
 
 
@@ -74,28 +71,3 @@ def select_k_medoids(
     features = machine_feature_matrix(dataset, candidate_ids)
     model = KMedoids(n_clusters=count, seed=seed).fit(features)
     return [candidate_ids[i] for i in sorted(model.medoid_indices_.tolist())]
-
-
-def select_farthest_point(
-    dataset: SpecDataset, candidate_ids: list[str], count: int, seed: int = 0
-) -> list[str]:
-    """Greedy farthest-point selection (an alternative diversity heuristic).
-
-    Starts from a random machine and repeatedly adds the candidate whose
-    minimum distance to the already-selected set is largest.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count > len(candidate_ids):
-        raise ValueError(
-            f"cannot select {count} machines from {len(candidate_ids)} candidates"
-        )
-    features = machine_feature_matrix(dataset, candidate_ids)
-    distances = pairwise_distances(features)
-    rng = np.random.default_rng(seed)
-    selected = [int(rng.integers(0, len(candidate_ids)))]
-    while len(selected) < count:
-        min_dist_to_selected = distances[:, selected].min(axis=1)
-        min_dist_to_selected[selected] = -1.0
-        selected.append(int(np.argmax(min_dist_to_selected)))
-    return [candidate_ids[i] for i in sorted(selected)]

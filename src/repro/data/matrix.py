@@ -99,12 +99,6 @@ class PerformanceMatrix:
         row.flags.writeable = False
         return row
 
-    def machine_scores(self, machine: str) -> np.ndarray:
-        """One column: every benchmark's score on *machine* (read-only view)."""
-        column = self.scores[:, self.machine_index(machine)].view()
-        column.flags.writeable = False
-        return column
-
     # ------------------------------------------------------------- selection
     def select_machines(self, machines: Iterable[str]) -> "PerformanceMatrix":
         """Sub-matrix containing only the given machines (columns), in order."""
@@ -118,22 +112,6 @@ class PerformanceMatrix:
         indices = [self.benchmark_index(name) for name in names]
         return PerformanceMatrix(names, self.machines, self.scores[indices, :])
 
-    def drop_benchmark(self, benchmark: str) -> "PerformanceMatrix":
-        """Matrix without one benchmark row (the leave-one-out application of interest)."""
-        remaining = [name for name in self.benchmarks if name != benchmark]
-        if len(remaining) == len(self.benchmarks):
-            raise KeyError(f"unknown benchmark {benchmark!r}")
-        return self.select_benchmarks(remaining)
-
-    def drop_machines(self, machines: Iterable[str]) -> "PerformanceMatrix":
-        """Matrix without the given machine columns."""
-        to_drop = set(machines)
-        unknown = to_drop - set(self.machines)
-        if unknown:
-            raise KeyError(f"unknown machines: {sorted(unknown)}")
-        remaining = [name for name in self.machines if name not in to_drop]
-        return self.select_machines(remaining)
-
     # ---------------------------------------------------------- transposition
     def transposed(self) -> "PerformanceMatrix":
         """The transposed matrix: rows become machines, columns benchmarks.
@@ -144,15 +122,6 @@ class PerformanceMatrix:
         benchmark.
         """
         return PerformanceMatrix(self.machines, self.benchmarks, self.scores.T)
-
-    # ----------------------------------------------------------------- stats
-    def machine_means(self) -> np.ndarray:
-        """Mean score per machine across the suite (the naive purchase metric)."""
-        return self.scores.mean(axis=0)
-
-    def benchmark_means(self) -> np.ndarray:
-        """Mean score per benchmark across machines."""
-        return self.scores.mean(axis=1)
 
     # ------------------------------------------------------------------- csv
     def to_csv(self, path: str | Path) -> Path:

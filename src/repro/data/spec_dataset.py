@@ -127,20 +127,6 @@ class SpecDataset:
         selected = names if names is not None else self.benchmark_names
         return np.vstack([benchmark_by_name(name).mica_features() for name in selected])
 
-    # ------------------------------------------------------------ sub-setting
-    def restrict_machines(self, machine_ids: Sequence[str]) -> "SpecDataset":
-        """Dataset containing only the given machines, in the given order."""
-        id_set = list(machine_ids)
-        by_id = {machine.machine_id: machine for machine in self.machines}
-        missing = [mid for mid in id_set if mid not in by_id]
-        if missing:
-            raise KeyError(f"unknown machines: {missing}")
-        return SpecDataset(
-            matrix=self.matrix.select_machines(id_set),
-            machines=tuple(by_id[mid] for mid in id_set),
-            benchmarks=self.benchmarks,
-        )
-
 
 @lru_cache(maxsize=4)
 def build_default_dataset(noise_sigma: float = 0.03, seed: int = 0) -> SpecDataset:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import MethodParams
 from repro.ml.genetic import GAConfig
 
 __all__ = ["PRESETS", "ExperimentConfig"]
@@ -140,15 +139,3 @@ class ExperimentConfig:
     def ga_config(self) -> GAConfig:
         """The GA hyper-parameters implied by this configuration."""
         return GAConfig(population_size=self.ga_population, generations=self.ga_generations)
-
-    def method_params(self) -> MethodParams:
-        """This preset's knobs as engine-level :class:`~repro.core.engine.
-        MethodParams`, ready for the method registry's factories."""
-        return MethodParams(
-            mlp_epochs=self.mlp_epochs,
-            mlp_hidden_units=self.mlp_hidden_units,
-            ga_population=self.ga_population,
-            ga_generations=self.ga_generations,
-            knn_neighbours=self.knn_neighbours,
-            seed=self.seed,
-        )

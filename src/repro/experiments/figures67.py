@@ -51,12 +51,6 @@ class FigureSeries:
         """The "Average" bar of the figure."""
         return float(np.mean(self.series[method]))
 
-    def worst_benchmark(self, method: str, higher_is_better: bool) -> str:
-        """Benchmark on which *method* does worst."""
-        values = np.asarray(self.series[method])
-        index = int(np.argmin(values)) if higher_is_better else int(np.argmax(values))
-        return self.benchmarks[index]
-
 
 def _series_from_table2(table2: Table2Result, metric_key: str, metric_name: str) -> FigureSeries:
     methods = list(table2.results)

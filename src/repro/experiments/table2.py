@@ -57,14 +57,6 @@ class Table2Result:
     n_splits: int
     n_applications: int
 
-    def best_method_by_rank_correlation(self) -> str:
-        """Name of the method with the highest average rank correlation."""
-        return max(self.summaries, key=lambda m: self.summaries[m].rank_correlation.mean)
-
-    def as_rows(self) -> list[dict[str, str]]:
-        """Rows formatted like the paper's table (one row per method)."""
-        return [summary.as_table_row() for summary in self.summaries.values()]
-
 
 def run_table2(
     dataset: SpecDataset | None = None, config: ExperimentConfig | None = None

@@ -51,10 +51,6 @@ class Table3Result:
         """Mean rank correlation for one era/method cell."""
         return self.summaries[era][method].rank_correlation.mean
 
-    def era_trend(self, method: str) -> list[float]:
-        """Mean rank correlation across eras (2008, 2007, older) for *method*."""
-        return [self.rank_correlation(era, method) for era in ERAS]
-
 
 def _era_splits(dataset: SpecDataset) -> dict[str, MachineSplit]:
     return {

@@ -243,10 +243,3 @@ class BatchedMLPRegressor:
         if self._w_hidden is None:
             raise RuntimeError("model has not been fitted")
         return int(self._w_hidden.shape[0])
-
-    @property
-    def n_hidden_units(self) -> int:
-        """Number of hidden units actually used (resolved after fit)."""
-        if self._w_hidden is None:
-            raise RuntimeError("model has not been fitted")
-        return int(self._w_hidden.shape[2])

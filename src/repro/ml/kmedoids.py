@@ -88,9 +88,3 @@ class KMedoids:
         self.labels_ = labels
         self.inertia_ = float(distances[np.arange(n_samples), medoids[labels]].sum())
         return self
-
-    def fit_predict(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        """Fit and return the cluster label of every point."""
-        self.fit(points)
-        assert self.labels_ is not None
-        return self.labels_

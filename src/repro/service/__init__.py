@@ -10,7 +10,7 @@ stack for it:
   :func:`~repro.core.pipeline.predict_split_scores` entry point the offline
   tables use (service answers are bit-identical to
   :func:`~repro.core.pipeline.run_cross_validation` cells), degrading a
-  query along the registry's fallback chain when a deadline or a failed
+  query along the method table's fallback chain when a deadline or a failed
   engine pass rules its method out;
 * :mod:`repro.service.cache` — :class:`SplitContextCache`, the LRU
   cache holding trained split state, keyed by

@@ -21,11 +21,11 @@ answers every query whose table is trained and marks the rest as
 and answers those.  The micro-batcher runs the first stage on the event
 loop and sends only the second to a worker thread.
 
-Degradation has one mechanism: the registry's fallback chain (``MLP^T`` →
-``NN^T``, ...).  A query walks it when its deadline cannot afford the
-requested method's cold pass, or when a cold pass fails (the fault
-injector's ``backend_error`` seam); the reply then says ``degraded`` and
-names its ``served_method``.  A failure with no method left in the chain
+Degradation has one mechanism: the fallback chain of the method table
+(:data:`repro.core.engine.METHODS`: ``MLP^T`` → ``NN^T``, ...).  A query
+walks it when its deadline cannot afford the requested method's cold
+pass, or when a cold pass fails (the fault injector's ``backend_error``
+seam); the reply then says ``degraded`` and names its ``served_method``.  A failure with no method left in the chain
 is a retryable ``BACKEND_FAILURE``.
 
 Examples::
@@ -52,19 +52,19 @@ import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.batch import BatchedRankingMethod, split_cache_key, split_fingerprint
-from repro.core.engine import DEFAULT_METHOD, UnknownMethodError, method_spec, resolve_methods
+from repro.core.engine import DEFAULT_METHOD, METHODS
 from repro.core.pipeline import predict_split_scores
 from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
 from repro.service.cache import SplitContextCache
 from repro.service.errors import BackendFailureError, ServiceError
-from repro.service.faults import FaultInjector, InjectedFault
+from repro.service.faults import FaultInjector, InjectedFault, fault_counters
 from repro.service.observability import Trace
 from repro.service.resilience import Deadline
 
@@ -227,22 +227,19 @@ class _SplitState:
         method_name: str,
         method: BatchedRankingMethod,
         application: str,
-        injector: FaultInjector | None = None,
+        before_pass: Callable[[str], None],
     ) -> tuple[np.ndarray, bool]:
         """``(target scores for application, answer_was_already_trained)``.
 
-        *injector*'s engine seams (``latency``, ``backend_error``) fire
-        once per cold pass, before it starts, so an injected failure never
-        leaves a half-built table behind.
+        ``before_pass(method_name)`` runs once per cold pass, before it
+        starts (the service fires its engine faults there), so a failure it
+        raises never leaves a half-built table behind.
         """
         with self._lock:
             trained = self.lookup(method_name, application)
             if trained is not None:
                 return trained, True
-            if injector is not None:
-                injector.inject_latency()
-                if injector.fires("backend_error"):
-                    raise InjectedFault(f"injected engine fault in a cold {method_name} pass")
+            before_pass(method_name)
             fresh = predict_split_scores(
                 dataset, self.split, {method_name: method}, dataset.benchmark_names
             )[method_name]
@@ -274,25 +271,21 @@ class PredictionService:
         The performance dataset to answer from.
     methods:
         Mapping from method name to :class:`~repro.core.batch.
-        BatchedRankingMethod`, or registered method name(s) resolved
-        through :func:`repro.core.engine.resolve_methods` (e.g. ``["NN^T",
-        "GA-kNN"]``).  Each method is trained with one tensor pass per
-        split.
+        BatchedRankingMethod`.  Each method is trained with one tensor pass
+        per split.  A query degrades along the fallbacks of
+        :data:`repro.core.engine.METHODS` between the methods served here
+        when its deadline cannot be met by its requested method or a cold
+        engine pass fails.
     cache:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
         split state (default: 64 entries).  Its registry is the service's
         :attr:`metrics`, which every layer of the stack records into.
-    fallbacks:
-        ``{method: fallback_method}`` degradation map, walked when a
-        query's deadline cannot be met by its requested method or a cold
-        engine pass fails.  ``None`` (the default) derives it from the
-        registry's ``fallback`` declarations, restricted to the methods
-        this service actually serves.
     fault_injector:
         The :class:`~repro.service.faults.FaultInjector` active in this
-        stack, if any.  Its engine seams fire before every cold pass; the
-        health payload reports its counters.  (The cache's seams are wired
-        into the :class:`~repro.service.cache.SplitContextCache` itself.)
+        stack, if any.  Its engine seams fire before every cold pass, and
+        every fired fault counts as ``faults.<seam>`` in :attr:`metrics`.
+        (The cache's seams are wired into the
+        :class:`~repro.service.cache.SplitContextCache` itself.)
 
     Examples::
 
@@ -316,15 +309,14 @@ class PredictionService:
     def __init__(
         self,
         dataset: SpecDataset,
-        methods: "Mapping[str, BatchedRankingMethod] | Sequence[str] | str",
+        methods: Mapping[str, BatchedRankingMethod],
         cache: SplitContextCache | None = None,
-        fallbacks: "Mapping[str, str] | None" = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if not methods:
             raise ValueError("at least one ranking method is required")
         self.dataset = dataset
-        self.methods = resolve_methods(methods)
+        self.methods = dict(methods)
         self.cache = cache if cache is not None else SplitContextCache()
         self.fault_injector = fault_injector
         self.metrics = self.cache.metrics
@@ -336,26 +328,18 @@ class PredictionService:
         #: Cache entries found corrupted (wrong type) and rebuilt.
         self._corrupt_entries = self.metrics.counter("service.corrupt_entries_dropped")
         self._cold_train_ms = self.metrics.histogram("service.cold_train_ms")
+        self._faults = fault_counters(self.metrics)
         self._benchmarks = set(dataset.benchmark_names)
         self._machines = set(dataset.machine_ids)
-        self._fallbacks = (
-            dict(fallbacks) if fallbacks is not None else self._registry_fallbacks()
-        )
+        #: ``{method: fallback}`` between served methods.
+        self._fallbacks = {
+            spec.name: spec.fallback
+            for spec in METHODS
+            if spec.name in self.methods and spec.fallback in self.methods
+        }
         #: Worst observed cold-training seconds per served method, fed by
         #: rank_many; the deadline-degradation decision consults it.
         self._cold_cost: dict[str, float] = {}
-
-    def _registry_fallbacks(self) -> dict[str, str]:
-        """Degradation map from the registry, limited to served methods."""
-        fallbacks: dict[str, str] = {}
-        for served in self.methods:
-            try:
-                fallback_name = method_spec(served).fallback
-            except UnknownMethodError:
-                continue  # caller-named instance, not a registry method
-            if fallback_name is not None and fallback_name in self.methods:
-                fallbacks[served] = fallback_name
-        return fallbacks
 
     # ------------------------------------------------------------ validation
     def split_for(self, query: RankingQuery) -> MachineSplit:
@@ -438,16 +422,14 @@ class PredictionService:
         """The methods to try for *query*, in order: its fallback chain.
 
         The chain is the requested method followed by each fallback in
-        turn (cycle-safe).  Under a deadline it starts at the first method
-        whose answer is warm (a lookup beats any deadline a training pass
-        could) or whose observed cold-training cost fits the remaining
-        budget; when none does, at the chain's last method.  The caller
+        turn.  Under a deadline it starts at the first method whose answer
+        is warm (a lookup beats any deadline a training pass could) or
+        whose observed cold-training cost fits the remaining budget; when
+        none does, at the chain's last method.  The caller
         moves on to the next candidate when a cold pass fails.
         """
         chain = [query.method]
         while (fallback := self._fallbacks.get(chain[-1])) is not None:
-            if fallback in chain:
-                break
             chain.append(fallback)
         deadline = query.deadline
         if deadline is None:
@@ -550,7 +532,7 @@ class PredictionService:
                     served,
                     self.methods[served],
                     query.application,
-                    self.fault_injector,
+                    self._inject_engine_faults,
                 )
                 break
             except InjectedFault as exc:
@@ -565,6 +547,17 @@ class PredictionService:
                 self._cold_cost[served] = elapsed
             self._cold_train_ms.observe(elapsed * 1000.0)
         return self._reply(query, state, served, scores, warm)
+
+    def _inject_engine_faults(self, method_name: str) -> None:
+        """Fire the injector's engine seams ahead of a cold *method_name* pass."""
+        injector = self.fault_injector
+        if injector is None:
+            return
+        if injector.inject_latency():
+            self._faults["latency"].inc()
+        if injector.fires("backend_error"):
+            self._faults["backend_error"].inc()
+            raise InjectedFault(f"injected engine fault in a cold {method_name} pass")
 
     def _reply(
         self,

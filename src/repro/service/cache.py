@@ -28,15 +28,12 @@ registry.
 Examples::
 
     >>> cache = SplitContextCache(capacity=2)
-    >>> cache.put("split-a", 1)
-    >>> cache.put("split-b", 2)
-    >>> cache.get("split-a")
-    1
-    >>> cache.put("split-c", 3)   # evicts the least recently used: split-b
-    >>> cache.get("split-b") is None
-    True
+    >>> for key in ("split-a", "split-b", "split-a", "split-c"):
+    ...     _ = cache.get_or_create(key, lambda: key.upper())
+    >>> cache.get_or_create("split-b", lambda: "rebuilt")   # split-b was evicted
+    ('rebuilt', False)
     >>> cache.metrics.snapshot()["counters"]["cache.evictions"]
-    1
+    2
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-from repro.service.faults import CorruptedEntry, FaultInjector
+from repro.service.faults import CorruptedEntry, FaultInjector, fault_counters
 from repro.service.observability import MetricsRegistry
 
 __all__ = ["SplitContextCache"]
@@ -85,6 +82,8 @@ class SplitContextCache:
         #: Faults actually applied to resident entries, not merely drawn.
         self._injected_evictions = self.metrics.counter("cache.injected_evictions")
         self._injected_corruptions = self.metrics.counter("cache.injected_corruptions")
+        #: Faults drawn at every seam of the stack (``faults.<seam>``).
+        self._faults = fault_counters(self.metrics)
         self._lock = threading.Lock()
         #: key -> value, most recently used last.
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
@@ -94,45 +93,26 @@ class SplitContextCache:
         injector = self.fault_injector
         if injector is None:
             return
-        if injector.fires("cache_evict") and self.invalidate(key):
-            self._injected_evictions.inc()
+        if injector.fires("cache_evict"):
+            self._faults["cache_evict"].inc()
+            if self.invalidate(key):
+                self._injected_evictions.inc()
         if injector.fires("cache_corrupt"):
+            self._faults["cache_corrupt"].inc()
             with self._lock:
                 if key in self._entries:
                     # In place: corruption is not a (re)insertion.
                     self._entries[key] = CorruptedEntry(key)
                     self._injected_corruptions.inc()
 
-    def _insert(self, key: Hashable, value: Any) -> None:
-        """Store *value* as the most recent entry, evicting past capacity."""
-        self._entries.pop(key, None)
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self._evictions.inc()
-        self._entries[key] = value
-
     # ------------------------------------------------------------- operations
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Value stored under *key*, or *default* on a miss."""
-        self._maybe_inject(key)
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits.inc()
-                return self._entries[key]
-            self._misses.inc()
-            return default
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert *value* under *key* (refreshing its LRU position)."""
-        with self._lock:
-            self._insert(key, value)
-
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> tuple[Any, bool]:
         """Return ``(value, hit)``, storing ``factory()`` on a miss.
 
         The factory runs under the cache lock, so concurrent misses on one
-        key store exactly one value; it must therefore be cheap.
+        key store exactly one value; it must therefore be cheap.  The new
+        value is the most recent entry, and the least recent ones are
+        evicted past capacity.
         """
         self._maybe_inject(key)
         with self._lock:
@@ -142,7 +122,10 @@ class SplitContextCache:
                 return self._entries[key], True
             self._misses.inc()
             value = factory()
-            self._insert(key, value)
+            while len(self._entries) >= self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
+            self._entries[key] = value
             return value, False
 
     def invalidate(self, key: Hashable) -> bool:
@@ -153,7 +136,8 @@ class SplitContextCache:
         Examples::
 
             >>> cache = SplitContextCache(capacity=4)
-            >>> cache.put("key", "value")
+            >>> cache.get_or_create("key", lambda: "value")
+            ('value', False)
             >>> cache.invalidate("key")
             True
             >>> cache.invalidate("key")
@@ -166,11 +150,6 @@ class SplitContextCache:
             return False
 
     # ------------------------------------------------------------- inspection
-    def clear(self) -> None:
-        """Drop every resident entry (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         """Number of resident entries."""
         with self._lock:

@@ -17,6 +17,11 @@ a :class:`FaultInjector` fires faults at *named seams* of the stack —
 * ``conn_drop`` — the TCP front end drops the connection before
   answering (exercises client reconnect + retry).
 
+The seam that draws a fault counts it as ``faults.<seam>`` in the serving
+stack's one :class:`~repro.service.observability.MetricsRegistry`
+(:func:`fault_counters`), so the ``metrics`` and ``health`` verbs report
+the same fired-fault counts.
+
 Faults are **deterministic**: each seam draws from its own seeded RNG
 stream, so a given :class:`FaultPlan` produces the same fault schedule per
 seam regardless of how calls to different seams interleave.  Activation is
@@ -53,6 +58,8 @@ import zlib
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
+from repro.service.observability import Counter, MetricsRegistry
+
 __all__ = [
     "CorruptedEntry",
     "FAULTS_ENV_VAR",
@@ -60,6 +67,7 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "SEAMS",
+    "fault_counters",
     "injector_from_env",
 ]
 
@@ -185,8 +193,8 @@ class FaultInjector:
     Each seam owns an independent ``random.Random`` seeded from
     ``plan.seed`` and the seam name, so the decision sequence of one seam
     depends only on how many times *that* seam was consulted — injection at
-    the cache never perturbs the engine's schedule.  Thread-safe; counts
-    every fired fault in :attr:`injected`.
+    the cache never perturbs the engine's schedule.  Thread-safe; the
+    caller of :meth:`fires` counts a fired fault (:func:`fault_counters`).
 
     Examples::
 
@@ -195,8 +203,6 @@ class FaultInjector:
         True
         >>> injector.fires("backend_error")   # probability 0: never fires
         False
-        >>> injector.injected["cache_evict"]
-        1
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -206,8 +212,6 @@ class FaultInjector:
             seam: random.Random((plan.seed << 17) ^ zlib.crc32(seam.encode()))
             for seam in SEAMS
         }
-        #: Fired-fault counts per seam (monitoring + test assertions).
-        self.injected: dict[str, int] = {seam: 0 for seam in SEAMS}
 
     def fires(self, seam: str) -> bool:
         """Decide (deterministically) whether *seam* faults on this call."""
@@ -215,10 +219,7 @@ class FaultInjector:
         if probability <= 0.0:
             return False
         with self._lock:
-            fired = self._rngs[seam].random() < probability
-            if fired:
-                self.injected[seam] += 1
-        return fired
+            return self._rngs[seam].random() < probability
 
     def inject_latency(self, sleep: Callable[[float], None] = time.sleep) -> float:
         """Maybe sleep an injected latency spike; return the injected ms."""
@@ -227,10 +228,19 @@ class FaultInjector:
         sleep(self.plan.latency_ms / 1000.0)
         return self.plan.latency_ms
 
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the fired-fault counters."""
-        with self._lock:
-            return dict(self.injected)
+
+def fault_counters(metrics: MetricsRegistry) -> dict[str, Counter]:
+    """The ``faults.<seam>`` counter of every seam, bound in *metrics*.
+
+    Examples::
+
+        >>> metrics = MetricsRegistry()
+        >>> counters = fault_counters(metrics)
+        >>> counters["conn_drop"].inc()
+        >>> metrics.snapshot()["counters"]["faults.conn_drop"]
+        1
+    """
+    return {seam: metrics.counter(f"faults.{seam}") for seam in SEAMS}
 
 
 def injector_from_env(env: "Mapping[str, str] | None" = None) -> FaultInjector | None:

@@ -177,14 +177,9 @@ class Histogram:
         True
     """
 
-    __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum", "_min", "_max", "_clock")
+    __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum", "_min", "_max")
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS) -> None:
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("at least one bucket bound is required")
@@ -198,7 +193,6 @@ class Histogram:
         self._sum = 0.0
         self._min: float | None = None
         self._max: float | None = None
-        self._clock = clock
 
     def observe(self, value: float) -> None:
         """Record one observation (same unit as the bucket bounds)."""
@@ -210,15 +204,6 @@ class Histogram:
             self._sum += value
             self._min = value if self._min is None else min(self._min, value)
             self._max = value if self._max is None else max(self._max, value)
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager observing the elapsed wall-clock in milliseconds."""
-        started = self._clock()
-        try:
-            yield
-        finally:
-            self.observe((self._clock() - started) * 1000.0)
 
     def percentile(self, q: float) -> float | None:
         """Estimated value at quantile *q* in ``[0, 1]`` (``None`` when empty)."""
@@ -284,9 +269,8 @@ class MetricsRegistry:
         (5, 2)
     """
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._clock = clock
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -312,9 +296,7 @@ class MetricsRegistry:
         with self._lock:
             metric = self._histograms.get(name)
             if metric is None:
-                metric = self._histograms[name] = Histogram(
-                    name, buckets=buckets, clock=self._clock
-                )
+                metric = self._histograms[name] = Histogram(name, buckets=buckets)
             return metric
 
     def observe_trace(self, payload: dict) -> None:
@@ -355,10 +337,8 @@ class Trace:
         >>> with trace.span("admission"):
         ...     pass
         >>> trace.begin("engine"); trace.end("engine")
-        >>> [entry["stage"] for entry in trace.to_payload()["spans"]]
-        ['admission', 'engine']
-        >>> trace.duration_ms("engine")
-        200.0
+        >>> trace.to_payload()["spans"]
+        [{'stage': 'admission', 'ms': 100.0}, {'stage': 'engine', 'ms': 200.0}]
     """
 
     __slots__ = ("trace_id", "_clock", "_lock", "_spans")
@@ -403,14 +383,6 @@ class Trace:
             yield
         finally:
             self.end(stage)
-
-    def duration_ms(self, stage: str) -> float | None:
-        """Milliseconds *stage* took (``None`` when absent or still open)."""
-        with self._lock:
-            entry = self._spans.get(stage)
-            if entry is None or entry[1] is None:
-                return None
-            return round((entry[1] - entry[0]) * 1000.0, 3)
 
     def to_payload(self) -> dict:
         """The wire form: ``{"id": ..., "spans": [{"stage", "ms"}, ...]}``."""

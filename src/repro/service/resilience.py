@@ -13,7 +13,7 @@ share:
   request is idempotent by content fingerprint.
 
 Degradation itself — serving a query from the next method of the
-registry's fallback chain when a deadline or a failed engine pass rules
+method table's fallback chain when a deadline or a failed engine pass rules
 the requested one out — lives in :class:`~repro.service.api.
 PredictionService`.
 

@@ -72,7 +72,7 @@ from repro.service.api import PredictionService, RankingQuery, RankingReply, Ser
 from repro.service.batching import MicroBatcher
 from repro.service.cache import SplitContextCache
 from repro.service.errors import ERROR_CODES, DeadlineExceededError
-from repro.service.faults import FaultInjector, injector_from_env
+from repro.service.faults import SEAMS, FaultInjector, fault_counters, injector_from_env
 from repro.service.observability import PeriodicSnapshot, Trace
 from repro.service.resilience import Deadline
 
@@ -259,7 +259,7 @@ def _handle_op(
     * ``health``: ``status`` ``"ok"``, or ``"draining"`` once shutdown has
       begun; replies degraded along the fallback chain
       (``degraded_served``); cache and batcher state; and an active fault
-      injector's plan and fired-fault counters under ``faults``;
+      injector's plan and its ``faults.<seam>`` counts under ``faults``;
     * ``ready``: whether new requests are admitted;
     * ``metrics``: the registry snapshot (counters, gauges, p50/p95/p99
       histograms) with the ``stats`` cache block and the ``health``
@@ -311,7 +311,7 @@ def _handle_op(
     injector: FaultInjector | None = service.fault_injector
     if injector is not None:
         health["faults"] = {"plan": dataclasses.asdict(injector.plan),
-                            "injected": injector.snapshot()}
+                            "injected": {seam: counters[f"faults.{seam}"] for seam in SEAMS}}
     return health
 
 
@@ -629,9 +629,13 @@ async def serve_tcp(
     """
     batcher = batcher if batcher is not None else MicroBatcher(service)
     injector = service.fault_injector
+    dropped = fault_counters(service.metrics)["conn_drop"]
 
     def drop() -> bool:
-        return injector is not None and injector.fires("conn_drop")
+        if injector is None or not injector.fires("conn_drop"):
+            return False
+        dropped.inc()
+        return True
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         async def write(payload: dict[str, Any]) -> None:

@@ -30,7 +30,7 @@ from repro.simulator.cache import CacheHierarchy, CacheLevel
 from repro.simulator.branch import BranchPredictorModel
 from repro.simulator.memory import MemoryModel
 from repro.simulator.interval_model import IntervalModel, CPIBreakdown
-from repro.simulator.spec_score import MachineSimulator, spec_ratio
+from repro.simulator.spec_score import MachineSimulator
 
 __all__ = [
     "BranchPredictorModel",
@@ -43,5 +43,4 @@ __all__ = [
     "MicroarchConfig",
     "REFERENCE_MACHINE",
     "WorkloadCharacteristics",
-    "spec_ratio",
 ]

@@ -98,16 +98,3 @@ class CacheHierarchy:
         for level in self.levels:
             reaching *= level.miss_rate(workload)
         return reaching
-
-    def average_hit_latency(self, workload: WorkloadCharacteristics) -> float:
-        """Average latency (cycles) of accesses served by some cache level.
-
-        Weighted by the per-level hit fractions; excludes DRAM accesses,
-        which the :class:`repro.simulator.memory.MemoryModel` prices.
-        """
-        profile = self.access_profile(workload)
-        served = sum(fraction for _, fraction in profile)
-        if served <= 0.0:
-            return self.levels[-1].latency_cycles
-        weighted = sum(level.latency_cycles * fraction for level, fraction in profile)
-        return weighted / served

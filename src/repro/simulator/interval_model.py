@@ -40,17 +40,6 @@ class CPIBreakdown:
         """Total cycles per instruction."""
         return self.base + self.branch + self.cache + self.memory + self.fp
 
-    def dominant_component(self) -> str:
-        """Name of the largest CPI contributor (useful for diagnostics)."""
-        contributions = {
-            "base": self.base,
-            "branch": self.branch,
-            "cache": self.cache,
-            "memory": self.memory,
-            "fp": self.fp,
-        }
-        return max(contributions, key=contributions.get)
-
 
 class IntervalModel:
     """Analytical CPI model for one machine configuration."""

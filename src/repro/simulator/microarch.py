@@ -103,10 +103,6 @@ class MicroarchConfig:
         """DRAM round-trip latency expressed in core cycles."""
         return self.mem_latency_ns * self.frequency_ghz
 
-    def total_cache_kb(self) -> int:
-        """Total per-core cache capacity across all levels."""
-        return self.l1_kb + self.l2_kb + self.l3_kb
-
 
 # The SPEC CPU2006 reference machine is a Sun Ultra Enterprise 2 with a
 # 296 MHz UltraSPARC II processor; all speed ratios are relative to it.  The

@@ -25,7 +25,7 @@ from repro.simulator.interval_model import IntervalModel
 from repro.simulator.microarch import REFERENCE_MACHINE, MicroarchConfig
 from repro.simulator.workload import WorkloadCharacteristics
 
-__all__ = ["spec_ratio", "MachineSimulator"]
+__all__ = ["MachineSimulator"]
 
 
 _REFERENCE_MODEL = IntervalModel(REFERENCE_MACHINE)
@@ -40,11 +40,6 @@ def _reference_runtime(workload: WorkloadCharacteristics) -> float:
     share a cached runtime.
     """
     return _REFERENCE_MODEL.runtime_seconds(workload)
-
-
-def spec_ratio(machine: MicroarchConfig, workload: WorkloadCharacteristics) -> float:
-    """Noise-free SPEC-style speed ratio of *machine* on *workload*."""
-    return _reference_runtime(workload) / IntervalModel(machine).runtime_seconds(workload)
 
 
 class MachineSimulator:

@@ -71,20 +71,6 @@ class WorkloadCharacteristics:
     vectorizable_fraction: float = 0.0
     description: str = field(default="", compare=False)
 
-    # names of the numeric fields exposed as the MICA-like feature vector
-    FEATURE_NAMES = (
-        "dynamic_instructions",
-        "memory_fraction",
-        "branch_fraction",
-        "fp_fraction",
-        "ilp",
-        "working_set_mb",
-        "locality_exponent",
-        "branch_entropy",
-        "memory_level_parallelism",
-        "vectorizable_fraction",
-    )
-
     def __post_init__(self) -> None:
         if self.domain not in {"int", "fp"}:
             raise ValueError(f"domain must be 'int' or 'fp', got {self.domain!r}")
@@ -124,15 +110,6 @@ class WorkloadCharacteristics:
         "branch_entropy",
     )
 
-    def as_feature_vector(self) -> np.ndarray:
-        """Return the full numeric characteristics as a 1-D feature vector.
-
-        This is the simulator's ground-truth description of the workload;
-        use :meth:`mica_features` for the partial view available to
-        profiling-based methods such as GA-kNN.
-        """
-        return np.array([getattr(self, name) for name in self.FEATURE_NAMES], dtype=float)
-
     def mica_features(self) -> np.ndarray:
         """Microarchitecture-independent characteristics as measured by profiling.
 
@@ -147,10 +124,6 @@ class WorkloadCharacteristics:
             else:
                 values.append(float(getattr(self, name)))
         return np.array(values, dtype=float)
-
-    def is_memory_bound(self, threshold_mb: float = 8.0) -> bool:
-        """Heuristic flag: does the dominant working set exceed typical LLCs?"""
-        return self.working_set_mb >= threshold_mb
 
     def with_name(self, name: str, description: str = "") -> "WorkloadCharacteristics":
         """Return a copy of these characteristics under a different name.

@@ -12,10 +12,8 @@ from repro.core import (
     MethodResults,
     actual_ranking,
     compare_rankings,
-    create_method,
     machine_feature_matrix,
     run_cross_validation,
-    select_farthest_point,
     select_k_medoids,
     select_random,
 )
@@ -171,16 +169,6 @@ def test_select_k_medoids_returns_diverse_machines(dataset):
         select_k_medoids(dataset, candidates, 0)
 
 
-def test_select_farthest_point(dataset):
-    candidates = dataset.machine_ids[:30]
-    chosen = select_farthest_point(dataset, candidates, 5, seed=1)
-    assert len(chosen) == len(set(chosen)) == 5
-    with pytest.raises(ValueError):
-        select_farthest_point(dataset, candidates, 0)
-    with pytest.raises(ValueError):
-        select_farthest_point(dataset, candidates[:2], 5)
-
-
 def test_machine_feature_matrix_standardised(dataset):
     features = machine_feature_matrix(dataset, dataset.machine_ids[:20])
     assert features.shape == (20, 29)
@@ -208,8 +196,7 @@ def test_method_results_summary_and_breakdown():
     assert row["method"] == "demo"
     breakdown = results.per_application()
     assert breakdown["gcc"]["rank_correlation"] == pytest.approx(0.8)
-    assert results.worst_application("rank_correlation") == "mcf"
-    assert results.worst_application("top1_error_percent") == "mcf"
+    assert breakdown["mcf"]["top1_error_percent"] == pytest.approx(50.0)
 
 
 def test_method_results_validation():
@@ -220,15 +207,12 @@ def test_method_results_validation():
         results.summary()
     with pytest.raises(ValueError):
         results.per_application()
-    results.add(CellResult("demo", "s", "gcc", 0.9, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        results.worst_application("bogus")
 
 
 # ------------------------------------------------------------------- pipeline
 def test_run_cross_validation_small_slice(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
-    methods = {"NN^T": create_method("NN^T")}
+    methods = {"NN^T": BatchedLinearTransposition()}
     results = run_cross_validation(dataset, [split], methods, applications=["libquantum", "leslie3d"])
     assert set(results) == {"NN^T"}
     assert [cell.application for cell in results["NN^T"].cells] == ["libquantum", "leslie3d"]
@@ -247,7 +231,7 @@ def test_run_cross_validation_small_slice(dataset):
 
 def test_run_cross_validation_validation_errors(dataset):
     split = temporal_split(dataset, target_year=2009, predictive_years=[2008])
-    methods = {"NN^T": create_method("NN^T")}
+    methods = {"NN^T": BatchedLinearTransposition()}
     with pytest.raises(ValueError):
         run_cross_validation(dataset, [], methods)
     with pytest.raises(ValueError):

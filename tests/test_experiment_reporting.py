@@ -85,8 +85,6 @@ def test_figure_series_accessors():
     assert series.minimum("m1") == 0.5
     assert series.maximum("m2") == 0.8
     assert series.average("m1") == pytest.approx(0.7)
-    assert series.worst_benchmark("m1", higher_is_better=True) == "beta"
-    assert series.worst_benchmark("m2", higher_is_better=False) == "beta"
 
 
 def test_figure_series_formatting():
@@ -123,8 +121,5 @@ def _fake_table2():
 
 def test_table2_result_helpers_and_formatting():
     table2 = _fake_table2()
-    assert table2.best_method_by_rank_correlation() == MLPT
-    rows = table2.as_rows()
-    assert len(rows) == 3
     text = format_table2(table2)
     assert "Table 2" in text and "paper reports" in text

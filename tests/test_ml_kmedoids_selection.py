@@ -68,13 +68,6 @@ def test_kmedoids_invalid_parameters():
         KMedoids(n_clusters=1).fit([0.0, 1.0])
 
 
-def test_kmedoids_fit_predict_matches_labels():
-    points = _three_blobs(seed=4)
-    model = KMedoids(n_clusters=3, seed=4)
-    labels = model.fit_predict(points)
-    assert np.array_equal(labels, model.labels_)
-
-
 # ---------------------------------------------------------------- scalers
 def test_standard_scaler_zero_mean_unit_variance():
     rng = np.random.default_rng(0)

@@ -60,7 +60,7 @@ def test_mlp_default_hidden_units_follow_weka_rule():
     x = rng.uniform(size=(20, 9))
     y = x[:, 0]
     model = fit_one(BatchedMLPRegressor(epochs=5, seed=0), x, y)
-    assert model.n_hidden_units == (9 + 1) // 2
+    assert model._w_hidden.shape[2] == (9 + 1) // 2  # (networks, features, hidden)
 
 
 def test_mlp_training_loss_decreases():
@@ -88,11 +88,6 @@ def test_mlp_predict_single_row():
 def test_mlp_predict_before_fit_raises():
     with pytest.raises(RuntimeError):
         BatchedMLPRegressor().predict([[[1.0]]])
-
-
-def test_mlp_hidden_units_property_before_fit_raises():
-    with pytest.raises(RuntimeError):
-        _ = BatchedMLPRegressor().n_hidden_units
 
 
 def test_mlp_rejects_invalid_hyperparameters():

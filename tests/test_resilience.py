@@ -41,6 +41,7 @@ from repro.service import (
     TCPClient,
     serve_tcp,
 )
+from repro.service.faults import SEAMS
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,6 @@ def test_deadline_degrades_to_fallback_method_when_cold_cost_too_high(dataset):
             "NN^T": BatchedLinearTransposition(),
             "MLP^T": BatchedMLPTransposition(epochs=5),
         },
-        fallbacks={"MLP^T": "NN^T"},
     )
     machines = tuple(dataset.machine_ids[:4])
     # Teach the service that a cold MLP^T pass costs far more than the
@@ -177,7 +177,6 @@ def test_warm_method_is_served_as_asked_despite_tight_deadline(dataset):
             "NN^T": BatchedLinearTransposition(),
             "MLP^T": BatchedMLPTransposition(epochs=5),
         },
-        fallbacks={"MLP^T": "NN^T"},
     )
     machines = tuple(dataset.machine_ids[:4])
     warmup = service.rank(RankingQuery("gcc", machines, method="MLP^T", top_n=2))
@@ -204,6 +203,12 @@ def _fire_then_calm_seed(n_calm=2):
         if [twin.fires("backend_error") for _ in range(1 + n_calm)] == [True] + [False] * n_calm:
             return seed
     raise AssertionError("no seed with a fire-then-calm schedule")
+
+
+def _fault_counts(service):
+    """``{seam: count}`` of the ``faults.<seam>`` counters in the service's registry."""
+    counters = service.metrics.snapshot()["counters"]
+    return {seam: counters[f"faults.{seam}"] for seam in SEAMS}
 
 
 def _nnt_mlpt_service(dataset, injector=None):
@@ -234,7 +239,8 @@ def test_failed_cold_pass_at_chain_end_is_retryable_backend_failure(dataset):
     reply = client.request(request)
     assert reply["ok"] is False and reply["code"] == "BACKEND_FAILURE"
     assert client.retries == 2 and len(sleeps) == 2
-    assert injector.injected["backend_error"] == 4  # one per cold pass attempted
+    # One per cold pass attempted.
+    assert service.metrics.snapshot()["counters"]["faults.backend_error"] == 4
 
 
 def test_failed_cold_pass_degrades_bit_exactly_along_fallback_chain(dataset):
@@ -242,7 +248,7 @@ def test_failed_cold_pass_degrades_bit_exactly_along_fallback_chain(dataset):
     service = _nnt_mlpt_service(dataset, injector)
     machines = tuple(dataset.machine_ids[:4])
 
-    # MLP^T's cold pass draws the fault; the registry's chain (MLP^T ->
+    # MLP^T's cold pass draws the fault; the method table's chain (MLP^T ->
     # NN^T) serves the query from NN^T's cold pass, which draws no fault.
     reply = service.rank(RankingQuery("gcc", machines, method="MLP^T", top_n=3))
     assert reply.degraded is True
@@ -257,7 +263,7 @@ def test_failed_cold_pass_degrades_bit_exactly_along_fallback_chain(dataset):
     # trains it cold and is served as asked.
     again = service.rank(RankingQuery("gcc", machines, method="MLP^T", top_n=3))
     assert again.degraded is False and again.cache_hit is False
-    assert injector.injected["backend_error"] == 1
+    assert service.metrics.snapshot()["counters"]["faults.backend_error"] == 1
 
 
 def test_health_under_backend_faults_reports_ok_without_backend_block(dataset):
@@ -277,7 +283,7 @@ def test_health_under_backend_faults_reports_ok_without_backend_block(dataset):
     assert health["ok"] is True and health["status"] == "ok"
     assert "backend" not in health
     assert health["degraded_served"] == 1
-    assert health["faults"]["injected"] == injector.snapshot()
+    assert health["faults"]["injected"] == _fault_counts(service)
     assert health["faults"]["injected"]["backend_error"] == 1
     assert json.loads(json.dumps(health)) == health
 
@@ -298,7 +304,7 @@ def _chaos_stack(dataset, spec):
         cache=cache,
         fault_injector=injector,
     )
-    return service, injector
+    return service
 
 
 def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
@@ -309,7 +315,7 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
     crash; and health must report the stack truthfully afterwards.
     """
     spec = os.environ.get("REPRO_FAULTS") or DEFAULT_CHAOS_SPEC
-    service, injector = _chaos_stack(dataset, spec)
+    service = _chaos_stack(dataset, spec)
     machines = tuple(dataset.machine_ids[:4])
     apps = [name for name in dataset.benchmark_names[:8]]
     reference = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
@@ -372,11 +378,11 @@ def test_chaos_every_request_ends_well_and_health_stays_truthful(dataset):
         assert health["status"] == "ok"
         counters = service.metrics.snapshot()["counters"]
         assert health["cache"]["injected_evictions"] == counters["cache.injected_evictions"]
-        assert health["faults"]["injected"] == injector.snapshot()
+        assert health["faults"]["injected"] == _fault_counts(service)
 
         # The stack actually hurt: with the default spec every seam fired.
         if spec == DEFAULT_CHAOS_SPEC:
-            fired = injector.snapshot()
+            fired = _fault_counts(service)
             assert fired["backend_error"] > 0
             assert fired["cache_evict"] > 0 or fired["cache_corrupt"] > 0
             assert fired["conn_drop"] > 0
@@ -401,7 +407,7 @@ def test_chaos_stdio_front_end_survives_fault_injection(dataset):
     from repro.service import serve_stdio
 
     spec = os.environ.get("REPRO_FAULTS") or DEFAULT_CHAOS_SPEC
-    service, _ = _chaos_stack(dataset, spec)
+    service = _chaos_stack(dataset, spec)
     machines = list(dataset.machine_ids[:4])
     requests = "".join(
         json.dumps({"application": app, "predictive_machines": machines, "top_n": 1})
@@ -427,20 +433,15 @@ def test_fault_injector_same_seed_replays_identical_sequences():
     spec = DEFAULT_CHAOS_SPEC
     first = FaultInjector(FaultPlan.parse(spec))
     second = FaultInjector(FaultPlan.parse(spec))
-    from repro.service.faults import SEAMS
-
     for seam in SEAMS:
         sequence_a = [first.fires(seam) for _ in range(64)]
         sequence_b = [second.fires(seam) for _ in range(64)]
         assert sequence_a == sequence_b, seam
         assert any(sequence_a), f"{seam} never fired in 64 draws"
-    assert first.injected == second.injected
 
 
 def test_fault_injector_every_seam_ignores_traffic_on_the_others():
     """Each seam's schedule depends only on its own consultation count."""
-    from repro.service.faults import SEAMS
-
     plan = FaultPlan.parse(DEFAULT_CHAOS_SPEC)
     for seam in SEAMS:
         solo = FaultInjector(plan)

@@ -59,33 +59,22 @@ def _counters(owner):
 # ------------------------------------------------------------- cache semantics
 def test_cache_hit_and_miss_counters():
     cache = SplitContextCache(capacity=4)
-    assert cache.get("absent") is None
-    cache.put("key", "value")
-    assert cache.get("key") == "value"
+    assert cache.get_or_create("key", lambda: "value") == ("value", False)
+    assert cache.get_or_create("key", lambda: "other") == ("value", True)
     counters = _counters(cache)
     assert (counters["cache.hits"], counters["cache.misses"], len(cache)) == (1, 1, 1)
 
 
 def test_cache_lru_eviction_order():
     cache = SplitContextCache(capacity=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1          # refreshes a: b is now least recent
-    cache.put("c", 3)                   # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
+    cache.get_or_create("a", lambda: 1)
+    cache.get_or_create("b", lambda: 2)
+    assert cache.get_or_create("a", lambda: None) == (1, True)  # b is now least recent
+    cache.get_or_create("c", lambda: 3)                         # evicts b
     assert _counters(cache)["cache.evictions"] == 1
-
-
-def test_cache_put_refreshes_existing_key_without_eviction():
-    cache = SplitContextCache(capacity=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.put("a", 10)                  # overwrite, not insert
-    assert len(cache) == 2
-    assert _counters(cache)["cache.evictions"] == 0
-    assert cache.get("a") == 10
+    assert cache.get_or_create("a", lambda: None) == (1, True)
+    assert cache.get_or_create("c", lambda: None) == (3, True)
+    assert cache.get_or_create("b", lambda: "rebuilt") == ("rebuilt", False)
 
 
 def test_cache_get_or_create_builds_once():
@@ -102,10 +91,11 @@ def test_cache_total_capacity_is_never_exceeded():
     # One LRU over the whole budget: the 5 most recent keys stay resident.
     cache = SplitContextCache(capacity=5)
     for index in range(50):
-        cache.put(f"key-{index}", index)
+        cache.get_or_create(f"key-{index}", lambda: index)
         assert len(cache) <= 5
-    assert [cache.get(f"key-{index}") for index in range(45, 50)] == list(range(45, 50))
     assert _counters(cache)["cache.evictions"] == 45
+    resident = [cache.get_or_create(f"key-{index}", lambda: None) for index in range(45, 50)]
+    assert resident == [(index, True) for index in range(45, 50)]
 
 
 def test_cache_validates_parameters():
@@ -417,18 +407,6 @@ def test_microbatcher_validates_parameters(dataset):
     service = _nnt_service(dataset)
     with pytest.raises(ValueError):
         MicroBatcher(service, max_batch=0)
-
-
-def test_service_resolves_registered_method_names(dataset, splits):
-    """PredictionService accepts registry names instead of instances."""
-    by_name = PredictionService(dataset, ["NN^T"])
-    by_instance = PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
-    split = splits[0]
-    query = RankingQuery("gcc", split.predictive_ids, target_machines=split.target_ids)
-    assert by_name.rank(query).scores == by_instance.rank(query).scores
-
-    with pytest.raises(Exception, match="unknown method"):
-        PredictionService(dataset, ["definitely-not-registered"])
 
 
 # --------------------------------------------------- admission and deadlines

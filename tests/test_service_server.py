@@ -696,8 +696,9 @@ def test_stats_health_and_metrics_agree_on_every_shared_count(dataset):
     """One history through one service: the three verbs report one set of counts.
 
     The history sheds a request, lets a deadline lapse in the queue,
-    degrades a reply through the ``backend_error`` seam, and applies one
-    injected cache eviction and one injected corruption.
+    applies one injected cache eviction and one injected corruption, and
+    degrades a reply through the ``backend_error`` seam after an injected
+    ``latency`` spike; every fault count is checked across the verbs.
     """
     from repro.service import (
         Deadline,
@@ -708,6 +709,7 @@ def test_stats_health_and_metrics_agree_on_every_shared_count(dataset):
         OverloadedError,
         SplitContextCache,
     )
+    from repro.service.faults import SEAMS
 
     cache = SplitContextCache(capacity=8)
     service = PredictionService(
@@ -735,16 +737,18 @@ def test_stats_health_and_metrics_agree_on_every_shared_count(dataset):
         now[0] = 1.0
         with pytest.raises(DeadlineExceededError):
             await doomed
-        # The MLP^T pass fails and NN^T's trained table answers, degraded.
-        service.fault_injector = FaultInjector(FaultPlan(seed=3, backend_error=1.0))
-        degraded = await batcher.submit(RankingQuery("gcc", machines, method="MLP^T"))
-        assert degraded.degraded is True
-        service.fault_injector = None
         # One injected eviction, then one injected corruption, of the entry.
         for seam in ("cache_evict", "cache_corrupt"):
             cache.fault_injector = FaultInjector(FaultPlan(seed=3, **{seam: 1.0}))
             await batcher.submit(RankingQuery("lbm", machines))
         cache.fault_injector = None
+        # The MLP^T pass is slowed, then fails, and NN^T's trained table
+        # answers, degraded.  The injector stays wired, so health reports it.
+        service.fault_injector = FaultInjector(
+            FaultPlan(seed=3, backend_error=1.0, latency=1.0, latency_ms=0.01)
+        )
+        degraded = await batcher.submit(RankingQuery("gcc", machines, method="MLP^T"))
+        assert degraded.degraded is True
         return [
             await handle_line(service, batcher, json.dumps({"op": op}))
             for op in ("stats", "health", "metrics")
@@ -774,6 +778,12 @@ def test_stats_health_and_metrics_agree_on_every_shared_count(dataset):
         assert health[key] == counters[name] == 1
     for key in ("injected_evictions", "injected_corruptions"):
         assert health["cache"][key] == counters[f"cache.{key}"] == 1
+    # Drawn, not applied: the rebuild after the corruption looks the key up
+    # again and draws a second corruption, with no entry left to corrupt.
+    fired = {"backend_error": 1, "latency": 1, "cache_evict": 1, "cache_corrupt": 2}
+    for seam in SEAMS:
+        assert health["faults"]["injected"][seam] == counters[f"faults.{seam}"]
+        assert counters[f"faults.{seam}"] == fired.get(seam, 0), seam
 
 
 def test_unknown_op_lists_the_full_verb_catalogue(service):

@@ -25,6 +25,7 @@ from repro.experiments.methods import MLPT, standard_methods
 
 SMOKE = ExperimentConfig.smoke()
 APPLICATIONS = list(SMOKE.applications)
+NNT_ONLY = {"NN^T": BatchedLinearTransposition()}
 
 
 @pytest.fixture(scope="module")
@@ -71,20 +72,20 @@ def test_mixed_shape_group_raises(dataset, splits):
     mixed = [splits[0], splits[1]]
     assert splits[0].n_predictive != splits[1].n_predictive
     with pytest.raises(ValueError, match="same"):
-        predict_split_scores(dataset, mixed, "NN^T", APPLICATIONS)
+        predict_split_scores(dataset, mixed, NNT_ONLY, APPLICATIONS)
     with pytest.raises(ValueError, match="same"):
         BatchedMLPTransposition(epochs=1).predict_all_applications(
             dataset, mixed, APPLICATIONS
         )
     with pytest.raises(ValueError, match="at least one split"):
-        predict_split_scores(dataset, [], "NN^T", APPLICATIONS)
+        predict_split_scores(dataset, [], NNT_ONLY, APPLICATIONS)
 
 
 def test_single_split_returns_a_mapping(dataset, splits):
-    scores = predict_split_scores(dataset, splits[0], "NN^T", APPLICATIONS)
+    scores = predict_split_scores(dataset, splits[0], NNT_ONLY, APPLICATIONS)
     assert isinstance(scores, dict)
     assert sorted(scores["NN^T"]) == sorted(APPLICATIONS)
-    [grouped] = predict_split_scores(dataset, [splits[0]], "NN^T", APPLICATIONS)
+    [grouped] = predict_split_scores(dataset, [splits[0]], NNT_ONLY, APPLICATIONS)
     for application in APPLICATIONS:
         assert grouped["NN^T"][application].tobytes() == scores["NN^T"][application].tobytes()
 

@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Registry completeness checker: docs and the live method registry agree.
+"""Method-table completeness checker: docs and the method table agree.
 
 Run from the repository root (CI does)::
 
     PYTHONPATH=src python tools/check_registry.py
 
-Parses the "Registered methods" table in ``docs/api.md`` (the first
+Parses the "Method table" section of ``docs/api.md`` (the first
 backtick-quoted cell of each row is the method name) and compares it
-against :func:`repro.core.engine.registered_methods`, in both directions:
+against :data:`repro.core.engine.METHODS`, in both directions:
 
-* every method named in the docs must be registered — a stale doc row for
-  a renamed/removed method fails the check; and
-* every registered method must be documented — adding a method without a
-  doc row fails it too.
+* every method named in the docs must be in the table — a stale doc row
+  for a renamed/removed method fails the check; and
+* every method of the table must be documented — adding a method without
+  a doc row fails it too.
 
 Exit status is 0 on agreement, 1 otherwise, so the script slots directly
 into a CI step (and ``tests/test_engine_registry.py`` runs it as part of
@@ -30,11 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: A table row whose first cell is a backtick-quoted method name.
 ROW = re.compile(r"^\|\s*`([^`]+)`")
 HEADING = re.compile(r"^#{1,6}\s")
-SECTION = "### Registered methods"
+SECTION = "### Method table"
 
 
 def documented_methods(text: str) -> set[str]:
-    """Method names from the "Registered methods" table of *text*."""
+    """Method names from the "Method table" section of *text*."""
     names: set[str] = set()
     in_section = False
     for line in text.splitlines():
@@ -52,25 +52,25 @@ def documented_methods(text: str) -> set[str]:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.core.engine import registered_methods
+    from repro.core.engine import METHODS
 
     api_doc = ROOT / "docs" / "api.md"
     documented = documented_methods(api_doc.read_text())
-    registered = {spec.name for spec in registered_methods()}
+    tabled = {spec.name for spec in METHODS}
 
     problems: list[str] = []
     if not documented:
         problems.append(f"{api_doc.name}: no '{SECTION}' table found")
-    for name in sorted(documented - registered):
-        problems.append(f"{api_doc.name}: documents unregistered method {name!r}")
-    for name in sorted(registered - documented):
-        problems.append(f"registry: method {name!r} is missing from {api_doc.name}")
+    for name in sorted(documented - tabled):
+        problems.append(f"{api_doc.name}: documents method {name!r}, which is not in the table")
+    for name in sorted(tabled - documented):
+        problems.append(f"method table: method {name!r} is missing from {api_doc.name}")
 
     for problem in problems:
         print(problem)
     print(
-        f"checked {len(documented)} documented vs {len(registered)} registered "
-        f"method(s): {len(problems)} problem(s)"
+        f"checked {len(documented)} documented method(s) against {len(tabled)} in "
+        f"METHODS: {len(problems)} problem(s)"
     )
     return 1 if problems else 0
 
